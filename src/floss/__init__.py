@@ -29,14 +29,13 @@ from .features import (
     acc_norm,
     band_powers,
     epoch_feature_matrix,
-    epoch_feature_vector,
     spectrogram,
     stat_features,
     welch_psd,
 )
 from .gbt import Model, TrainConfig, fit, load_model, predict_label, predict_proba, save_model
 from .mobility import MobilityState, TimeInBed, classify_mobility, detect_tib, fit_mobility
-from .report import NightReport, PipelineConfig, emit_hypnogram, emit_usability_graph, run_pipeline
+from .report import NightReport, PipelineConfig, run_pipeline
 from .signal_io import (
     Calibration,
     ChannelSignal,
@@ -90,10 +89,7 @@ __all__ = [
     "design_cascade",
     "detect_tib",
     "downsample_majority",
-    "emit_hypnogram",
-    "emit_usability_graph",
     "epoch_feature_matrix",
-    "epoch_feature_vector",
     "fit",
     "fit_mobility",
     "freq_response",

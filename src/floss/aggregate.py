@@ -7,8 +7,6 @@ unscorable marker -1.  Ties always fall on the usable side.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -112,17 +110,24 @@ def rejected_scores(
     return reject_artifacts(sleep_scores, per_sleep_epoch)
 
 
-def normalize_sleep_codes(raw: np.ndarray) -> np.ndarray:
-    """Validate raw stage codes and map the REM alias 5 onto 4."""
+def normalize_sleep_codes(raw: np.ndarray, allow_unscorable: bool = False) -> np.ndarray:
+    """Validate raw stage codes and map the REM alias 5 onto 4.
+
+    The unscorable marker -1 is accepted only with ``allow_unscorable``:
+    artifact-rejected scores carry it, manual sleep scores never do.
+    """
     codes = np.asarray(raw, dtype=np.int64)
-    bad = codes[(codes < 0) | (codes > REM_INPUT_ALIAS)]
+    lowest = int(SleepStage.UNSCORABLE) if allow_unscorable else 0
+    bad = codes[(codes < lowest) | (codes > REM_INPUT_ALIAS)]
     if bad.size:
-        raise HeaderFieldUnparsable(f"sleep stage codes out of range: {sorted(set(bad))[:5]}")
+        raise HeaderFieldUnparsable(
+            f"sleep stage codes out of range: {sorted(set(bad.tolist()))[:5]}"
+        )
     return np.where(codes == REM_INPUT_ALIAS, int(SleepStage.REM), codes)
 
 
-def load_sleep_scores(path: str | Path) -> np.ndarray:
-    """Read one stage code per line; 5 is accepted as REM."""
+def load_sleep_scores(path: str | Path, allow_unscorable: bool = False) -> np.ndarray:
+    """Read one stage code per line; 5 is accepted as REM, -1 only if allowed."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -136,21 +141,5 @@ def load_sleep_scores(path: str | Path) -> np.ndarray:
             values.append(int(line))
         except ValueError as exc:
             raise HeaderFieldUnparsable(f"{path} line {lineno}: {line!r}") from exc
-    return normalize_sleep_codes(np.asarray(values, dtype=np.int64))
+    return normalize_sleep_codes(np.asarray(values, dtype=np.int64), allow_unscorable)
 
-
-def write_rejected_txt(scores: np.ndarray, path: str | Path) -> None:
-    """One integer per line."""
-    Path(path).write_text("\n".join(str(int(v)) for v in scores) + "\n")
-
-
-def write_rejected_csv(
-    scores: np.ndarray, path: str | Path, epoch_len_s: float = 30.0
-) -> None:
-    """epoch_start_s,score rows for spreadsheet use."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch_start_s", "score"])
-    for i, v in enumerate(scores):
-        writer.writerow([repr(i * epoch_len_s), int(v)])
-    Path(path).write_text(buf.getvalue())

@@ -15,13 +15,18 @@ import click
 import numpy as np
 
 from . import __version__, gbt, report as report_mod, synth as synth_mod
-from .aggregate import REM_INPUT_ALIAS, SleepStage
+from .aggregate import load_sleep_scores
 from .epoching import EpochSample, balance_rus, build_epochs, load_annotations, write_annotations
-from .errors import FlossError, HeaderFieldUnparsable, ModelIncompatible
-from .mobility import MobilityState, classify_mobility, detect_tib, fit_mobility
-from .signal_io import TriAxialAcc, read_csv, read_edf, write_csv, write_edf
+from .errors import FlossError, ModelIncompatible
+from .mobility import (
+    MobilityState,
+    classify_mobility,
+    detect_tib,
+    fit_mobility,
+    write_mobility_csv,
+)
+from .signal_io import TriAxialAcc
 from .sleepstats import compute_stats
-from .spiky import apply_zero_phase, design_cascade
 from .usability import VARIANTS, score_recording, train_usability
 
 _VARIANT_CHOICE = click.Choice(sorted(VARIANTS))
@@ -57,11 +62,6 @@ def _merge(cfg: dict[str, str], key: str, flag, default, cast=str):
     return default
 
 
-def _read_recording(path: str):
-    p = Path(path)
-    return read_edf(p) if p.suffix.lower() == ".edf" else read_csv(p)
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="floss")
 def main() -> None:
@@ -85,7 +85,7 @@ def check(input_path, model_path, out_path, epoch_len, config_path) -> None:
             f"--epoch-len {epoch_len} differs from the model's "
             f"{model.meta.get('epoch_len_s')} s"
         )
-    rec = _read_recording(input_path)
+    rec = report_mod.read_recording(input_path)
     scores = score_recording(rec, model)
     if out_path:
         Path(out_path).write_text(scores.to_csv())
@@ -109,7 +109,7 @@ def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path, config_path
     run = _merge(cfg, "tib_run_epochs", tib_run_epochs, 12, int)
     epoch_len = _merge(cfg, "epoch_len", epoch_len, None, float)
     model = gbt.load_model(model_path)
-    rec = _read_recording(input_path)
+    rec = report_mod.read_recording(input_path)
     states = classify_mobility(rec.acc, rec.fs, model, epoch_len_s=epoch_len)
     win = epoch_len if epoch_len is not None else float(model.meta.get("epoch_len_s", 10.0))
     result = detect_tib(states, run, win)
@@ -133,12 +133,8 @@ def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path, config_path
 @_cli_errors
 def despike(input_path, out_path, config_path) -> None:
     """Remove 8/16/24 Hz spike artifacts with the zero-phase cascade."""
-    rec = _read_recording(input_path)
-    filtered = report_mod._despiked(rec)
-    if Path(out_path).suffix.lower() == ".edf":
-        write_edf(filtered, out_path)
-    else:
-        write_csv(filtered, out_path)
+    rec = report_mod.read_recording(input_path)
+    report_mod.write_recording(report_mod.despiked(rec), out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -158,21 +154,7 @@ def stats(input_path, sleep_epoch_len, out_path, config_path) -> None:
     """Sleep statistics from a score sequence."""
     cfg = _load_config(config_path)
     epoch_len = _merge(cfg, "sleep_epoch_len", sleep_epoch_len, 30.0, float)
-    values = []
-    for lineno, line in enumerate(Path(input_path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            v = int(line)
-        except ValueError as exc:
-            raise HeaderFieldUnparsable(f"{input_path} line {lineno}: {line!r}") from exc
-        if v == REM_INPUT_ALIAS:
-            v = int(SleepStage.REM)
-        if not (-1 <= v <= 4):
-            raise HeaderFieldUnparsable(f"{input_path} line {lineno}: stage {v} out of range")
-        values.append(v)
-    result = compute_stats(np.asarray(values), epoch_len)
+    result = compute_stats(load_sleep_scores(input_path, allow_unscorable=True), epoch_len)
     if out_path:
         Path(out_path).write_text(result.to_json())
     click.echo(result.to_json(), nl=False)
@@ -260,7 +242,7 @@ def train(
             samples: list[EpochSample] = []
             for path in report_mod.discover_nights(input_path):
                 spans = load_annotations(path.with_name(f"{path.stem}_labels.csv"))
-                rec = _read_recording(str(path))
+                rec = report_mod.read_recording(path)
                 samples.extend(
                     build_epochs(rec, spans, epoch_len, subject_id=path.stem, night_id=path.stem)
                 )
@@ -317,16 +299,12 @@ def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, con
             sleep_epoch_len_s=sleep_epoch_len,
             seed=seed,
         )
-        write_edf(rec, out / f"{stem}.edf")
+        report_mod.write_recording(rec, out / f"{stem}.edf")
         write_annotations(spans, out / f"{stem}_labels.csv")
         (out / f"{stem}_sleep.txt").write_text(
             "\n".join(str(v) for v in sleep_scores) + "\n"
         )
-        (out / f"{stem}_mobility.csv").write_text(
-            "epoch_index,state\n"
-            + "\n".join(f"{i},{int(s)}" for i, s in enumerate(states))
-            + "\n"
-        )
+        write_mobility_csv(states, out / f"{stem}_mobility.csv")
         manifest["nights"].append(stem)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     click.echo(f"wrote {subjects} nights under {out}")
@@ -342,7 +320,7 @@ def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, con
 @click.option("--sleep-epoch-len", type=float, default=None)
 @click.option("--tib-run-epochs", type=int, default=None)
 @click.option("--workers", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None, help="ignored: the report is deterministic")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @_cli_errors
 def report(
@@ -376,7 +354,6 @@ def report(
         despike=_merge(cfg, "despike", despike_flag, False, bool),
         tib_run_epochs=_merge(cfg, "tib_run_epochs", tib_run_epochs, 12, int),
         workers=_merge(cfg, "workers", workers, 1, int),
-        seed=_merge(cfg, "seed", seed, 0, int),
     )
     reports = report_mod.run_pipeline(pipeline)
     ok = sum(r.status == "ok" for r in reports)

@@ -24,6 +24,7 @@ class ErrorTaxonomy(Enum):
     EPOCH_MULTIPLE_VIOLATION = "EpochMultipleViolation"
     MODEL_INCOMPATIBLE = "ModelIncompatible"
     NO_LYING_PERIOD = "NoLyingPeriod"
+    AMPLITUDE_OUT_OF_DECLARED_RANGE = "AmplitudeOutOfDeclaredRange"
 
 
 class FlossError(Exception):
@@ -95,6 +96,8 @@ class DigitalRangeDegenerate(HeaderFieldUnparsable):
 
 class AmplitudeOutOfDeclaredRange(FlossError):
     """Physical sample falls outside the declared physical range at write time."""
+
+    code = ErrorTaxonomy.AMPLITUDE_OUT_OF_DECLARED_RANGE
 
 
 class UnknownLabelCode(FlossError):

@@ -76,14 +76,6 @@ class SpectrogramConfig:
         return self.segment_len // 2 + 1 if self.one_sided else self.segment_len
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flat feature values plus the ordered block layout they follow."""
-
-    values: np.ndarray
-    layout: tuple[tuple[str, int], ...]
-
-
 def acc_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Euclidean norm of the three accelerometer axes, sample by sample."""
     return np.sqrt(
@@ -272,15 +264,3 @@ def epoch_feature_matrix(
 
     return np.concatenate(blocks, axis=1), tuple(layout)
 
-
-def epoch_feature_vector(
-    eeg: np.ndarray,
-    acc: np.ndarray | None,
-    cfg: SpectrogramConfig,
-    include_stats: bool = True,
-) -> FeatureVector:
-    """Feature vector of a single epoch; see epoch_feature_matrix."""
-    matrix, layout = epoch_feature_matrix(
-        eeg[None, :], None if acc is None else acc[None, :], cfg, include_stats
-    )
-    return FeatureVector(values=matrix[0], layout=layout)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
@@ -110,6 +111,12 @@ def classify_mobility(
         epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
     X, _ = mobility_feature_matrix(acc, fs, epoch_len_s, mode)
     return [MobilityState(int(v)) for v in gbt.predict_label(model, X)]
+
+
+def write_mobility_csv(states: list[MobilityState], path: str | Path) -> None:
+    """One ``epoch_index,state`` row per epoch, the state as its integer code."""
+    lines = ["epoch_index,state"] + [f"{i},{int(s)}" for i, s in enumerate(states)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def detect_tib(

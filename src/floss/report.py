@@ -3,14 +3,20 @@
 Each night is processed independently: read, optionally despike, score
 usability per channel, classify mobility and find time in bed when an
 accelerometer model is given, merge with sleep scores when a sidecar
-exists, and emit CSV/JSON/SVG outputs. A night failing with a taxonomy
-error is skipped whole: none of its outputs are written and the error
-lands in the batch summary. Only configuration problems abort the run.
+exists, and emit CSV/JSON/SVG outputs. Every output is written into a
+staging directory inside the output directory and moved into place only
+once the whole night has succeeded. A night failing with a taxonomy error
+is skipped whole and the error lands in the batch summary. Only
+configuration problems abort the run; they too leave no partial outputs.
 """
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,11 +25,11 @@ import numpy as np
 from . import gbt, svg
 from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores
 from .errors import FileUnreadable, FlossError, NoSleepDetected
-from .mobility import TimeInBed, classify_mobility, detect_tib
+from .mobility import classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import ChannelSignal, Recording, read_csv, read_edf, write_csv, write_edf
-from .sleepstats import compute_stats
+from .sleepstats import compute_stats, write_stats
 from .spiky import design_cascade, apply_zero_phase
-from .usability import UsabilityScores, score_recording
+from .usability import score_recording
 
 #: stems ending in these are sidecars or prior outputs, never input nights
 _SIDECAR_SUFFIXES = ("_labels", "_usability", "_mobility", "_rejected", "_despiked")
@@ -39,7 +45,6 @@ class PipelineConfig:
     despike: bool = False
     tib_run_epochs: int = 12
     workers: int = 1
-    seed: int = 0
 
 
 @dataclass
@@ -95,40 +100,23 @@ def discover_nights(input_dir: str | Path) -> list[Path]:
     return [chosen[stem] for stem in sorted(chosen)]
 
 
-def emit_usability_graph(
-    rec: Recording,
-    scores: UsabilityScores,
-    path: str | Path,
-    title: str | None = None,
-    binary: bool = False,
-) -> None:
-    if title is None:
-        title = Path(path).stem
-    Path(path).write_text(svg.render_usability_graph(rec, scores, title, binary=binary))
+def read_recording(path: str | Path) -> Recording:
+    """Read an ``.edf`` file as EDF and any other file as the CSV fallback."""
+    path = Path(path)
+    return read_edf(path) if path.suffix.lower() == ".edf" else read_csv(path)
 
 
-def emit_hypnogram(
-    scores: np.ndarray,
-    epoch_len_s: float,
-    path: str | Path,
-    mobility: np.ndarray | None = None,
-    tib: TimeInBed | None = None,
-    title: str | None = None,
-) -> None:
-    if title is None:
-        title = Path(path).stem
-    Path(path).write_text(
-        svg.render_hypnogram(scores, epoch_len_s, title, mobility=mobility, tib=tib)
-    )
-
-
-def _read_recording(path: Path) -> Recording:
+def write_recording(rec: Recording, path: str | Path) -> None:
+    """Write EDF to an ``.edf`` path and the CSV fallback to any other."""
+    path = Path(path)
     if path.suffix.lower() == ".edf":
-        return read_edf(path)
-    return read_csv(path)
+        write_edf(rec, path)
+    else:
+        write_csv(rec, path)
 
 
-def _despiked(rec: Recording) -> Recording:
+def despiked(rec: Recording) -> Recording:
+    """The recording with every EEG channel through the zero-phase cascade."""
     cascade = design_cascade(rec.fs)
     channels = [
         ChannelSignal(
@@ -148,6 +136,85 @@ def _despiked(rec: Recording) -> Recording:
     )
 
 
+@contextmanager
+def _staged(out_dir: Path):
+    """A fresh directory inside ``out_dir``; its files move into ``out_dir``
+    when the block succeeds, and the directory is removed in every case."""
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        yield stage
+        for staged in stage.iterdir():
+            os.replace(staged, out_dir / staged.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_night(
+    path: Path,
+    stage: Path,
+    model: gbt.Model,
+    mobility_model: gbt.Model | None,
+    config: PipelineConfig,
+) -> None:
+    """Run the per-night chain, writing each output into ``stage``."""
+    night_id = path.stem
+    rec = read_recording(path)
+    if config.despike:
+        rec = despiked(rec)
+        write_recording(rec, stage / f"{night_id}_despiked{path.suffix.lower()}")
+
+    scores = score_recording(rec, model)
+    binary = bool(model.meta.get("binary", False))
+    (stage / f"{night_id}_usability.csv").write_text(scores.to_csv())
+    (stage / f"{night_id}_usability.svg").write_text(
+        svg.render_usability_graph(rec, scores, night_id, binary=binary)
+    )
+
+    mobility = None
+    tib = None
+    if mobility_model is not None:
+        states = classify_mobility(rec.acc, rec.fs, mobility_model)
+        epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
+        write_mobility_csv(states, stage / f"{night_id}_mobility.csv")
+        tib = detect_tib(states, config.tib_run_epochs, epoch_len_s)
+        mobility = np.asarray([int(s) for s in states])
+
+    sleep_path = path.with_name(f"{night_id}_sleep.txt")
+    if not sleep_path.exists():
+        return
+    sleep_scores = load_sleep_scores(sleep_path)
+    agg = AggregationConfig(
+        usability_epoch_len_s=scores.epoch_len_s,
+        sleep_epoch_len_s=config.sleep_epoch_len_s,
+    )
+    s_ar = rejected_scores(scores.labels, sleep_scores, agg)
+    (stage / f"{night_id}_rejected.txt").write_text(
+        "\n".join(str(int(v)) for v in s_ar) + "\n"
+    )
+    csv_lines = ["epoch_start_s,score"]
+    csv_lines += [f"{repr(i * config.sleep_epoch_len_s)},{int(v)}" for i, v in enumerate(s_ar)]
+    (stage / f"{night_id}_rejected.csv").write_text("\n".join(csv_lines) + "\n")
+
+    try:
+        stats = compute_stats(s_ar, config.sleep_epoch_len_s, tib=tib)
+        write_stats(stats, stage / f"{night_id}_stats.json")
+    except NoSleepDetected:
+        pass  # a sleepless night still gets usability outputs
+
+    sleep_mobility = None
+    if mobility is not None:
+        # show mobility on the sleep-epoch grid next to the hypnogram
+        ratio = max(1, int(round(config.sleep_epoch_len_s / scores.epoch_len_s)))
+        trimmed = mobility[: (len(mobility) // ratio) * ratio]
+        if len(trimmed):
+            sleep_mobility = trimmed.reshape(-1, ratio)[:, 0]
+    (stage / f"{night_id}_hypnogram.svg").write_text(
+        svg.render_hypnogram(
+            s_ar, config.sleep_epoch_len_s, night_id, mobility=sleep_mobility, tib=tib
+        )
+    )
+
+
 def process_night(
     path: Path,
     out_dir: Path,
@@ -155,102 +222,21 @@ def process_night(
     mobility_model: gbt.Model | None,
     config: PipelineConfig,
 ) -> NightReport:
-    """Run the whole per-night chain; buffer outputs and write only on success."""
-    night_id = path.stem
-    texts: list[tuple[str, str]] = []  # (filename, content) written on success
-    despiked_rec: Recording | None = None
-
+    """Run the whole per-night chain; its outputs appear only on success."""
     try:
-        rec = _read_recording(path)
-        if config.despike:
-            rec = despiked_rec = _despiked(rec)
-
-        scores = score_recording(rec, model)
-        binary = bool(model.meta.get("binary", False))
-        texts.append((f"{night_id}_usability.csv", scores.to_csv()))
-        texts.append(
-            (
-                f"{night_id}_usability.svg",
-                svg.render_usability_graph(rec, scores, night_id, binary=binary),
-            )
-        )
-
-        mobility = None
-        tib = None
-        if mobility_model is not None:
-            states = classify_mobility(rec.acc, rec.fs, mobility_model)
-            epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
-            lines = ["epoch_index,state"]
-            lines += [f"{i},{int(s)}" for i, s in enumerate(states)]
-            texts.append((f"{night_id}_mobility.csv", "\n".join(lines) + "\n"))
-            tib = detect_tib(states, config.tib_run_epochs, epoch_len_s)
-            mobility = np.asarray([int(s) for s in states])
-
-        sleep_path = path.with_name(f"{night_id}_sleep.txt")
-        if sleep_path.exists():
-            sleep_scores = load_sleep_scores(sleep_path)
-            agg = AggregationConfig(
-                usability_epoch_len_s=scores.epoch_len_s,
-                sleep_epoch_len_s=config.sleep_epoch_len_s,
-            )
-            s_ar = rejected_scores(scores.labels, sleep_scores, agg)
-            texts.append(
-                (f"{night_id}_rejected.txt", "\n".join(str(int(v)) for v in s_ar) + "\n")
-            )
-            csv_lines = ["epoch_start_s,score"]
-            csv_lines += [
-                f"{repr(i * config.sleep_epoch_len_s)},{int(v)}" for i, v in enumerate(s_ar)
-            ]
-            texts.append((f"{night_id}_rejected.csv", "\n".join(csv_lines) + "\n"))
-
-            try:
-                stats = compute_stats(s_ar, config.sleep_epoch_len_s, tib=tib)
-                texts.append((f"{night_id}_stats.json", stats.to_json()))
-            except NoSleepDetected:
-                pass  # a sleepless night still gets usability outputs
-
-            sleep_mobility = None
-            if mobility is not None:
-                # show mobility on the sleep-epoch grid next to the hypnogram
-                ratio = max(1, int(round(config.sleep_epoch_len_s / scores.epoch_len_s)))
-                trimmed = mobility[: (len(mobility) // ratio) * ratio]
-                if len(trimmed):
-                    sleep_mobility = trimmed.reshape(-1, ratio)[:, 0]
-            texts.append(
-                (
-                    f"{night_id}_hypnogram.svg",
-                    svg.render_hypnogram(
-                        s_ar,
-                        config.sleep_epoch_len_s,
-                        night_id,
-                        mobility=sleep_mobility,
-                        tib=tib,
-                    ),
-                )
-            )
+        with _staged(out_dir) as stage:
+            _write_night(path, stage, model, mobility_model, config)
+            outputs = sorted(p.name for p in stage.iterdir())
     except FlossError as exc:
         if exc.code is None:
             raise
         return NightReport(
-            night_id=night_id,
+            night_id=path.stem,
             status="skipped",
             error_code=exc.code.value,
             message=str(exc),
         )
-
-    written = []
-    for name, content in texts:
-        (out_dir / name).write_text(content)
-        written.append(name)
-    if despiked_rec is not None:
-        if path.suffix.lower() == ".edf":
-            name = f"{night_id}_despiked.edf"
-            write_edf(despiked_rec, out_dir / name)
-        else:
-            name = f"{night_id}_despiked.csv"
-            write_csv(despiked_rec, out_dir / name)
-        written.append(name)
-    return NightReport(night_id=night_id, status="ok", outputs=sorted(written))
+    return NightReport(night_id=path.stem, status="ok", outputs=outputs)
 
 
 def run_pipeline(config: PipelineConfig) -> list[NightReport]:
@@ -282,7 +268,6 @@ def run_pipeline(config: PipelineConfig) -> list[NightReport]:
         "ok": sum(r.status == "ok" for r in reports),
         "skipped": sum(r.status == "skipped" for r in reports),
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+    with _staged(out_dir) as stage:
+        (stage / "report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return reports

@@ -1,14 +1,17 @@
 """Batch pipeline: discovery, skip-and-report, and output stability."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from floss import gbt
+from floss.cli import main
 from floss.errors import FileUnreadable
 from floss.report import (
     PipelineConfig,
@@ -16,7 +19,7 @@ from floss.report import (
     parse_config_file,
     run_pipeline,
 )
-from floss.signal_io import write_edf
+from floss.signal_io import ChannelSignal, Recording, write_edf
 from floss.synth import gen_night
 from floss.epoching import write_annotations
 
@@ -255,3 +258,72 @@ class TestPipeline:
         assert reports == []
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc == {"nights": [], "ok": 0, "skipped": 0}
+
+
+def _write_square_wave_night(out: Path, stem: str) -> None:
+    """60 s of a +/-3200 uV, 1 Hz square wave on two channels.
+
+    The samples lie inside the default EDF physical range, but the despike
+    cascade overshoots at every edge and leaves it.
+    """
+    fs = 256.0
+    t = np.arange(int(60 * fs)) / fs
+    wave = np.where(t % 1.0 < 0.5, 3200.0, -3200.0)
+    channels = [ChannelSignal("C3", wave.copy()), ChannelSignal("C4", wave.copy())]
+    write_edf(Recording(channels=channels, acc=None, fs=fs), out / f"{stem}.edf")
+
+
+class TestWholeNightOrNothing:
+    def test_despike_overshoot_skips_the_night(self, models, tmp_path):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        _write_square_wave_night(indir, "a")
+        _write_night(indir, "b", subject=0)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["report", "--input", str(indir), "--out", str(out), "--model", str(models[0]),
+             "--despike"],
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "report.json").read_text())
+        by_id = {n["night_id"]: n for n in doc["nights"]}
+        assert by_id["b"]["status"] == "ok"
+        assert by_id["a"]["status"] == "skipped"
+        assert by_id["a"]["error_code"] == "AmplitudeOutOfDeclaredRange"
+        assert list(out.glob("a*")) == []
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            by_id["b"]["outputs"] + ["report.json"]
+        )
+
+    @pytest.fixture()
+    def failing_hypnogram(self, monkeypatch):
+        """Make the last stage of every night raise the given exception."""
+
+        def install(exc: Exception) -> None:
+            def render(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr("floss.report.svg.render_hypnogram", render)
+
+        return install
+
+    def test_coded_late_failure_skips_and_leaves_nothing(
+        self, pipeline_config, failing_hypnogram
+    ):
+        failing_hypnogram(FileUnreadable("late failure"))
+        reports = run_pipeline(dataclasses.replace(pipeline_config, despike=True))
+        by_id = {r.night_id: r for r in reports}
+        assert by_id["s00"].status == "skipped"
+        assert by_id["s00"].error_code == "FileUnreadable"
+        assert by_id["s00"].outputs == []
+        out = Path(pipeline_config.out_dir)
+        assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+    def test_uncoded_late_failure_aborts_and_leaves_nothing(
+        self, pipeline_config, failing_hypnogram
+    ):
+        failing_hypnogram(RuntimeError("late failure"))
+        with pytest.raises(RuntimeError, match="late failure"):
+            run_pipeline(dataclasses.replace(pipeline_config, despike=True))
+        assert list(Path(pipeline_config.out_dir).iterdir()) == []
