@@ -7,11 +7,14 @@ minimum leaf size binds.  Split search is exact over sorted feature values;
 all randomness flows from one seeded generator, so a (seed, config) pair
 reproduces the model bit for bit, single-threaded and thread-count
 independent.
+
+A tree is parallel node arrays (feature, threshold, left, right, value;
+node 0 is the root) from growth through predict; model JSON writes it as
+nested dicts and reading builds the arrays back.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,18 +50,25 @@ class TrainConfig:
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature < 0, value set)."""
+class Tree:
+    """One regression tree as parallel node arrays; node 0 is the root.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    value: float = 0.0
+    An internal node sends a row left when ``X[row, feature] <= threshold``
+    and right otherwise; a leaf has ``feature == -1`` and carries ``value``.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.feature = np.asarray(self.feature, dtype=np.int32)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.left = np.asarray(self.left, dtype=np.int32)
+        self.right = np.asarray(self.right, dtype=np.int32)
+        self.value = np.asarray(self.value, dtype=np.float64)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -156,96 +166,60 @@ def _grow_tree(
     S_root: np.ndarray,
     cols: np.ndarray,
     cfg: TrainConfig,
-) -> TreeNode:
+) -> Tree:
     """Leaf-wise growth: always expand the pending leaf with the best gain."""
-    root = TreeNode()
-    tick = itertools.count()
-    heap: list[tuple[float, int, TreeNode, np.ndarray, tuple[float, int, int, float]]] = []
+    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    # entries carry the node index, which breaks gain ties in creation order
+    heap: list[tuple[float, int, np.ndarray, tuple[float, int, int, float]]] = []
 
-    cand = _best_split(S_root, X, g, h, cols, cfg.reg_lambda, cfg.min_samples_leaf)
-    if cand is None:
-        root.value = _leaf_value(S_root, g, h, cfg)
-        return root
-    heapq.heappush(heap, (-cand[0], next(tick), root, S_root, cand))
+    def settle(node: int, S: np.ndarray) -> None:  # queue the best split or make a leaf
+        cand = _best_split(S, X, g, h, cols, cfg.reg_lambda, cfg.min_samples_leaf)
+        if cand is None:
+            value[node] = _leaf_value(S, g, h, cfg)
+        else:
+            heapq.heappush(heap, (-cand[0], node, S, cand))
 
+    settle(0, S_root)
     n_leaves = 1
     while heap and n_leaves < cfg.max_leaves:
-        _, _, node, S, (gain, j, i, thr) = heapq.heappop(heap)
-        node.feature = int(cols[j])
-        node.threshold = thr
-        node.left = TreeNode()
-        node.right = TreeNode()
+        _, node, S, (gain, j, i, thr) = heapq.heappop(heap)
+        feature[node] = int(cols[j])
+        threshold[node] = thr
+        left[node], right[node] = len(feature), len(feature) + 1
+        feature += [-1, -1]
+        threshold += [0.0, 0.0]
+        left += [-1, -1]
+        right += [-1, -1]
+        value += [0.0, 0.0]
         n_leaves += 1
 
         member_left = np.zeros(X.shape[0], dtype=bool)
         member_left[S[j, : i + 1]] = True
         mask = member_left[S]
-        children = (
-            (node.left, S[mask].reshape(S.shape[0], i + 1)),
-            (node.right, S[~mask].reshape(S.shape[0], S.shape[1] - i - 1)),
-        )
-        for child, Sc in children:
-            c = _best_split(Sc, X, g, h, cols, cfg.reg_lambda, cfg.min_samples_leaf)
-            if c is None:
-                child.value = _leaf_value(Sc, g, h, cfg)
-            else:
-                heapq.heappush(heap, (-c[0], next(tick), child, Sc, c))
+        settle(left[node], S[mask].reshape(S.shape[0], i + 1))
+        settle(right[node], S[~mask].reshape(S.shape[0], S.shape[1] - i - 1))
 
-    for _, _, node, S, _ in heap:  # leaves cut off by the budget
-        node.value = _leaf_value(S, g, h, cfg)
-    return root
+    for _, node, S, _ in heap:  # leaves cut off by the budget
+        value[node] = _leaf_value(S, g, h, cfg)
+    return Tree(feature, threshold, left, right, value)
 
 
-@dataclass
-class _FlatTree:
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-
-def _flatten(root: TreeNode) -> _FlatTree:
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add(node: TreeNode) -> int:
-        idx = len(feature)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        value.append(node.value)
-        if not node.is_leaf:
-            left[idx] = add(node.left)
-            right[idx] = add(node.right)
-        return idx
-
-    add(root)
-    return _FlatTree(
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(value, dtype=np.float64),
-    )
-
-
-def _apply(flat: _FlatTree, X: np.ndarray) -> np.ndarray:
+def _apply(tree: Tree, X: np.ndarray) -> np.ndarray:
     idx = np.zeros(X.shape[0], dtype=np.int32)
     while True:
-        active = np.flatnonzero(flat.feature[idx] >= 0)
+        active = np.flatnonzero(tree.feature[idx] >= 0)
         if active.size == 0:
-            return flat.value[idx]
+            return tree.value[idx]
         node = idx[active]
-        go_left = X[active, flat.feature[node]] <= flat.threshold[node]
-        idx[active] = np.where(go_left, flat.left[node], flat.right[node])
+        go_left = X[active, tree.feature[node]] <= tree.threshold[node]
+        idx[active] = np.where(go_left, tree.left[node], tree.right[node])
 
 
 @dataclass
 class Model:
     """A fitted booster: trees[iteration][class] plus the log-prior offset."""
 
-    trees: list[list[TreeNode]]
+    trees: list[list[Tree]]
     base_score: np.ndarray
     num_classes: int
     feature_count: int
@@ -253,12 +227,6 @@ class Model:
     feature_layout: tuple[tuple[str, int], ...] | None = None
     meta: dict = field(default_factory=dict)
     train_loss: list[float] = field(default_factory=list)
-    _flat: list[list[_FlatTree]] | None = field(default=None, repr=False, compare=False)
-
-    def flat_trees(self) -> list[list[_FlatTree]]:
-        if self._flat is None:
-            self._flat = [[_flatten(t) for t in row] for row in self.trees]
-        return self._flat
 
 
 def _validate_matrix(X: np.ndarray) -> np.ndarray:
@@ -313,7 +281,7 @@ def fit(
     n_cols_sub = max(1, int(np.ceil(config.feature_subsample * n_features)))
 
     order_sub_t = order_t
-    trees: list[list[TreeNode]] = []
+    trees: list[list[Tree]] = []
     train_loss: list[float] = []
     for t in range(config.n_iterations):
         if config.data_subsample < 1.0 and t % config.data_resample_period == 0:
@@ -324,15 +292,15 @@ def fit(
 
         probs = softmax(margins)
         g, h = grad_hess(probs, y, weights)
-        row: list[TreeNode] = []
+        row: list[Tree] = []
         for cls in range(k):
             if config.feature_subsample < 1.0:
                 cols = np.sort(rng.choice(n_features, size=n_cols_sub, replace=False))
             else:
                 cols = np.arange(n_features)
-            root = _grow_tree(X, g[:, cls], h[:, cls], order_sub_t[cols].copy(), cols, config)
-            margins[:, cls] += _apply(_flatten(root), X)
-            row.append(root)
+            tree = _grow_tree(X, g[:, cls], h[:, cls], order_sub_t[cols].copy(), cols, config)
+            margins[:, cls] += _apply(tree, X)
+            row.append(tree)
         trees.append(row)
         train_loss.append(ce_loss(softmax(margins), y))
 
@@ -356,9 +324,9 @@ def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
             f"model expects {model.feature_count} features, got {X.shape[1]}"
         )
     margins = np.tile(model.base_score, (X.shape[0], 1))
-    for row in model.flat_trees():
-        for cls, flat in enumerate(row):
-            margins[:, cls] += _apply(flat, X)
+    for row in model.trees:
+        for cls, tree in enumerate(row):
+            margins[:, cls] += _apply(tree, X)
     return softmax(margins)
 
 
@@ -367,26 +335,42 @@ def predict_label(model: Model, X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_proba(model, X), axis=1)
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": float(node.value)}
+def _tree_to_dict(tree: Tree, node: int = 0) -> dict:
+    """The subtree under ``node`` as the nested dicts of the JSON format."""
+    if tree.feature[node] < 0:
+        return {"value": float(tree.value[node])}
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "feature": int(tree.feature[node]),
+        "threshold": float(tree.threshold[node]),
+        "left": _tree_to_dict(tree, tree.left[node]),
+        "right": _tree_to_dict(tree, tree.right[node]),
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
-    if "value" in d:
-        return TreeNode(value=float(d["value"]))
-    return TreeNode(
-        feature=int(d["feature"]),
-        threshold=float(d["threshold"]),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
-    )
+def _tree_from_dict(root: dict, feature_count: int) -> Tree:
+    """Nested dicts to node arrays in preorder; a split's feature must be in range."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add(d: dict) -> int:
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        if "value" in d:
+            value[node] = float(d["value"])
+            return node
+        feature[node] = int(d["feature"])
+        if not 0 <= feature[node] < feature_count:
+            raise ModelIncompatible(f"split on feature {feature[node]} of {feature_count}")
+        threshold[node] = float(d["threshold"])
+        left[node] = add(d["left"])
+        right[node] = add(d["right"])
+        return node
+
+    add(root)
+    return Tree(feature, threshold, left, right, value)
 
 
 def model_to_json(model: Model) -> str:
@@ -406,36 +390,46 @@ def model_to_json(model: Model) -> str:
         else [[name, int(width)] for name, width in model.feature_layout],
         "meta": model.meta,
         "train_loss": [float(v) for v in model.train_loss],
-        "trees": [[_node_to_dict(t) for t in row] for row in model.trees],
+        "trees": [[_tree_to_dict(t) for t in row] for row in model.trees],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def model_from_json(text: str) -> Model:
+def model_from_json(text: str | bytes) -> Model:
+    """Parse a model document; any fault in it raises ModelIncompatible."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelIncompatible(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "gbt-softmax":
-        raise ModelIncompatible("not a gbt-softmax model file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelIncompatible(
-            f"model format {doc.get('format_version')} unsupported (expected {FORMAT_VERSION})"
+        if not isinstance(doc, dict) or doc.get("kind") != "gbt-softmax":
+            raise ModelIncompatible("not a gbt-softmax model file")
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise ModelIncompatible(
+                f"model format {doc.get('format_version')} unsupported (expected {FORMAT_VERSION})"
+            )
+        num_classes = int(doc["num_classes"])
+        feature_count = int(doc["feature_count"])
+        base_score = np.asarray(doc["base_score"], dtype=np.float64)
+        if num_classes < 2 or base_score.shape != (num_classes,):
+            raise ModelIncompatible("base_score must hold num_classes >= 2 entries")
+        trees = [[_tree_from_dict(t, feature_count) for t in row] for row in doc["trees"]]
+        if any(len(row) != num_classes for row in trees):
+            raise ModelIncompatible(f"every row of trees must hold {num_classes} trees")
+        cfg_dict = dict(doc["config"])
+        if cfg_dict.get("class_weights") is not None:
+            cfg_dict["class_weights"] = tuple(cfg_dict["class_weights"])
+        layout = doc.get("feature_layout")
+        return Model(
+            trees=trees,
+            base_score=base_score,
+            num_classes=num_classes,
+            feature_count=feature_count,
+            config=TrainConfig(**cfg_dict),
+            feature_layout=None if layout is None else tuple((n, int(w)) for n, w in layout),
+            meta=dict(doc.get("meta", {})),
+            train_loss=[float(v) for v in doc.get("train_loss", [])],
         )
-    cfg_dict = dict(doc["config"])
-    if cfg_dict.get("class_weights") is not None:
-        cfg_dict["class_weights"] = tuple(cfg_dict["class_weights"])
-    layout = doc.get("feature_layout")
-    return Model(
-        trees=[[_node_from_dict(t) for t in row] for row in doc["trees"]],
-        base_score=np.asarray(doc["base_score"], dtype=np.float64),
-        num_classes=int(doc["num_classes"]),
-        feature_count=int(doc["feature_count"]),
-        config=TrainConfig(**cfg_dict),
-        feature_layout=None if layout is None else tuple((n, int(w)) for n, w in layout),
-        meta=dict(doc.get("meta", {})),
-        train_loss=[float(v) for v in doc.get("train_loss", [])],
-    )
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ModelIncompatible(f"malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -444,7 +438,7 @@ def save_model(model: Model, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Model:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    return model_from_json(text)
+    return model_from_json(data)

@@ -90,6 +90,20 @@ class TestCheck:
         assert result.exit_code != 0
         assert "[ModelIncompatible]" in result.output
 
+    def test_malformed_model_is_one_coded_error_line(self, runner, night_dir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind":"gbt-softmax","format_version":1}')
+        result = runner.invoke(
+            main, ["check", "--input", str(night_dir / "n0.edf"), "--model", str(bad)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert lines[0].endswith("[ModelIncompatible]")
+        assert "Traceback" not in result.output
+
     def test_matching_epoch_len_accepted(self, runner, night_dir, model_paths):
         result = runner.invoke(
             main,

@@ -1,11 +1,25 @@
 """Boosted-tree training: gradients, split search vs brute force, formats."""
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floss import gbt
-from floss.errors import DegenerateData, FeatureCountMismatch, ModelIncompatible, NonFiniteFeature
+from floss.errors import (
+    DegenerateData,
+    FeatureCountMismatch,
+    FileUnreadable,
+    ModelIncompatible,
+    NonFiniteFeature,
+)
+
+# Format-v1 model as the nested-node writer used before array trees wrote it:
+# 3 iterations, 3 classes, max_leaves=4, 5 features, seed 11.
+PINNED = Path(__file__).parent / "data" / "model_v1.json"
 
 
 def _loss_at(z, y):
@@ -164,6 +178,19 @@ def _blobs(rng, n_per=30, k=3):
     return X, y
 
 
+def _assert_well_formed(tree, max_leaves, cols):
+    n = len(tree.feature)
+    internal = tree.feature >= 0
+    children = np.concatenate([tree.left[internal], tree.right[internal]])
+    # node 0 is the root and every other node has exactly one parent
+    assert sorted(children.tolist()) == list(range(1, n))
+    assert (tree.left[internal] > np.flatnonzero(internal)).all()
+    assert (tree.right[internal] > np.flatnonzero(internal)).all()
+    assert (tree.feature[~internal] == -1).all()
+    assert (~internal).sum() <= max_leaves
+    assert np.isin(tree.feature[internal], cols).all()
+
+
 class TestFitPredict:
     def test_separable_blobs_reach_full_train_accuracy(self, rng):
         X, y = _blobs(rng)
@@ -199,10 +226,8 @@ class TestFitPredict:
         )
         model = gbt.fit(X, y, cfg)
 
-        def count_leaves(node):
-            if node.is_leaf:
-                return 1
-            return count_leaves(node.left) + count_leaves(node.right)
+        def count_leaves(tree):
+            return int((tree.feature < 0).sum())
 
         for row in model.trees:
             for tree in row:
@@ -231,6 +256,35 @@ class TestFitPredict:
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteFeature):
             gbt.fit(bad, np.array([0] * 5 + [1] * 5))
+
+    def test_trees_are_well_formed(self, rng, monkeypatch, tmp_path):
+        X, y = _blobs(rng, n_per=40)
+        X = np.hstack([X, rng.standard_normal((len(y), 4))])
+        cfg = gbt.TrainConfig(
+            n_iterations=5, eta=0.3, max_leaves=5, min_samples_leaf=2, feature_subsample=0.5
+        )
+        grown = []
+        grow = gbt._grow_tree
+
+        def recording_grow(*args):
+            tree = grow(*args)
+            grown.append((tree, args[4]))
+            return tree
+
+        monkeypatch.setattr(gbt, "_grow_tree", recording_grow)
+        model = gbt.fit(X, y, cfg)
+        path = tmp_path / "model.json"
+        gbt.save_model(model, path)
+        loaded = [t for row in gbt.load_model(path).trees for t in row]
+        fitted = [t for row in model.trees for t in row]
+
+        assert len(grown) == len(fitted) == len(loaded) == 15
+        for (tree, cols), fit_tree, reread in zip(grown, fitted, loaded):
+            assert tree is fit_tree
+            assert len(cols) == 3
+            for t in (tree, reread):
+                _assert_well_formed(t, cfg.max_leaves, cols)
+        assert any((t.feature >= 0).any() for t in fitted)
 
     def test_class_weights_shape_checked(self, rng):
         X = rng.standard_normal((20, 2))
@@ -278,3 +332,143 @@ class TestSerialization:
         model = gbt.fit(X, y, gbt.TrainConfig(n_iterations=2, min_samples_leaf=2))
         with pytest.raises(FeatureCountMismatch):
             gbt.predict_proba(model, rng.standard_normal((4, 7)))
+
+
+def _pinned_doc() -> dict:
+    return json.loads(PINNED.read_text())
+
+
+def _edited(edit):
+    """Bytes of the pinned document after ``edit`` mutates its parsed form."""
+    doc = _pinned_doc()
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _root_without(key):
+    return _edited(lambda d: d["trees"][0][0].pop(key))
+
+
+def _root_feature(f):
+    return _edited(lambda d: d["trees"][0][0].update(feature=f))
+
+
+def _key_paths(node, prefix=()):
+    """Every (key, ..., key) path into nested dicts and lists."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+_DROPPED = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _load_or_coded_error(tmp_path_factory, data: bytes) -> None:
+    path = tmp_path_factory.getbasetemp() / "fuzzed-model.json"
+    path.write_bytes(data)
+    try:
+        gbt.load_model(path)
+    except (ModelIncompatible, FileUnreadable):
+        pass
+
+
+MALFORMED = {
+    "kind and version only": lambda: b'{"kind":"gbt-softmax","format_version":1}',
+    "not utf-8": lambda: PINNED.read_bytes().replace(b"format-v1 pin", b"format-v1 \xe9 pin"),
+    "unknown config key": lambda: _edited(lambda d: d["config"].update(colour="red")),
+    "nested 100000 deep": lambda: b"[" * 100_000 + b"]" * 100_000,
+    "internal node without feature": lambda: _root_without("feature"),
+    "internal node without threshold": lambda: _root_without("threshold"),
+    "internal node without left": lambda: _root_without("left"),
+    "internal node without right": lambda: _root_without("right"),
+    "feature past feature_count": lambda: _root_feature(5),
+    "negative feature": lambda: _root_feature(-1),
+    "trees row too short": lambda: _edited(lambda d: d["trees"][1].pop()),
+    "base_score too long": lambda: _edited(lambda d: d["base_score"].append(0.0)),
+    "no classes": lambda: _edited(
+        lambda d: d.update(num_classes=0, base_score=[], trees=[[] for _ in d["trees"]])
+    ),
+    "infinite feature_count": lambda: _edited(lambda d: d.update(feature_count=float("inf"))),
+}
+
+
+class TestMalformedModels:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_model_incompatible(self, case, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(MALFORMED[case]())
+        with pytest.raises(ModelIncompatible):
+            gbt.load_model(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.binary(max_size=200)
+        | st.builds(lambda n: PINNED.read_bytes()[:n], st.integers(0, 3100))
+    )
+    def test_any_bytes_raise_only_coded_errors(self, data, tmp_path_factory):
+        _load_or_coded_error(tmp_path_factory, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        path=st.sampled_from(sorted(_key_paths(_pinned_doc()), key=repr)),
+        new=st.just(_DROPPED) | _JSON,
+    )
+    def test_one_key_dropped_or_replaced_raises_only_coded_errors(
+        self, path, new, tmp_path_factory
+    ):
+        doc = _pinned_doc()
+        *parents, last = path
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        if new is _DROPPED:
+            del holder[last]
+        else:
+            holder[last] = new
+        _load_or_coded_error(tmp_path_factory, json.dumps(doc).encode())
+
+
+def _walk(node: dict, x: np.ndarray) -> float:
+    """Reference predict: follow one row down a tree of nested dicts."""
+    while "value" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
+
+
+def _splits(node: dict):
+    if "value" not in node:
+        yield node["feature"], node["threshold"]
+        yield from _splits(node["left"])
+        yield from _splits(node["right"])
+
+
+class TestFormatV1:
+    def test_pinned_file_rewrites_byte_for_byte(self):
+        text = gbt.model_to_json(gbt.load_model(PINNED)) + "\n"
+        assert text.encode() == PINNED.read_bytes()
+
+    def test_predictions_equal_a_walk_over_the_raw_document(self, rng):
+        doc = _pinned_doc()
+        X = rng.standard_normal((60, doc["feature_count"])) * 2.0 + 2.0
+        splits = [s for row in doc["trees"] for root in row for s in _splits(root)]
+        for i, (f, thr) in enumerate(splits):  # rows on a threshold must go left
+            X[i, f] = thr
+        margins = np.tile(np.asarray(doc["base_score"]), (len(X), 1))
+        for row in doc["trees"]:
+            for cls, root in enumerate(row):
+                margins[:, cls] += [_walk(root, x) for x in X]
+        np.testing.assert_array_equal(
+            gbt.predict_proba(gbt.load_model(PINNED), X), gbt.softmax(margins)
+        )
