@@ -7,14 +7,17 @@ fixed 24-value statistical summary of each.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import welch
-from scipy.signal.windows import tukey
 
 from .errors import SegmentTooShort
+
+#: rows of a batch that spectrogram and stat_features take at a time; their
+#: temporaries then stay a few (256, len) arrays however long the night
+_BLOCK_ROWS = 256
 
 #: frequency bands integrated from the Welch PSD, [low, high) in Hz
 BANDS: tuple[tuple[str, float, float], ...] = (
@@ -93,6 +96,35 @@ def _frames(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     return windows[..., :: cfg.hop, :]
 
 
+def _tukey(m: int, alpha: float) -> np.ndarray:
+    """Symmetric tapered-cosine window, by scipy.signal.windows.tukey's formula."""
+    if m <= 1 or alpha <= 0:
+        return np.ones(m)
+    n = np.arange(m, dtype=np.float64)
+    if alpha >= 1.0:
+        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / (m - 1))
+    width = int(np.floor(alpha * (m - 1) / 2.0))
+    n1 = n[: width + 1]
+    n3 = n[m - width - 1 :]
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
+    return np.concatenate([w1, np.ones(m - 2 * width - 2), w3])
+
+
+def _in_row_blocks(kernel, x: np.ndarray, row_shape: tuple[int, ...]) -> np.ndarray:
+    """``kernel`` over _BLOCK_ROWS rows of x at a time.
+
+    ``kernel`` maps a (rows, len) block to (rows, *row_shape); the result
+    has shape x.shape[:-1] + row_shape.
+    """
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    out = np.empty((rows.shape[0],) + row_shape)
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        out[block] = kernel(rows[block])
+    return out.reshape(x.shape[:-1] + row_shape)
+
+
 def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     """Magnitude-squared short-time spectrum.
 
@@ -101,12 +133,13 @@ def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     squared magnitude is kept without further scaling.
     """
     x = np.asarray(x, dtype=np.float64)
-    frames = _frames(x, cfg) * tukey(cfg.segment_len, cfg.taper)
-    if cfg.one_sided:
-        spec = np.fft.rfft(frames, axis=-1)
-    else:
-        spec = np.fft.fft(frames, axis=-1)
-    return np.abs(spec) ** 2
+    window = _tukey(cfg.segment_len, cfg.taper)
+    fft = np.fft.rfft if cfg.one_sided else np.fft.fft
+
+    def kernel(rows: np.ndarray) -> np.ndarray:
+        return np.abs(fft(_frames(rows, cfg) * window, axis=-1)) ** 2
+
+    return _in_row_blocks(kernel, x, (cfg.frame_count(x.shape[-1]), cfg.bin_count))
 
 
 def welch_psd(
@@ -117,32 +150,34 @@ def welch_psd(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch power spectral density with raised-cosine tapering.
 
+    Frames of ``segment_len`` samples, ``overlap`` shared with the next, are
+    tapered with a periodic Hann window; their squared spectra are averaged.
     Scaling is Parseval-consistent: sum(psd) * df approximates the variance
     of a zero-mean input.  Works along the last axis.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < segment_len:
         raise SegmentTooShort(f"{x.shape[-1]} samples < one {segment_len}-sample segment")
-    freqs, psd = welch(
-        x,
-        fs=fs,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=overlap,
-        detrend=False,
-        scaling="density",
-        axis=-1,
-    )
-    return freqs, psd
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
+    frames = sliding_window_view(x, segment_len, axis=-1)[..., :: segment_len - overlap, :]
+    spec = np.fft.rfft(frames * window, axis=-1)
+    psd = (spec.real**2 + spec.imag**2).mean(axis=-2) / (fs * (window * window).sum())
+    # every bin but DC and an even length's Nyquist bin folds in its negative twin
+    psd[..., 1 : -1 if segment_len % 2 == 0 else None] *= 2
+    return np.fft.rfftfreq(segment_len, 1.0 / fs), psd
 
 
 def band_powers(freqs: np.ndarray, psd: np.ndarray) -> np.ndarray:
-    """Integrated band power for each named band; last-axis PSD input."""
+    """Integrated band power for each named band; last-axis PSD input.
+
+    ``freqs`` ascends, so each band is one slice of bins, and a row sums
+    the same way alone as within a batch.
+    """
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 1.0
     out = []
     for _, lo, hi in BANDS:
-        mask = (freqs >= lo) & (freqs < hi)
-        out.append(psd[..., mask].sum(axis=-1) * df)
+        a, b = np.searchsorted(freqs, (lo, hi))
+        out.append(psd[..., a:b].sum(axis=-1) * df)
     return np.stack(out, axis=-1)
 
 
@@ -157,21 +192,26 @@ def _guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
     """The fixed 24-value statistical summary of a segment.
 
-    Accepts a 1-D segment or a (n, len) batch; returns (24,) or (n, 24)
-    ordered as STAT_FEATURE_NAMES.  Degenerate inputs (zero variance, zero
-    total power) yield 0 for their ratio-based entries.
+    Accepts a 1-D segment or a batch with leading axes; returns (24,) or
+    the batch shape plus 24, ordered as STAT_FEATURE_NAMES.  Degenerate
+    inputs (zero variance, zero total power) yield 0 for their ratio-based
+    entries.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
+    return _in_row_blocks(lambda rows: _stat_block(rows, fs), x, (N_STAT_FEATURES,))
 
+
+def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
+    """stat_features of a (rows, len) block."""
     mean = x.mean(axis=-1)
-    centered = x - mean[..., None]
-    m2 = np.mean(centered**2, axis=-1)
-    m3 = np.mean(centered**3, axis=-1)
-    m4 = np.mean(centered**4, axis=-1)
+    c = x - mean[:, None]
+    c2 = c * c
+    m2 = c2.mean(axis=-1)
+    m3 = np.mean(c2 * c, axis=-1)
+    m4 = np.mean(c2 * c2, axis=-1)
+    mean_square = np.mean(x * x, axis=-1)
     # variance at rounding-noise level counts as constant input
-    degenerate = m2 <= np.mean(x**2, axis=-1) * 1e-24
+    degenerate = m2 <= mean_square * 1e-24
     m2 = np.where(degenerate, 0.0, m2)
     std = np.sqrt(m2)
     skewness = _guarded_divide(m3, m2**1.5)
@@ -179,13 +219,12 @@ def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
     kurtosis[m2 == 0] = 0.0
 
     sign = np.signbit(x)
-    zero_crossings = np.sum(sign[..., 1:] != sign[..., :-1], axis=-1).astype(np.float64)
+    zero_crossings = np.count_nonzero(sign[:, 1:] != sign[:, :-1], axis=-1).astype(np.float64)
 
     dx = np.diff(x, axis=-1)
     mean_abs_diff = np.mean(np.abs(dx), axis=-1)
     var_dx = dx.var(axis=-1)
-    ddx = np.diff(dx, axis=-1)
-    var_ddx = ddx.var(axis=-1)
+    var_ddx = np.diff(dx, axis=-1).var(axis=-1)
     mobility = np.sqrt(_guarded_divide(var_dx, m2))
     mobility_dx = np.sqrt(_guarded_divide(var_ddx, var_dx))
     complexity = _guarded_divide(mobility_dx, mobility)
@@ -193,24 +232,24 @@ def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
     freqs, psd = welch_psd(x, fs)
     total = psd.sum(axis=-1)
     centroid = _guarded_divide((psd * freqs).sum(axis=-1), total)
-    p = _guarded_divide(psd, total[..., None])
+    p = _guarded_divide(psd, total[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p > 0, p * np.log(p), 0.0)
     entropy = -plogp.sum(axis=-1)
-    df = freqs[1] - freqs[0]
-    total_power = total * df
-    bands = band_powers(freqs, psd)
+    total_power = total * (freqs[1] - freqs[0])
 
+    lo = x.min(axis=-1)
+    hi = x.max(axis=-1)
     out = np.stack(
         [
             mean,
             np.median(x, axis=-1),
             std,
             m2,
-            x.min(axis=-1),
-            x.max(axis=-1),
-            x.max(axis=-1) - x.min(axis=-1),
-            np.sqrt(np.mean(x**2, axis=-1)),
+            lo,
+            hi,
+            hi - lo,
+            np.sqrt(mean_square),
             skewness,
             kurtosis,
             zero_crossings,
@@ -224,8 +263,7 @@ def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
         ],
         axis=-1,
     )
-    out = np.concatenate([out, bands], axis=-1)
-    return out[0] if single else out
+    return np.concatenate([out, band_powers(freqs, psd)], axis=-1)
 
 
 def epoch_feature_matrix(
@@ -236,31 +274,34 @@ def epoch_feature_matrix(
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     """Feature matrix for a batch of epochs, one row per epoch.
 
-    ``eeg_epochs`` is (n, len); ``acc_epochs`` is the matching batch of
-    accelerometer-norm segments or None, in which case the accelerometer
-    blocks are zero-filled so the layout is unchanged.
+    ``eeg_epochs`` is (n, len), or (channels, n, len) for the channels of
+    one recording, whose rows then follow channel by channel.
+    ``acc_epochs`` is the matching (n, len) batch of accelerometer-norm
+    segments, shared by every channel, or None, in which case the
+    accelerometer blocks are zero-filled so the layout is unchanged.
     """
-    eeg_epochs = np.atleast_2d(np.asarray(eeg_epochs, dtype=np.float64))
-    n = eeg_epochs.shape[0]
-    spect_len = cfg.frame_count(eeg_epochs.shape[-1]) * cfg.bin_count
+    eeg = np.atleast_2d(np.asarray(eeg_epochs, dtype=np.float64))
+    channels = math.prod(eeg.shape[:-2])
+    n, width = eeg.shape[-2:]
+    eeg = eeg.reshape(channels * n, width)
+    spect_len = cfg.frame_count(width) * cfg.bin_count
 
-    spect_eeg = spectrogram(eeg_epochs, cfg).reshape(n, spect_len)
-    if acc_epochs is not None:
-        acc_epochs = np.atleast_2d(np.asarray(acc_epochs, dtype=np.float64))
-        spect_acc = spectrogram(acc_epochs, cfg).reshape(n, spect_len)
-    else:
-        spect_acc = np.zeros((n, spect_len))
-
-    blocks = [spect_eeg, spect_acc]
-    layout = [("spectrogram_eeg", spect_len), ("spectrogram_acc", spect_len)]
+    layout = (("spectrogram_eeg", spect_len), ("spectrogram_acc", spect_len))
     if include_stats:
-        blocks.append(stat_features(eeg_epochs, cfg.fs).reshape(n, N_STAT_FEATURES))
-        if acc_epochs is not None:
-            stats_acc = stat_features(acc_epochs, cfg.fs).reshape(n, N_STAT_FEATURES)
-        else:
-            stats_acc = np.zeros((n, N_STAT_FEATURES))
-        blocks.append(stats_acc)
-        layout += [("stats_eeg", N_STAT_FEATURES), ("stats_acc", N_STAT_FEATURES)]
+        layout += (("stats_eeg", N_STAT_FEATURES), ("stats_acc", N_STAT_FEATURES))
+    edges = np.cumsum([0] + [w for _, w in layout])
+    cols = [slice(a, b) for a, b in zip(edges, edges[1:])]
 
-    return np.concatenate(blocks, axis=1), tuple(layout)
-
+    X = np.zeros((channels * n, edges[-1]))
+    X[:, cols[0]] = spectrogram(eeg, cfg).reshape(channels * n, spect_len)
+    if include_stats:
+        X[:, cols[2]] = stat_features(eeg, cfg.fs)
+    if acc_epochs is not None:
+        acc = np.atleast_2d(np.asarray(acc_epochs, dtype=np.float64))
+        acc_blocks = [(cols[1], spectrogram(acc, cfg).reshape(n, spect_len))]
+        if include_stats:
+            acc_blocks.append((cols[3], stat_features(acc, cfg.fs)))
+        for k in range(channels):
+            for col, block in acc_blocks:
+                X[k * n : (k + 1) * n, col] = block
+    return X, layout

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -395,6 +396,28 @@ def model_to_json(model: Model) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _checked_meta(meta: object) -> dict:
+    """The meta object, after checking the values the pipeline reads from it."""
+    from .mobility import FEATURE_MODES  # not at the top: mobility imports this module
+
+    if not isinstance(meta, dict):
+        raise ModelIncompatible("meta must be an object")
+    for key in ("fs", "epoch_len_s"):
+        v = meta.get(key, 1.0)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            raise ModelIncompatible(f"meta.{key} must be a finite positive number, got {v!r}")
+    if "fs" in meta and "epoch_len_s" in meta and round(meta["fs"] * meta["epoch_len_s"]) < 1:
+        raise ModelIncompatible("an epoch of meta.epoch_len_s at meta.fs holds no sample")
+    for key in ("include_stats", "binary"):
+        if not isinstance(meta.get(key, False), bool):
+            raise ModelIncompatible(f"meta.{key} must be true or false, got {meta[key]!r}")
+    if meta.get("feature_mode", FEATURE_MODES[0]) not in FEATURE_MODES:
+        raise ModelIncompatible(
+            f"meta.feature_mode must be one of {FEATURE_MODES}, got {meta['feature_mode']!r}"
+        )
+    return dict(meta)
+
+
 def model_from_json(text: str | bytes) -> Model:
     """Parse a model document; any fault in it raises ModelIncompatible."""
     try:
@@ -424,7 +447,7 @@ def model_from_json(text: str | bytes) -> Model:
             feature_count=feature_count,
             config=TrainConfig(**cfg_dict),
             feature_layout=None if layout is None else tuple((n, int(w)) for n, w in layout),
-            meta=dict(doc.get("meta", {})),
+            meta=_checked_meta(doc.get("meta", {})),
             train_loss=[float(v) for v in doc.get("train_loss", [])],
         )
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

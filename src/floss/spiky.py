@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter, lfilter_zi
 
 from .errors import FrequencyAboveNyquist, SignalTooShort
 
@@ -107,6 +106,10 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     The output has zero sample lag and the squared magnitude response of
     the cascade.
     """
+    # imported here: scipy.signal takes about a second to import, and most
+    # floss commands never filter
+    from scipy.signal import lfilter, lfilter_zi
+
     x = np.asarray(x, dtype=np.float64)
     pad = 3 * max(len(cascade.a), len(cascade.b))
     if x.ndim != 1 or len(x) <= pad:

@@ -69,13 +69,23 @@ def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _heat_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_HEAT_STOPS) - 1)
-    i = min(int(pos), len(_HEAT_STOPS) - 2)
-    f = pos - i
-    rgb = [round(a + (b - a) * f) for a, b in zip(_HEAT_STOPS[i], _HEAT_STOPS[i + 1])]
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+def _heat_colors(t: np.ndarray) -> list[list[str]]:
+    """``#rrggbb`` fills of a (rows, cols) array of heat values in [0, 1].
+
+    Red, green and blue are each interpolated linearly between the two
+    nearest stops and rounded half to even; values outside [0, 1] take the
+    end stops.
+    """
+    stops = np.asarray(_HEAT_STOPS, dtype=np.float64)
+    pos = np.clip(t, 0.0, 1.0) * (len(stops) - 1)
+    i = np.minimum(pos.astype(np.int64), len(stops) - 2)
+    f = (pos - i)[..., None]
+    rgb = np.round(stops[i] + (stops[i + 1] - stops[i]) * f).astype(np.int64)
+    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    # a heat map holds far fewer distinct colours than cells: format each once
+    distinct, which = np.unique(codes, return_inverse=True)
+    names = np.array([f"#{c:06x}" for c in distinct.tolist()])
+    return names[which.reshape(codes.shape)].tolist()
 
 
 def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> str:
@@ -151,32 +161,29 @@ def render_usability_graph(
     win = int(round(scores.epoch_len_s * rec.fs))
     cfg = SpectrogramConfig(fs=rec.fs)
     col_w = plot_w / n_epochs
+    n_rows = 32
+    row_h = heat_h / n_rows
+    xs = [_n(MARGIN_LEFT + e * col_w) for e in range(n_epochs)]
+    cell_size = f'width="{_n(col_w + 0.25)}" height="{_n(row_h + 0.25)}"'
 
     for ch, labels in zip(rec.channels, scores.labels):
         body.append(_text(MARGIN_LEFT - 6, y + heat_h / 2 + 4, ch.label, size=11, anchor="end"))
         epochs = ch.samples[: n_epochs * win].reshape(n_epochs, win)
         spec = spectrogram(epochs, cfg)  # (n_epochs, frames, bins)
         power = np.log10(spec.mean(axis=1) + 1e-12)  # one column per epoch
-        n_rows = 32
         bins = power.shape[1]
         edges = np.linspace(0, bins, n_rows + 1).astype(int)
         rows = np.stack([power[:, a:b].mean(axis=1) for a, b in zip(edges, edges[1:])], axis=1)
         lo, hi = rows.min(), rows.max()
         scale = hi - lo if hi > lo else 1.0
-        row_h = heat_h / n_rows
-        for e in range(n_epochs):
-            for r in range(n_rows):
-                t = (rows[e, r] - lo) / scale
-                # row 0 is the lowest band; draw from the bottom up
-                body.append(
-                    _rect(
-                        MARGIN_LEFT + e * col_w,
-                        y + heat_h - (r + 1) * row_h,
-                        col_w + 0.25,
-                        row_h + 0.25,
-                        _heat_color(t),
-                    )
-                )
+        fills = _heat_colors((rows - lo) / scale)
+        # row 0 is the lowest band; draw from the bottom up
+        ys = [_n(y + heat_h - (r + 1) * row_h) for r in range(n_rows)]
+        for x, column in zip(xs, fills):
+            body.extend(
+                f'<rect x="{x}" y="{yr}" {cell_size} fill="{fill}"/>'
+                for yr, fill in zip(ys, column)
+            )
         y += heat_h + 2
         for start, length, value in _runs(labels):
             body.append(

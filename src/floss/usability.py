@@ -153,19 +153,20 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
         norm = acc_norm(*rec.acc.axes)
         norm_epochs = norm[: n_epochs * win].reshape(n_epochs, win)
 
-    cfg = SpectrogramConfig(fs=rec.fs)
-    labels = []
-    for ch in rec.channels:
-        eeg_epochs = ch.samples[: n_epochs * win].reshape(n_epochs, win)
-        X, layout = epoch_feature_matrix(eeg_epochs, norm_epochs, cfg, include_stats)
-        if model.feature_layout is not None and tuple(layout) != tuple(model.feature_layout):
-            raise ModelIncompatible(
-                f"feature layout {layout} does not match the model's {model.feature_layout}"
-            )
-        labels.append(gbt.predict_label(model, X))
+    eeg_epochs = np.stack(
+        [ch.samples[: n_epochs * win].reshape(n_epochs, win) for ch in rec.channels]
+    )
+    X, layout = epoch_feature_matrix(
+        eeg_epochs, norm_epochs, SpectrogramConfig(fs=rec.fs), include_stats
+    )
+    if model.feature_layout is not None and tuple(layout) != tuple(model.feature_layout):
+        raise ModelIncompatible(
+            f"feature layout {layout} does not match the model's {model.feature_layout}"
+        )
+    labels = gbt.predict_label(model, X).reshape(len(rec.channels), n_epochs)
 
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
-        labels=labels,
+        labels=list(labels),
         epoch_len_s=epoch_len_s,
     )

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import floss
@@ -28,3 +31,15 @@ def test_every_export_is_referenced():
     referenced = set().union(*(_referenced_names(p) for p in files))
     unused = sorted(set(floss.__all__) - referenced)
     assert unused == [], f"exported but used nowhere outside floss/__init__.py: {unused}"
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about a second to import; only filtering needs it
+    src = str(Path(floss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, floss.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -104,6 +104,24 @@ class TestCheck:
         assert lines[0].endswith("[ModelIncompatible]")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("epoch_len_s", ["ten", 0])
+    def test_bad_meta_epoch_len_is_one_coded_error_line(
+        self, runner, night_dir, model_paths, tmp_path, epoch_len_s
+    ):
+        doc = json.loads(Path(model_paths[0]).read_text())
+        doc["meta"]["epoch_len_s"] = epoch_len_s
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["check", "--input", str(night_dir / "n0.edf"), "--model", str(bad)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ")
+        assert lines[0].endswith("[ModelIncompatible]")
+
     def test_matching_epoch_len_accepted(self, runner, night_dir, model_paths):
         result = runner.invoke(
             main,

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.signal
 import scipy.stats
 
 from floss.errors import SegmentTooShort
@@ -74,6 +75,25 @@ def test_welch_matches_hand_periodogram(rng):
     spec[1:-1] *= 2.0
     np.testing.assert_allclose(psd, spec, rtol=1e-10)
     np.testing.assert_allclose(freqs, np.arange(129) * FS / 256, rtol=0, atol=1e-12)
+
+
+def test_welch_matches_scipy_on_a_batch(rng):
+    x = rng.standard_normal((7, 2600)) * 20.0 + 3.0
+    freqs, psd = welch_psd(x, FS)
+    want_freqs, want = scipy.signal.welch(
+        x, fs=FS, window="hann", nperseg=256, noverlap=128, detrend=False
+    )
+    np.testing.assert_array_equal(freqs, want_freqs)
+    np.testing.assert_allclose(psd, want, rtol=1e-12)
+
+
+def test_spectrogram_equals_scipy_tukey_frames_across_blocks(rng):
+    # 600 rows span three row blocks; every row must match its own transform
+    cfg = SpectrogramConfig(fs=FS)
+    x = rng.standard_normal((600, 2560))
+    frames = np.lib.stride_tricks.sliding_window_view(x, 256, axis=-1)[:, ::224, :]
+    want = np.abs(np.fft.rfft(frames * scipy.signal.windows.tukey(256, 0.25), axis=-1)) ** 2
+    np.testing.assert_array_equal(spectrogram(x, cfg), want)
 
 
 def test_welch_tone_lands_on_its_bin():
@@ -165,6 +185,45 @@ def test_stat_features_batch_matches_rows(rng):
     assert one.shape == (1, N_STAT_FEATURES)
 
 
+def test_stat_features_blocks_equal_row_by_row_calls(rng):
+    # 600 rows span three row blocks
+    batch = rng.standard_normal((600, 2560)) * rng.uniform(0.1, 50.0, (600, 1))
+    out = stat_features(batch, FS)
+    np.testing.assert_array_equal(out, np.stack([stat_features(row, FS) for row in batch]))
+    np.testing.assert_array_equal(
+        stat_features(batch.reshape(3, 200, 2560), FS), out.reshape(3, 200, N_STAT_FEATURES)
+    )
+
+
+def _power_moments(x: np.ndarray) -> dict[str, np.ndarray]:
+    """Moment-based entries of stat_features from centred powers ``**k``."""
+    mean = x.mean(axis=-1)
+    centered = x - mean[:, None]
+    m2 = np.mean(centered**2, axis=-1)
+    m3 = np.mean(centered**3, axis=-1)
+    m4 = np.mean(centered**4, axis=-1)
+    m2 = np.where(m2 <= np.mean(x**2, axis=-1) * 1e-24, 0.0, m2)
+    live = m2 > 0
+    safe = np.where(live, m2, 1.0)
+    return {
+        "mean": mean,
+        "variance": m2,
+        "std": np.sqrt(m2),
+        "rms": np.sqrt(np.mean(x**2, axis=-1)),
+        "skewness": np.where(live, m3 / safe**1.5, 0.0),
+        "kurtosis": np.where(live, m4 / safe**2 - 3.0, 0.0),
+    }
+
+
+def test_stat_features_moments_match_power_reference(rng):
+    batch = rng.standard_normal((300, 2560)) ** 3 * rng.uniform(0.01, 100.0, (300, 1))
+    batch += rng.uniform(-500.0, 500.0, (300, 1))
+    batch[7] = 3.25  # constant: degenerate zeros
+    named = dict(zip(STAT_FEATURE_NAMES, stat_features(batch, FS).T))
+    for name, want in _power_moments(batch).items():
+        np.testing.assert_allclose(named[name], want, rtol=1e-9, atol=0, err_msg=name)
+
+
 def test_acc_norm_hand_values():
     np.testing.assert_allclose(
         acc_norm(np.array([3.0, 0.0]), np.array([4.0, 0.0]), np.array([0.0, 2.0])),
@@ -199,3 +258,13 @@ def test_feature_matrix_zero_fills_missing_acc(rng):
     assert X.shape == (2, 2838)
     np.testing.assert_array_equal(X[:, 1419:], 0.0)
     assert np.any(X[:, :1419] != 0.0)
+
+
+def test_feature_matrix_stacks_channels_over_one_acc(rng):
+    cfg = SpectrogramConfig(fs=FS)
+    eeg = rng.standard_normal((2, 3, 2560))
+    acc = np.abs(rng.standard_normal((3, 2560)))
+    X, layout = epoch_feature_matrix(eeg, acc, cfg)
+    per_channel = [epoch_feature_matrix(ch, acc, cfg) for ch in eeg]
+    np.testing.assert_array_equal(X, np.concatenate([m for m, _ in per_channel]))
+    assert layout == per_channel[0][1]

@@ -401,6 +401,16 @@ MALFORMED = {
         lambda d: d.update(num_classes=0, base_score=[], trees=[[] for _ in d["trees"]])
     ),
     "infinite feature_count": lambda: _edited(lambda d: d.update(feature_count=float("inf"))),
+    "meta not an object": lambda: _edited(lambda d: d.update(meta=[["task", "usability"]])),
+    "epoch_len_s not a number": lambda: _edited(lambda d: d["meta"].update(epoch_len_s="ten")),
+    "zero epoch_len_s": lambda: _edited(lambda d: d["meta"].update(epoch_len_s=0)),
+    "epoch of no sample": lambda: _edited(lambda d: d["meta"].update(fs=256, epoch_len_s=1e-3)),
+    "negative fs": lambda: _edited(lambda d: d["meta"].update(fs=-256.0)),
+    "fs true": lambda: _edited(lambda d: d["meta"].update(fs=True)),
+    "infinite fs": lambda: _edited(lambda d: d["meta"].update(fs=float("inf"))),
+    "include_stats not a bool": lambda: _edited(lambda d: d["meta"].update(include_stats=1)),
+    "binary not a bool": lambda: _edited(lambda d: d["meta"].update(binary="no")),
+    "unknown feature_mode": lambda: _edited(lambda d: d["meta"].update(feature_mode="fft")),
 }
 
 

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floss
 from floss.mobility import TimeInBed
 from floss.svg import (
     CLASS_COLORS,
@@ -19,6 +21,21 @@ from floss.svg import (
 from floss.usability import UsabilityScores
 
 NS = "{http://www.w3.org/2000/svg}"
+
+#: written by the per-cell renderer that the vectorised one replaced
+GOLDEN_USABILITY_SVG = Path(__file__).parent / "data" / "usability_small.svg"
+
+
+def golden_usability_graph() -> str:
+    """The usability graph of a seeded 13-epoch night with fixed labels."""
+    rec, _, _, _ = floss.gen_night(subject_index=0, n_epochs=13, seed=5)
+    idx = np.arange(13)
+    scores = UsabilityScores(
+        channels=[ch.label for ch in rec.channels],
+        labels=[idx % 5, (idx // 3) % 5],
+        epoch_len_s=10.0,
+    )
+    return render_usability_graph(rec, scores, "golden night")
 
 
 def _parse(doc: str) -> ET.Element:
@@ -107,6 +124,13 @@ class TestUsabilityGraph:
         root = _parse(render_usability_graph(bare, score_recording(bare, tiny_model), "t"))
         assert "acc" not in _texts(root)
         assert list(root.iter(f"{NS}polyline")) == []
+
+    def test_matches_golden_bytes(self):
+        got = golden_usability_graph().splitlines(keepends=True)
+        want = GOLDEN_USABILITY_SVG.read_text().splitlines(keepends=True)
+        # report the first differing lines, not a diff of the whole document
+        differ = [(i, a, b) for i, (a, b) in enumerate(zip(got, want)) if a != b]
+        assert len(got) == len(want) and not differ, differ[:3]
 
     def test_finite_coordinates(self, night_scores):
         rec, scores = night_scores

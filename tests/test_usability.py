@@ -1,6 +1,8 @@
 """Usability variants and whole-recording scoring."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,41 @@ class TestScoreRecording:
             device_id=rec.device_id,
         )
         assert score_recording(trimmed, tiny_model).n_epochs == 59
+
+    def test_channels_share_one_feature_pass(
+        self, small_night, tiny_samples, tiny_train_config, monkeypatch
+    ):
+        from floss import features
+        from floss.features import SpectrogramConfig, acc_norm, epoch_feature_matrix
+
+        rec, _, _, _ = small_night
+        assert len(rec.channels) == 2 and rec.acc is not None
+        model = train_usability(tiny_samples, FS, "default", tiny_train_config)
+        win = int(10.0 * FS)
+        n = rec.n_samples // win
+        cfg = SpectrogramConfig(fs=FS)
+        acc = acc_norm(*rec.acc.axes)[: n * win].reshape(n, win)
+        per_channel = [
+            gbt.predict_label(
+                model, epoch_feature_matrix(ch.samples[: n * win].reshape(n, win), acc, cfg)[0]
+            )
+            for ch in rec.channels
+        ]
+
+        calls = Counter()
+        for name in ("stat_features", "spectrogram"):
+
+            def counted(*args, _name=name, _inner=getattr(features, name)):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(features, name, counted)
+        scores = score_recording(rec, model)
+        # once for the stacked EEG channels, once for the shared accelerometer
+        assert calls == {"stat_features": 2, "spectrogram": 2}
+        assert len(scores.labels) == 2
+        for got, want in zip(scores.labels, per_channel):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestScoresContainer:
