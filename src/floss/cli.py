@@ -62,6 +62,15 @@ def _merge(cfg: dict[str, str], key: str, flag, default, cast=str):
     return default
 
 
+def _require_epoch_len(epoch_len: float | None, model: gbt.Model) -> None:
+    """An --epoch-len, when given, must be the model's own epoch length."""
+    if epoch_len is not None and epoch_len != model.meta.get("epoch_len_s"):
+        raise ModelIncompatible(
+            f"--epoch-len {epoch_len} differs from the model's "
+            f"{model.meta.get('epoch_len_s')} s"
+        )
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="floss")
 def main() -> None:
@@ -80,11 +89,7 @@ def check(input_path, model_path, out_path, epoch_len, config_path) -> None:
     cfg = _load_config(config_path)
     epoch_len = _merge(cfg, "epoch_len", epoch_len, None, float)
     model = gbt.load_model(model_path)
-    if epoch_len is not None and epoch_len != model.meta.get("epoch_len_s"):
-        raise ModelIncompatible(
-            f"--epoch-len {epoch_len} differs from the model's "
-            f"{model.meta.get('epoch_len_s')} s"
-        )
+    _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
     scores = score_recording(rec, model)
     if out_path:
@@ -99,7 +104,7 @@ def check(input_path, model_path, out_path, epoch_len, config_path) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--mobility-model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--tib-run-epochs", type=int, default=None)
-@click.option("--epoch-len", type=float, default=None)
+@click.option("--epoch-len", type=float, default=None, help="must match the model when given")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="JSON output path")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @_cli_errors
@@ -109,10 +114,10 @@ def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path, config_path
     run = _merge(cfg, "tib_run_epochs", tib_run_epochs, 12, int)
     epoch_len = _merge(cfg, "epoch_len", epoch_len, None, float)
     model = gbt.load_model(model_path)
+    _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
-    states = classify_mobility(rec.acc, rec.fs, model, epoch_len_s=epoch_len)
-    win = epoch_len if epoch_len is not None else float(model.meta.get("epoch_len_s", 10.0))
-    result = detect_tib(states, run, win)
+    states = classify_mobility(rec.acc, rec.fs, model)
+    result = detect_tib(states, run, float(model.meta.get("epoch_len_s", 10.0)))
     payload = json.dumps(
         {
             "Lights_out_sec": result.lights_out_s,

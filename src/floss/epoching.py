@@ -124,6 +124,22 @@ def assign_epoch_label(
     raise AssertionError("unreachable: PRECEDENCE covers all classes")
 
 
+def epoch_view(x: np.ndarray, fs: float, epoch_len_s: float) -> np.ndarray:
+    """The last axis of ``x`` cut into whole epochs: (..., n_epochs, win).
+
+    An epoch is ``round(epoch_len_s * fs)`` samples and the partial tail is
+    dropped; a signal holding no whole epoch raises EmptyRecording.  For a
+    contiguous ``x`` the result is a view.
+    """
+    x = np.asarray(x)
+    n = x.shape[-1]
+    win = int(round(epoch_len_s * fs))
+    n_epochs = n // win if win >= 1 else 0
+    if n_epochs == 0:
+        raise EmptyRecording(f"{n} samples make no {epoch_len_s} s epochs at {fs} Hz")
+    return x[..., : n_epochs * win].reshape(x.shape[:-1] + (n_epochs, win))
+
+
 def build_epochs(
     rec: Recording,
     spans: list[AnnotationSpan],
@@ -131,27 +147,15 @@ def build_epochs(
     subject_id: str = "",
     night_id: str = "",
 ) -> list[EpochSample]:
-    """Cut a recording into labeled per-channel epochs.
-
-    The trailing partial window is dropped; a recording shorter than one
-    window raises EmptyRecording.
-    """
-    win = int(round(window_s * rec.fs))
-    n_epochs = rec.n_samples // win if win else 0
-    if n_epochs == 0:
-        raise EmptyRecording(
-            f"{rec.n_samples} samples make no {window_s} s epochs at {rec.fs} Hz"
-        )
-
+    """Cut a recording into labeled per-channel epochs on the epoch_view grid."""
     norm = None
     if rec.acc is not None:
-        norm = acc_norm(*rec.acc.axes)[: n_epochs * win].reshape(n_epochs, win)
+        norm = epoch_view(acc_norm(*rec.acc.axes), rec.fs, window_s)
 
     samples: list[EpochSample] = []
     for ch in rec.channels:
         ch_spans = [s for s in spans if s.channel == ch.label]
-        eeg = ch.samples[: n_epochs * win].reshape(n_epochs, win)
-        for i in range(n_epochs):
+        for i, eeg in enumerate(epoch_view(ch.samples, rec.fs, window_s)):
             epoch_start = Fraction(i) * _to_fraction(window_s)
             in_epoch = [
                 s
@@ -165,7 +169,7 @@ def build_epochs(
                     channel=ch.label,
                     epoch_index=i,
                     label=assign_epoch_label(in_epoch, epoch_start, window_s),
-                    eeg=eeg[i],
+                    eeg=eeg,
                     acc_norm=None if norm is None else norm[i],
                 )
             )

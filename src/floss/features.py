@@ -65,7 +65,6 @@ class SpectrogramConfig:
     segment_len: int = 256
     hop: int = 224
     taper: float = 0.25
-    one_sided: bool = True
 
     def frame_count(self, n_samples: int) -> int:
         if n_samples < self.segment_len:
@@ -76,7 +75,7 @@ class SpectrogramConfig:
 
     @property
     def bin_count(self) -> int:
-        return self.segment_len // 2 + 1 if self.one_sided else self.segment_len
+        return self.segment_len // 2 + 1
 
 
 def acc_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -134,10 +133,9 @@ def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     window = _tukey(cfg.segment_len, cfg.taper)
-    fft = np.fft.rfft if cfg.one_sided else np.fft.fft
 
     def kernel(rows: np.ndarray) -> np.ndarray:
-        return np.abs(fft(_frames(rows, cfg) * window, axis=-1)) ** 2
+        return np.abs(np.fft.rfft(_frames(rows, cfg) * window, axis=-1)) ** 2
 
     return _in_row_blocks(kernel, x, (cfg.frame_count(x.shape[-1]), cfg.bin_count))
 

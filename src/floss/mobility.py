@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gbt
-from .errors import AccMissingWhenRequired, EmptyRecording, ModelIncompatible, NoLyingPeriod
-from .features import N_STAT_FEATURES, band_powers, stat_features, welch_psd
+from .epoching import epoch_view
+from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
+from .features import band_powers, stat_features, welch_psd
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
@@ -51,23 +52,16 @@ def mobility_feature_matrix(
     """
     if feature_mode not in FEATURE_MODES:
         raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
-    win = int(round(fs * epoch_len_s))
-    n_epochs = len(acc) // win
-    if n_epochs == 0:
-        raise EmptyRecording(f"{len(acc)} samples make no {epoch_len_s} s epochs")
-
     blocks = []
     layout = []
     for name, axis in zip("xyz", acc.axes):
-        epochs = axis[: n_epochs * win].reshape(n_epochs, win)
+        epochs = epoch_view(axis, fs, epoch_len_s)
         if feature_mode == "stat":
-            blocks.append(stat_features(epochs, fs))
-            layout.append((f"stats_acc_{name}", N_STAT_FEATURES))
+            prefix, block = "stats", stat_features(epochs, fs)
         else:
-            freqs, psd = welch_psd(epochs, fs)
-            bands = band_powers(freqs, psd)
-            blocks.append(bands)
-            layout.append((f"bands_acc_{name}", bands.shape[1]))
+            prefix, block = "bands", band_powers(*welch_psd(epochs, fs))
+        blocks.append(block)
+        layout.append((f"{prefix}_acc_{name}", block.shape[1]))
     return np.concatenate(blocks, axis=1), tuple(layout)
 
 
@@ -94,10 +88,7 @@ def fit_mobility(
 
 
 def classify_mobility(
-    acc: TriAxialAcc | None,
-    fs: float,
-    model: gbt.Model,
-    epoch_len_s: float | None = None,
+    acc: TriAxialAcc | None, fs: float, model: gbt.Model
 ) -> list[MobilityState]:
     """Per-epoch wearing states for a recording's accelerometer."""
     if acc is None:
@@ -107,8 +98,7 @@ def classify_mobility(
     if model.meta.get("fs") != fs:
         raise ModelIncompatible(f"model was fit at {model.meta.get('fs')} Hz, data is {fs} Hz")
     mode = model.meta.get("feature_mode", "stat")
-    if epoch_len_s is None:
-        epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
+    epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
     X, _ = mobility_feature_matrix(acc, fs, epoch_len_s, mode)
     return [MobilityState(int(v)) for v in gbt.predict_label(model, X)]
 

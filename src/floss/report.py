@@ -174,9 +174,9 @@ def _write_night(
     tib = None
     if mobility_model is not None:
         states = classify_mobility(rec.acc, rec.fs, mobility_model)
-        epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
+        mobility_epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
         write_mobility_csv(states, stage / f"{night_id}_mobility.csv")
-        tib = detect_tib(states, config.tib_run_epochs, epoch_len_s)
+        tib = detect_tib(states, config.tib_run_epochs, mobility_epoch_len_s)
         mobility = np.asarray([int(s) for s in states])
 
     sleep_path = path.with_name(f"{night_id}_sleep.txt")
@@ -204,7 +204,7 @@ def _write_night(
     sleep_mobility = None
     if mobility is not None:
         # show mobility on the sleep-epoch grid next to the hypnogram
-        ratio = max(1, int(round(config.sleep_epoch_len_s / scores.epoch_len_s)))
+        ratio = max(1, int(round(config.sleep_epoch_len_s / mobility_epoch_len_s)))
         trimmed = mobility[: (len(mobility) // ratio) * ratio]
         if len(trimmed):
             sleep_mobility = trimmed.reshape(-1, ratio)[:, 0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .aggregate import SleepStage
-from .features import SpectrogramConfig, acc_norm, spectrogram
+from .features import acc_norm
 from .mobility import MobilityState, TimeInBed
 from .signal_io import Recording
 from .usability import UsabilityScores
@@ -147,7 +147,11 @@ def _svg_doc(height: float, body: list[str]) -> str:
 def render_usability_graph(
     rec: Recording, scores: UsabilityScores, title: str, binary: bool = False
 ) -> str:
-    """Spectrogram heatmaps, label strips, and the movement trace of one night."""
+    """Spectrogram heatmaps, label strips, and the movement trace of one night.
+
+    The heatmaps draw ``scores.spectra``; of ``rec`` only the accelerometer
+    is read.
+    """
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     n_epochs = scores.n_epochs
     total_s = n_epochs * scores.epoch_len_s
@@ -158,19 +162,15 @@ def render_usability_graph(
     y = float(TITLE_H)
 
     heat_h, strip_h, trace_h, gap = 72.0, 14.0, 56.0, 8.0
-    win = int(round(scores.epoch_len_s * rec.fs))
-    cfg = SpectrogramConfig(fs=rec.fs)
     col_w = plot_w / n_epochs
     n_rows = 32
     row_h = heat_h / n_rows
     xs = [_n(MARGIN_LEFT + e * col_w) for e in range(n_epochs)]
     cell_size = f'width="{_n(col_w + 0.25)}" height="{_n(row_h + 0.25)}"'
 
-    for ch, labels in zip(rec.channels, scores.labels):
-        body.append(_text(MARGIN_LEFT - 6, y + heat_h / 2 + 4, ch.label, size=11, anchor="end"))
-        epochs = ch.samples[: n_epochs * win].reshape(n_epochs, win)
-        spec = spectrogram(epochs, cfg)  # (n_epochs, frames, bins)
-        power = np.log10(spec.mean(axis=1) + 1e-12)  # one column per epoch
+    for name, labels, spectrum in zip(scores.channels, scores.labels, scores.spectra):
+        body.append(_text(MARGIN_LEFT - 6, y + heat_h / 2 + 4, name, size=11, anchor="end"))
+        power = np.log10(spectrum + 1e-12)  # one column per epoch
         bins = power.shape[1]
         edges = np.linspace(0, bins, n_rows + 1).astype(int)
         rows = np.stack([power[:, a:b].mean(axis=1) for a, b in zip(edges, edges[1:])], axis=1)

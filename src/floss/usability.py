@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbt
-from .epoching import ArtifactClass, EpochSample
-from .errors import ChannelMissing, DegenerateData, EmptyRecording, ModelIncompatible
+from .epoching import ArtifactClass, EpochSample, epoch_view
+from .errors import ChannelMissing, DegenerateData, ModelIncompatible
 from .features import SpectrogramConfig, acc_norm, epoch_feature_matrix
 from .signal_io import Recording
 
@@ -49,11 +49,16 @@ VARIANTS: dict[str, VariantSpec] = {
 
 @dataclass
 class UsabilityScores:
-    """Per-channel label sequences on the usability epoch grid."""
+    """Per-channel label sequences on the usability epoch grid.
+
+    ``spectra`` is each channel's per-epoch EEG spectrum, the mean of its
+    spectrogram frames: (channels, n_epochs, bins).
+    """
 
     channels: list[str]
     labels: list[np.ndarray]
     epoch_len_s: float
+    spectra: np.ndarray
 
     @property
     def n_epochs(self) -> int:
@@ -135,10 +140,8 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
     include_stats = bool(model.meta.get("include_stats", True))
 
-    win = int(round(epoch_len_s * rec.fs))
-    n_epochs = rec.n_samples // win
-    if n_epochs == 0:
-        raise EmptyRecording(f"{rec.n_samples} samples make no {epoch_len_s} s epochs")
+    eeg_epochs = np.stack([epoch_view(ch.samples, rec.fs, epoch_len_s) for ch in rec.channels])
+    n_channels, n_epochs = eeg_epochs.shape[:2]
 
     for ch in rec.channels:
         if np.percentile(np.abs(ch.samples), 99.9) > AMPLITUDE_WARN_UV:
@@ -150,23 +153,21 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
 
     norm_epochs = None
     if rec.acc is not None:
-        norm = acc_norm(*rec.acc.axes)
-        norm_epochs = norm[: n_epochs * win].reshape(n_epochs, win)
+        norm_epochs = epoch_view(acc_norm(*rec.acc.axes), rec.fs, epoch_len_s)
 
-    eeg_epochs = np.stack(
-        [ch.samples[: n_epochs * win].reshape(n_epochs, win) for ch in rec.channels]
-    )
-    X, layout = epoch_feature_matrix(
-        eeg_epochs, norm_epochs, SpectrogramConfig(fs=rec.fs), include_stats
-    )
+    cfg = SpectrogramConfig(fs=rec.fs)
+    X, layout = epoch_feature_matrix(eeg_epochs, norm_epochs, cfg, include_stats)
     if model.feature_layout is not None and tuple(layout) != tuple(model.feature_layout):
         raise ModelIncompatible(
             f"feature layout {layout} does not match the model's {model.feature_layout}"
         )
-    labels = gbt.predict_label(model, X).reshape(len(rec.channels), n_epochs)
+    labels = gbt.predict_label(model, X).reshape(n_channels, n_epochs)
+    # the spectrogram_eeg block leads every row: (frames x bins), frame by frame
+    frames = X[:, : layout[0][1]].reshape(n_channels, n_epochs, -1, cfg.bin_count)
 
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
         labels=list(labels),
         epoch_len_s=epoch_len_s,
+        spectra=frames.mean(axis=2),
     )

@@ -144,6 +144,26 @@ class TestTib:
         assert set(doc) == {"Lights_out_sec", "Lights_on_sec", "TIB_min"}
         assert doc["Lights_on_sec"] > doc["Lights_out_sec"]
 
+    def test_epoch_len_must_match_the_model(self, runner, night_dir, model_paths):
+        result = runner.invoke(
+            main,
+            ["tib", "--input", str(night_dir / "n0.edf"),
+             "--mobility-model", model_paths[1], "--epoch-len", "30"],
+        )
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: --epoch-len 30.0 differs")
+        assert lines[0].endswith("[ModelIncompatible]")
+
+    def test_matching_epoch_len_accepted(self, runner, night_dir, model_paths):
+        result = runner.invoke(
+            main,
+            ["tib", "--input", str(night_dir / "n0.edf"),
+             "--mobility-model", model_paths[1], "--epoch-len", "10"],
+        )
+        assert result.exit_code == 0, result.output
+
     def test_no_lying_run_fails_with_code(self, runner, night_dir, model_paths):
         result = runner.invoke(
             main,

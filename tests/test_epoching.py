@@ -14,6 +14,7 @@ from floss.epoching import (
     assign_epoch_label,
     balance_rus,
     build_epochs,
+    epoch_view,
     load_annotations,
     merge_compound_labels,
     subject_split,
@@ -128,6 +129,26 @@ class TestBuildEpochs:
         rec = Recording(channels=[ChannelSignal("EEG", np.zeros(32))], acc=None, fs=64.0)
         with pytest.raises(EmptyRecording):
             build_epochs(rec, [], window_s=10.0)
+
+
+class TestEpochView:
+    def test_tail_dropped_and_leading_axes_kept(self):
+        x = np.arange(2 * 25, dtype=np.float64).reshape(2, 25)
+        got = epoch_view(x, fs=2.0, epoch_len_s=4.0)
+        assert got.shape == (2, 3, 8)
+        np.testing.assert_array_equal(got[1, 2], x[1, 16:24])
+
+    def test_contiguous_input_gives_a_view(self):
+        x = np.zeros(100)
+        assert np.shares_memory(epoch_view(x, fs=10.0, epoch_len_s=3.0), x)
+
+    def test_window_rounds_to_nearest_sample(self):
+        assert epoch_view(np.zeros(30), fs=10.0, epoch_len_s=0.96).shape == (3, 10)
+
+    @pytest.mark.parametrize("n, epoch_len_s", [(9, 1.0), (100, 0.04), (100, 0.0), (100, -1.0)])
+    def test_no_whole_epoch_raises(self, n, epoch_len_s):
+        with pytest.raises(EmptyRecording):
+            epoch_view(np.zeros(n), fs=10.0, epoch_len_s=epoch_len_s)
 
 
 class TestBalanceRus:

@@ -203,6 +203,31 @@ class TestPipeline:
         cleaned = read_edf(out / "s00_despiked.edf")
         assert cleaned.n_samples == N_EPOCHS * 2560
 
+    def test_mobility_strip_on_the_sleep_epoch_grid(self, pipeline_config, tmp_path, monkeypatch):
+        from floss.cli import _mobility_training_data
+        from floss.mobility import fit_mobility
+
+        # 30-s mobility epochs under the 10-s usability model: one state per sleep epoch
+        acc, labels = _mobility_training_data(256.0, 30.0, seed=5)
+        cfg = gbt.TrainConfig(n_iterations=2, eta=0.3, max_leaves=7, min_samples_leaf=2, seed=5)
+        mobility_path = tmp_path / "mobility30.json"
+        gbt.save_model(fit_mobility(acc, labels, 256.0, 30.0, config=cfg), mobility_path)
+
+        strips = {}
+
+        def render(s_ar, epoch_len_s, title, mobility=None, tib=None):
+            strips[title] = (len(s_ar), mobility)
+            return "<svg/>"
+
+        monkeypatch.setattr("floss.report.svg.render_hypnogram", render)
+        # a 12-state night holds no default 12-epoch Lying run, so ask for one epoch
+        run_pipeline(
+            dataclasses.replace(pipeline_config, mobility_model_path=mobility_path, tib_run_epochs=1)
+        )
+        n_sleep, mobility = strips["s00"]
+        assert n_sleep == N_EPOCHS // 3
+        assert mobility is not None and len(mobility) == n_sleep
+
     def test_without_mobility_model(self, pipeline_config):
         pipeline_config.mobility_model_path = None
         reports = run_pipeline(pipeline_config)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 import floss
+from floss.epoching import epoch_view
+from floss.features import SpectrogramConfig, spectrogram
 from floss.mobility import TimeInBed
+from floss.signal_io import ChannelSignal, Recording
 from floss.svg import (
     CLASS_COLORS,
     MOBILITY_COLORS,
@@ -26,6 +29,14 @@ NS = "{http://www.w3.org/2000/svg}"
 GOLDEN_USABILITY_SVG = Path(__file__).parent / "data" / "usability_small.svg"
 
 
+def _spectra(rec: Recording) -> np.ndarray:
+    """Each channel's frame-mean spectrogram per 10-s epoch."""
+    cfg = SpectrogramConfig(fs=rec.fs)
+    return np.stack(
+        [spectrogram(epoch_view(ch.samples, rec.fs, 10.0), cfg).mean(axis=1) for ch in rec.channels]
+    )
+
+
 def golden_usability_graph() -> str:
     """The usability graph of a seeded 13-epoch night with fixed labels."""
     rec, _, _, _ = floss.gen_night(subject_index=0, n_epochs=13, seed=5)
@@ -34,6 +45,7 @@ def golden_usability_graph() -> str:
         channels=[ch.label for ch in rec.channels],
         labels=[idx % 5, (idx // 3) % 5],
         epoch_len_s=10.0,
+        spectra=_spectra(rec),
     )
     return render_usability_graph(rec, scores, "golden night")
 
@@ -93,6 +105,7 @@ class TestUsabilityGraph:
             channels=[ch.label for ch in rec.channels],
             labels=[np.zeros(60, dtype=np.int64) for _ in rec.channels],
             epoch_len_s=10.0,
+            spectra=_spectra(rec),
         )
         doc = render_usability_graph(rec, scores, "t")
         strip_rects = [
@@ -106,6 +119,7 @@ class TestUsabilityGraph:
             channels=[ch.label for ch in rec.channels],
             labels=[np.array([0, 1] * 30) for _ in rec.channels],
             epoch_len_s=10.0,
+            spectra=_spectra(rec),
         )
         root = _parse(render_usability_graph(rec, scores, "t", binary=True))
         texts = _texts(root)
@@ -124,6 +138,21 @@ class TestUsabilityGraph:
         root = _parse(render_usability_graph(bare, score_recording(bare, tiny_model), "t"))
         assert "acc" not in _texts(root)
         assert list(root.iter(f"{NS}polyline")) == []
+
+    def test_heat_map_draws_the_given_spectra(self):
+        # three epochs of flat spectra at 1, 10 and 100: log power 0, 1 and 2
+        spectra = np.repeat(10.0 ** np.arange(3), 32).reshape(1, 3, 32)
+        scores = UsabilityScores(["EEG"], [np.zeros(3, dtype=np.int64)], 10.0, spectra)
+        # one sample per channel: the heat map must not need the EEG itself
+        rec = Recording(channels=[ChannelSignal("EEG", np.zeros(1))], acc=None, fs=256.0)
+        root = _parse(render_usability_graph(rec, scores, "t"))
+        cells = [el for el in root.iter(f"{NS}rect") if el.get("height") == "2.5"]
+        assert len(cells) == 3 * 32
+        columns = {}
+        for el in cells:
+            columns.setdefault(float(el.get("x")), set()).add(el.get("fill"))
+        # the colour map's low, middle and high stops
+        assert [columns[x] for x in sorted(columns)] == [{"#0d0887"}, {"#9c179e"}, {"#f0f921"}]
 
     def test_matches_golden_bytes(self):
         got = golden_usability_graph().splitlines(keepends=True)

@@ -238,6 +238,21 @@ class TestScoreRecording:
         for got, want in zip(scores.labels, per_channel):
             np.testing.assert_array_equal(got, want)
 
+    def test_spectra_are_each_epochs_frame_mean(self, small_night, tiny_model):
+        from floss.features import SpectrogramConfig, spectrogram
+
+        rec, _, _, _ = small_night
+        scores = score_recording(rec, tiny_model)
+        win = int(10.0 * FS)
+        cfg = SpectrogramConfig(fs=FS)
+        want = [
+            spectrogram(ch.samples[: 60 * win].reshape(60, win), cfg).mean(axis=1)
+            for ch in rec.channels
+        ]
+        assert scores.spectra.shape == (2, 60, cfg.bin_count)
+        for got, expect in zip(scores.spectra, want):
+            np.testing.assert_array_equal(got, expect)
+
 
 class TestScoresContainer:
     def test_csv_layout(self):
@@ -245,6 +260,7 @@ class TestScoresContainer:
             channels=["EEG L", "EEG R"],
             labels=[np.array([0, 2]), np.array([1, 0])],
             epoch_len_s=10.0,
+            spectra=np.zeros((2, 2, 129)),
         )
         assert scores.to_csv() == (
             "channel,epoch_index,label\n"
@@ -252,4 +268,4 @@ class TestScoresContainer:
         )
 
     def test_empty_container(self):
-        assert UsabilityScores([], [], 10.0).n_epochs == 0
+        assert UsabilityScores([], [], 10.0, np.zeros((0, 0, 129))).n_epochs == 0
