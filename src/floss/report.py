@@ -1,7 +1,7 @@
 """Batch pipeline over directories of nights with skip-and-report semantics.
 
-Each night is processed independently: read, optionally despike, score
-usability per channel, classify mobility and find time in bed when an
+Each night is processed independently: read, optionally write a despiked
+copy, score the recording as read for usability per channel, classify mobility and find time in bed when an
 accelerometer model is given, merge with sleep scores when a sidecar
 exists, and emit CSV/JSON/SVG outputs. Every output is written into a
 staging directory inside the output directory and moved into place only
@@ -160,8 +160,8 @@ def _write_night(
     night_id = path.stem
     rec = read_recording(path)
     if config.despike:
-        rec = despiked(rec)
-        write_recording(rec, stage / f"{night_id}_despiked{path.suffix.lower()}")
+        # the models were fit on unfiltered epochs: only the copy is despiked
+        write_recording(despiked(rec), stage / f"{night_id}_despiked{path.suffix.lower()}")
 
     scores = score_recording(rec, model)
     binary = bool(model.meta.get("binary", False))

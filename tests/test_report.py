@@ -203,6 +203,15 @@ class TestPipeline:
         cleaned = read_edf(out / "s00_despiked.edf")
         assert cleaned.n_samples == N_EPOCHS * 2560
 
+    def test_despike_scores_the_recording_as_read(self, pipeline_config, tmp_path):
+        run_pipeline(pipeline_config)
+        plain = Path(pipeline_config.out_dir)
+        despiked = tmp_path / "despiked"
+        run_pipeline(dataclasses.replace(pipeline_config, out_dir=despiked, despike=True))
+        for stem in ("s00", "s01"):
+            name = f"{stem}_usability.csv"
+            assert (despiked / name).read_bytes() == (plain / name).read_bytes()
+
     def test_mobility_strip_on_the_sleep_epoch_grid(self, pipeline_config, tmp_path, monkeypatch):
         from floss.cli import _mobility_training_data
         from floss.mobility import fit_mobility
