@@ -1,13 +1,14 @@
 """Batch pipeline over directories of nights with skip-and-report semantics.
 
 Each night is processed independently: read, optionally write a despiked
-copy, score the recording as read for usability per channel, classify mobility and find time in bed when an
-accelerometer model is given, merge with sleep scores when a sidecar
-exists, and emit CSV/JSON/SVG outputs. Every output is written into a
-staging directory inside the output directory and moved into place only
-once the whole night has succeeded. A night failing with a taxonomy error
-is skipped whole and the error lands in the batch summary. Only
-configuration problems abort the run; they too leave no partial outputs.
+copy, score usability per channel on the recording as read, classify
+mobility and find time in bed when an accelerometer model is given, merge
+with sleep scores when a sidecar exists, and emit CSV/JSON/SVG outputs.
+Every output is written into a staging directory inside the output
+directory and moved into place only once the whole night has succeeded. A
+night failing with a taxonomy error is skipped whole and the error lands
+in the batch summary. Only configuration problems abort the run; they too
+leave no partial outputs.
 """
 from __future__ import annotations
 

@@ -162,7 +162,7 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
             f"feature layout {layout} does not match the model's {model.feature_layout}"
         )
     labels = gbt.predict_label(model, X).reshape(n_channels, n_epochs)
-    # the spectrogram_eeg block leads every row: (frames x bins), frame by frame
+    # every row opens with its EEG spectrogram, frames x bins
     frames = X[:, : layout[0][1]].reshape(n_channels, n_epochs, -1, cfg.bin_count)
 
     return UsabilityScores(

@@ -212,7 +212,9 @@ class TestPipeline:
             name = f"{stem}_usability.csv"
             assert (despiked / name).read_bytes() == (plain / name).read_bytes()
 
-    def test_mobility_strip_on_the_sleep_epoch_grid(self, pipeline_config, tmp_path, monkeypatch):
+    def test_mobility_strip_on_the_sleep_epoch_grid(
+        self, pipeline_config, tmp_path, monkeypatch
+    ):
         from floss.cli import _mobility_training_data
         from floss.mobility import fit_mobility
 

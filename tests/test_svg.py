@@ -32,9 +32,8 @@ GOLDEN_USABILITY_SVG = Path(__file__).parent / "data" / "usability_small.svg"
 def _spectra(rec: Recording) -> np.ndarray:
     """Each channel's frame-mean spectrogram per 10-s epoch."""
     cfg = SpectrogramConfig(fs=rec.fs)
-    return np.stack(
-        [spectrogram(epoch_view(ch.samples, rec.fs, 10.0), cfg).mean(axis=1) for ch in rec.channels]
-    )
+    epochs = [epoch_view(ch.samples, rec.fs, 10.0) for ch in rec.channels]
+    return np.stack([spectrogram(e, cfg).mean(axis=1) for e in epochs])
 
 
 def golden_usability_graph() -> str:
