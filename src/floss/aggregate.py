@@ -143,3 +143,8 @@ def load_sleep_scores(path: str | Path, allow_unscorable: bool = False) -> np.nd
             raise HeaderFieldUnparsable(f"{path} line {lineno}: {line!r}") from exc
     return normalize_sleep_codes(np.asarray(values, dtype=np.int64), allow_unscorable)
 
+
+
+def write_sleep_scores(scores: np.ndarray | list[int], path: str | Path) -> None:
+    """Write one stage code per line, as ``load_sleep_scores`` reads them."""
+    Path(path).write_text("\n".join(str(int(v)) for v in scores) + "\n")

@@ -1,11 +1,12 @@
 """Command line entry points.
 
-Every command takes an optional flat ``key = value`` config file; explicit
-flags win over config values, which win over the built-in defaults.
+Every command takes an optional flat ``key = value`` config file, loaded
+into click's ``default_map``: explicit flags win over config values, which
+win over the defaults shown in ``--help``, and config values pass the same
+type checks as flags.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 from collections import Counter
@@ -15,10 +16,11 @@ import click
 import numpy as np
 
 from . import __version__, gbt, report as report_mod, synth as synth_mod
-from .aggregate import load_sleep_scores
+from .aggregate import load_sleep_scores, write_sleep_scores
 from .epoching import EpochSample, balance_rus, build_epochs, load_annotations, write_annotations
 from .errors import FlossError, ModelIncompatible
 from .mobility import (
+    DEFAULT_RUN_EPOCHS,
     MobilityState,
     classify_mobility,
     detect_tib,
@@ -26,10 +28,14 @@ from .mobility import (
     write_mobility_csv,
 )
 from .signal_io import TriAxialAcc
-from .sleepstats import compute_stats
+from .sleepstats import compute_stats, write_stats
 from .usability import VARIANTS, score_recording, train_usability
 
 _VARIANT_CHOICE = click.Choice(sorted(VARIANTS))
+_PIPELINE = report_mod.PipelineConfig
+#: parameters a config file does not set: inputs, outputs, the model of each
+#: command but ``report --mobility-model``, and ``train --kind``
+_FLAG_ONLY = frozenset({"input_path", "input_dir", "out_path", "out_dir", "model_path", "kind"})
 
 
 def _cli_errors(fn):
@@ -46,20 +52,25 @@ def _cli_errors(fn):
     return wrapper
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    return report_mod.parse_config_file(path) if path else {}
+def _apply_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the file's values the command's defaults, so click types them."""
+    if path is None:
+        return
+    try:
+        cfg = report_mod.parse_config_file(path)
+    except (ValueError, FlossError) as exc:
+        raise click.BadParameter(str(exc), ctx, param) from exc
+    ctx.default_map = {k: v for k, v in cfg.items() if k not in _FLAG_ONLY}
 
 
-def _merge(cfg: dict[str, str], key: str, flag, default, cast=str):
-    """Flag beats config file beats default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        raw = cfg[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+_config_option = click.option(
+    "--config",
+    type=click.Path(exists=True),
+    is_eager=True,
+    expose_value=False,
+    callback=_apply_config,
+    help="key = value file of option defaults; a key is an option name with _ for -",
+)
 
 
 def _require_epoch_len(epoch_len: float | None, model: gbt.Model) -> None:
@@ -71,7 +82,7 @@ def _require_epoch_len(epoch_len: float | None, model: gbt.Model) -> None:
         )
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(version=__version__, prog_name="floss")
 def main() -> None:
     """Sleep EEG usability scoring, artifact rejection, and reporting."""
@@ -82,12 +93,10 @@ def main() -> None:
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None, help="usability CSV path")
 @click.option("--epoch-len", type=float, default=None, help="must match the model when given")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@_config_option
 @_cli_errors
-def check(input_path, model_path, out_path, epoch_len, config_path) -> None:
+def check(input_path, model_path, out_path, epoch_len) -> None:
     """Score one recording's per-epoch usability."""
-    cfg = _load_config(config_path)
-    epoch_len = _merge(cfg, "epoch_len", epoch_len, None, float)
     model = gbt.load_model(model_path)
     _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
@@ -103,21 +112,18 @@ def check(input_path, model_path, out_path, epoch_len, config_path) -> None:
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--mobility-model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--tib-run-epochs", type=int, default=None)
+@click.option("--tib-run-epochs", type=int, default=DEFAULT_RUN_EPOCHS)
 @click.option("--epoch-len", type=float, default=None, help="must match the model when given")
 @click.option("--out", "out_path", type=click.Path(), default=None, help="JSON output path")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@_config_option
 @_cli_errors
-def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path, config_path) -> None:
+def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path) -> None:
     """Detect time in bed from a recording's accelerometer."""
-    cfg = _load_config(config_path)
-    run = _merge(cfg, "tib_run_epochs", tib_run_epochs, 12, int)
-    epoch_len = _merge(cfg, "epoch_len", epoch_len, None, float)
     model = gbt.load_model(model_path)
     _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
     states = classify_mobility(rec.acc, rec.fs, model)
-    result = detect_tib(states, run, float(model.meta.get("epoch_len_s", 10.0)))
+    result = detect_tib(states, tib_run_epochs, float(model.meta.get("epoch_len_s", 10.0)))
     payload = json.dumps(
         {
             "Lights_out_sec": result.lights_out_s,
@@ -134,9 +140,9 @@ def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path, config_path
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@_config_option
 @_cli_errors
-def despike(input_path, out_path, config_path) -> None:
+def despike(input_path, out_path) -> None:
     """Remove 8/16/24 Hz spike artifacts with the zero-phase cascade."""
     rec = report_mod.read_recording(input_path)
     report_mod.write_recording(report_mod.despiked(rec), out_path)
@@ -151,17 +157,15 @@ def despike(input_path, out_path, config_path) -> None:
     type=click.Path(exists=True),
     help="artifact-rejected scores, one per line (-1 for rejected)",
 )
-@click.option("--sleep-epoch-len", type=float, default=None)
+@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
 @click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@_config_option
 @_cli_errors
-def stats(input_path, sleep_epoch_len, out_path, config_path) -> None:
+def stats(input_path, sleep_epoch_len, out_path) -> None:
     """Sleep statistics from a score sequence."""
-    cfg = _load_config(config_path)
-    epoch_len = _merge(cfg, "sleep_epoch_len", sleep_epoch_len, 30.0, float)
-    result = compute_stats(load_sleep_scores(input_path, allow_unscorable=True), epoch_len)
+    result = compute_stats(load_sleep_scores(input_path, allow_unscorable=True), sleep_epoch_len)
     if out_path:
-        Path(out_path).write_text(result.to_json())
+        write_stats(result, out_path)
     click.echo(result.to_json(), nl=False)
 
 
@@ -191,7 +195,7 @@ def _mobility_training_data(
 @main.command()
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--kind", type=click.Choice(["usability", "mobility"]), default="usability")
-@click.option("--variant", type=_VARIANT_CHOICE, default=None)
+@click.option("--variant", type=_VARIANT_CHOICE, default="default")
 @click.option(
     "--input",
     "input_path",
@@ -200,14 +204,14 @@ def _mobility_training_data(
     help="directory of recordings with <stem>_labels.csv sidecars; "
     "omitted: train on synthetic data",
 )
-@click.option("--subjects", type=int, default=None, help="synthetic subjects")
-@click.option("--epochs-per-class", type=int, default=None, help="per synthetic subject")
-@click.option("--fs", type=float, default=None)
-@click.option("--epoch-len", type=float, default=None)
-@click.option("--iterations", type=int, default=None)
-@click.option("--eta", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--subjects", type=int, default=8, help="synthetic subjects")
+@click.option("--epochs-per-class", type=int, default=40, help="per synthetic subject")
+@click.option("--fs", type=float, default=256.0)
+@click.option("--epoch-len", type=float, default=10.0)
+@click.option("--iterations", type=int, default=gbt.TrainConfig.n_iterations)
+@click.option("--eta", type=float, default=gbt.TrainConfig.eta)
+@click.option("--seed", type=int, default=gbt.TrainConfig.seed)
+@_config_option
 @_cli_errors
 def train(
     out_path,
@@ -221,23 +225,9 @@ def train(
     iterations,
     eta,
     seed,
-    config_path,
 ) -> None:
     """Fit a usability or mobility model and save it as JSON."""
-    cfg = _load_config(config_path)
-    variant = _merge(cfg, "variant", variant, "default")
-    subjects = _merge(cfg, "subjects", subjects, 8, int)
-    epochs_per_class = _merge(cfg, "epochs_per_class", epochs_per_class, 40, int)
-    fs = _merge(cfg, "fs", fs, 256.0, float)
-    epoch_len = _merge(cfg, "epoch_len", epoch_len, 10.0, float)
-    seed = _merge(cfg, "seed", seed, 0, int)
-    train_cfg = gbt.TrainConfig(seed=seed)
-    iterations = _merge(cfg, "iterations", iterations, None, int)
-    eta = _merge(cfg, "eta", eta, None, float)
-    if iterations is not None:
-        train_cfg = dataclasses.replace(train_cfg, n_iterations=iterations)
-    if eta is not None:
-        train_cfg = dataclasses.replace(train_cfg, eta=eta)
+    train_cfg = gbt.TrainConfig(n_iterations=iterations, eta=eta, seed=seed)
 
     if kind == "mobility":
         acc, labels = _mobility_training_data(fs, epoch_len, seed)
@@ -265,29 +255,21 @@ def train(
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--subjects", type=int, default=None)
-@click.option("--epochs", "n_epochs", type=int, default=None, help="usability epochs per night")
-@click.option("--fs", type=float, default=None)
-@click.option("--epoch-len", type=float, default=None)
-@click.option("--sleep-epoch-len", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--subjects", type=int, default=3)
+@click.option("--epochs", type=int, default=360, help="usability epochs per night")
+@click.option("--fs", type=float, default=256.0)
+@click.option("--epoch-len", type=float, default=10.0)
+@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
+@click.option("--seed", type=int, default=0)
+@_config_option
 @_cli_errors
-def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, config_path) -> None:
+def synth(out_dir, subjects, epochs, fs, epoch_len, sleep_epoch_len, seed) -> None:
     """Write synthetic nights (EDF + label/sleep/mobility sidecars)."""
-    cfg = _load_config(config_path)
-    subjects = _merge(cfg, "subjects", subjects, 3, int)
-    n_epochs = _merge(cfg, "epochs", n_epochs, 360, int)
-    fs = _merge(cfg, "fs", fs, 256.0, float)
-    epoch_len = _merge(cfg, "epoch_len", epoch_len, 10.0, float)
-    sleep_epoch_len = _merge(cfg, "sleep_epoch_len", sleep_epoch_len, 30.0, float)
-    seed = _merge(cfg, "seed", seed, 0, int)
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "subjects": subjects,
-        "epochs": n_epochs,
+        "epochs": epochs,
         "fs": fs,
         "epoch_len_s": epoch_len,
         "sleep_epoch_len_s": sleep_epoch_len,
@@ -298,7 +280,7 @@ def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, con
         stem = f"s{subj:02d}"
         rec, spans, sleep_scores, states = synth_mod.gen_night(
             subject_index=subj,
-            n_epochs=n_epochs,
+            n_epochs=epochs,
             fs=fs,
             epoch_len_s=epoch_len,
             sleep_epoch_len_s=sleep_epoch_len,
@@ -306,9 +288,7 @@ def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, con
         )
         report_mod.write_recording(rec, out / f"{stem}.edf")
         write_annotations(spans, out / f"{stem}_labels.csv")
-        (out / f"{stem}_sleep.txt").write_text(
-            "\n".join(str(v) for v in sleep_scores) + "\n"
-        )
+        write_sleep_scores(sleep_scores, out / f"{stem}_sleep.txt")
         write_mobility_csv(states, out / f"{stem}_mobility.csv")
         manifest["nights"].append(stem)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -319,31 +299,26 @@ def synth(out_dir, subjects, n_epochs, fs, epoch_len, sleep_epoch_len, seed, con
 @click.option("--input", "input_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--mobility-model", "mobility_model_path", type=click.Path(exists=True), default=None)
+@click.option("--mobility-model", type=click.Path(exists=True), default=None)
 @click.option("--variant", type=_VARIANT_CHOICE, default=None, help="required model variant")
-@click.option("--despike", "despike_flag", is_flag=True, default=None)
-@click.option("--sleep-epoch-len", type=float, default=None)
-@click.option("--tib-run-epochs", type=int, default=None)
-@click.option("--workers", type=int, default=None)
-@click.option("--seed", type=int, default=None, help="ignored: the report is deterministic")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
+@click.option("--despike", is_flag=True, default=_PIPELINE.despike)
+@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
+@click.option("--tib-run-epochs", type=int, default=_PIPELINE.tib_run_epochs)
+@click.option("--workers", type=int, default=_PIPELINE.workers)
+@_config_option
 @_cli_errors
 def report(
     input_dir,
     out_dir,
     model_path,
-    mobility_model_path,
+    mobility_model,
     variant,
-    despike_flag,
+    despike,
     sleep_epoch_len,
     tib_run_epochs,
     workers,
-    seed,
-    config_path,
 ) -> None:
     """Process a directory of nights and write the batch summary."""
-    cfg = _load_config(config_path)
-    variant = _merge(cfg, "variant", variant, None)
     if variant is not None:
         model = gbt.load_model(model_path)
         if model.meta.get("variant") != variant:
@@ -354,11 +329,11 @@ def report(
         input_dir=input_dir,
         out_dir=out_dir,
         model_path=model_path,
-        mobility_model_path=_merge(cfg, "mobility_model", mobility_model_path, None),
-        sleep_epoch_len_s=_merge(cfg, "sleep_epoch_len", sleep_epoch_len, 30.0, float),
-        despike=_merge(cfg, "despike", despike_flag, False, bool),
-        tib_run_epochs=_merge(cfg, "tib_run_epochs", tib_run_epochs, 12, int),
-        workers=_merge(cfg, "workers", workers, 1, int),
+        mobility_model_path=mobility_model,
+        sleep_epoch_len_s=sleep_epoch_len,
+        despike=despike,
+        tib_run_epochs=tib_run_epochs,
+        workers=workers,
     )
     reports = report_mod.run_pipeline(pipeline)
     ok = sum(r.status == "ok" for r in reports)

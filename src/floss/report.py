@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gbt, svg
-from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores
-from .errors import FileUnreadable, FlossError, NoSleepDetected
-from .mobility import classify_mobility, detect_tib, write_mobility_csv
+from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
+from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
+from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import ChannelSignal, Recording, read_csv, read_edf, write_csv, write_edf
 from .sleepstats import compute_stats, write_stats
 from .spiky import design_cascade, apply_zero_phase
@@ -44,7 +44,7 @@ class PipelineConfig:
     mobility_model_path: str | Path | None = None
     sleep_epoch_len_s: float = 30.0
     despike: bool = False
-    tib_run_epochs: int = 12
+    tib_run_epochs: int = DEFAULT_RUN_EPOCHS
     workers: int = 1
 
 
@@ -177,7 +177,10 @@ def _write_night(
         states = classify_mobility(rec.acc, rec.fs, mobility_model)
         mobility_epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
         write_mobility_csv(states, stage / f"{night_id}_mobility.csv")
-        tib = detect_tib(states, config.tib_run_epochs, mobility_epoch_len_s)
+        try:
+            tib = detect_tib(states, config.tib_run_epochs, mobility_epoch_len_s)
+        except NoLyingPeriod:
+            pass  # as with a sleepless night, the other outputs stand
         mobility = np.asarray([int(s) for s in states])
 
     sleep_path = path.with_name(f"{night_id}_sleep.txt")
@@ -189,9 +192,7 @@ def _write_night(
         sleep_epoch_len_s=config.sleep_epoch_len_s,
     )
     s_ar = rejected_scores(scores.labels, sleep_scores, agg)
-    (stage / f"{night_id}_rejected.txt").write_text(
-        "\n".join(str(int(v)) for v in s_ar) + "\n"
-    )
+    write_sleep_scores(s_ar, stage / f"{night_id}_rejected.txt")
     csv_lines = ["epoch_start_s,score"]
     csv_lines += [f"{repr(i * config.sleep_epoch_len_s)},{int(v)}" for i, v in enumerate(s_ar)]
     (stage / f"{night_id}_rejected.csv").write_text("\n".join(csv_lines) + "\n")

@@ -25,6 +25,7 @@ from .errors import (
     ChannelMissing,
     DigitalRangeDegenerate,
     EmptyRecording,
+    EpochMultipleViolation,
     FileUnreadable,
     HeaderFieldUnparsable,
     LengthMismatchEegAcc,
@@ -181,7 +182,7 @@ class EdfHeader:
 def _ascii_field(value: str, width: int) -> bytes:
     raw = value.encode("ascii", errors="replace")
     if len(raw) > width:
-        raise ValueError(f"field {value!r} does not fit in {width} bytes")
+        raise HeaderFieldUnparsable(f"field {value!r} does not fit in {width} bytes")
     return raw.ljust(width)
 
 
@@ -383,11 +384,11 @@ def write_edf(rec: Recording, path: str | Path) -> None:
     """
     fs = rec.fs
     if fs != int(fs):
-        raise ValueError(f"EDF writer requires an integer sampling rate, got {fs}")
+        raise SamplingRateMismatch(f"EDF writer requires an integer sampling rate, got {fs}")
     fs = int(fs)
     n = rec.n_samples
     if n % fs != 0:
-        raise ValueError(f"{n} samples do not span whole seconds at {fs} Hz")
+        raise EpochMultipleViolation(f"{n} samples do not span whole seconds at {fs} Hz")
     n_records = n // fs
 
     signals: list[tuple[str, str, Calibration, np.ndarray]] = []

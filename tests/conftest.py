@@ -45,3 +45,26 @@ def small_night():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def write_half_second_record_edf():
+    """Writer of a valid two-channel EDF night in 119 records of 0.5 s.
+
+    It reads as 15232 samples at 256 Hz: 59.5 s, which one-second EDF
+    records cannot hold.
+    """
+
+    def write(path) -> None:
+        from floss.signal_io import ChannelSignal, Recording, write_edf
+
+        t = np.arange(119 * 128) / 256.0
+        wave = 40.0 * np.sin(2 * np.pi * 6.0 * t)
+        channels = [ChannelSignal("C3", wave), ChannelSignal("C4", -wave)]
+        # written as 119 one-second records of 128 samples, then re-declared as 0.5 s
+        write_edf(Recording(channels=channels, acc=None, fs=128.0), path)
+        raw = bytearray(path.read_bytes())
+        raw[244:252] = b"0.5".ljust(8)
+        path.write_bytes(bytes(raw))
+
+    return write

@@ -425,8 +425,7 @@ def test_a11_report_determinism(tiny_model, tiny_mobility_model, tmp_path):
             cli_main,
             ["report", "--input", str(nights), "--out", str(out),
              "--model", str(models / "usability.json"),
-             "--mobility-model", str(models / "mobility.json"),
-             "--seed", "0"],
+             "--mobility-model", str(models / "mobility.json")],
         )
         assert result.exit_code == 0, result.output
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})

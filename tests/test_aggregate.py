@@ -14,6 +14,7 @@ from floss.aggregate import (
     normalize_sleep_codes,
     reject_artifacts,
     rejected_scores,
+    write_sleep_scores,
 )
 from floss.errors import (
     EpochMultipleViolation,
@@ -151,3 +152,9 @@ class TestCodes:
         path.write_text("0\nx\n")
         with pytest.raises(HeaderFieldUnparsable):
             load_sleep_scores(path)
+
+    def test_write_sleep_scores_round_trip(self, tmp_path):
+        path = tmp_path / "rejected.txt"
+        write_sleep_scores(np.array([0, -1, 4, 2], dtype=np.int64), path)
+        assert path.read_text() == "0\n-1\n4\n2\n"
+        np.testing.assert_array_equal(load_sleep_scores(path, allow_unscorable=True), [0, -1, 4, 2])

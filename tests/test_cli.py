@@ -5,6 +5,7 @@ import importlib.metadata
 import json
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -64,6 +65,24 @@ class TestGroup:
         assert result.exit_code == 0
         for name in ("check", "tib", "despike", "stats", "train", "synth", "report"):
             assert name in result.output
+
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_help_lists_config_and_defaults(self, runner, name):
+        result = runner.invoke(main, [name, "--help"])
+        assert result.exit_code == 0, result.output
+        assert "--config" in result.output
+        text = " ".join(result.output.split())
+        command = main.commands[name]
+        ctx = click.Context(command, info_name=name, show_default=True)
+        for param in command.params:
+            # required options and --config declare no default; click prints
+            # none for a flag that is off by default
+            off_flag = param.is_flag and param.default is False
+            if param.required or not param.expose_value or param.default is None or off_flag:
+                continue
+            help_text = " ".join(param.get_help_record(ctx)[1].split())
+            assert "[default: " in help_text, param.name
+            assert help_text in text, param.name
 
 
 class TestCheck:
@@ -195,6 +214,20 @@ class TestDespike:
         )
         assert result.exit_code == 0, result.output
         assert out.read_text().startswith("t_s,")
+
+    def test_unwritable_edf_is_one_coded_error_line(
+        self, runner, tmp_path, write_half_second_record_edf
+    ):
+        night = tmp_path / "a.edf"
+        write_half_second_record_edf(night)
+        out = tmp_path / "clean.edf"
+        result = runner.invoke(main, ["despike", "--input", str(night), "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "Error: 15232 samples do not span whole seconds at 256 Hz [EpochMultipleViolation]"
+        ]
+        assert not out.exists()
 
 
 class TestStats:
@@ -360,6 +393,49 @@ class TestReport:
         assert result.exit_code == 0, result.output
 
 
+#: (command, key, config value, parsed value): each key a config file sets,
+#: on each command that reads it
+HONOURED_KEYS = [
+    ("check", "epoch_len", "30", 30.0),
+    ("tib", "tib_run_epochs", "3", 3),
+    ("tib", "epoch_len", "30", 30.0),
+    ("stats", "sleep_epoch_len", "20", 20.0),
+    ("train", "variant", "lite", "lite"),
+    ("train", "subjects", "2", 2),
+    ("train", "epochs_per_class", "5", 5),
+    ("train", "fs", "128", 128.0),
+    ("train", "epoch_len", "30", 30.0),
+    ("train", "seed", "5", 5),
+    ("train", "iterations", "7", 7),
+    ("train", "eta", "0.5", 0.5),
+    ("synth", "subjects", "1", 1),
+    ("synth", "epochs", "6", 6),
+    ("synth", "fs", "128", 128.0),
+    ("synth", "epoch_len", "30", 30.0),
+    ("synth", "sleep_epoch_len", "60", 60.0),
+    ("synth", "seed", "4", 4),
+    ("report", "variant", "lite", "lite"),
+    ("report", "mobility_model", "MOBILITY", "MOBILITY"),
+    ("report", "sleep_epoch_len", "60", 60.0),
+    ("report", "despike", "yes", True),
+    ("report", "tib_run_epochs", "3", 3),
+    ("report", "workers", "2", 2),
+]
+
+BAD_CONFIGS = [
+    ("synth", "seed = abc", "--seed"),
+    ("train", "variant = bogus", "--variant"),
+    ("report", "despike = maybe", "--despike"),
+    ("report", "mobility_model = MISSING", "--mobility-model"),
+    ("report", "workers 4", "--config"),
+]
+
+
+def _params(command: str, args: list[str]) -> dict:
+    """The values click resolves for a command's options, without running it."""
+    return main.commands[command].make_context(command, list(args)).params
+
+
 class TestConfigFile:
     def test_config_supplies_values(self, runner, tmp_path):
         conf = tmp_path / "floss.conf"
@@ -396,3 +472,63 @@ class TestConfigFile:
         )
         assert result.exit_code == 0, result.output
         assert (out / "n0_despiked.edf").exists()
+
+    @pytest.fixture()
+    def required(self, night_dir, model_paths, tmp_path):
+        """The required arguments of each command."""
+        edf, model, mobility = str(night_dir / "n0.edf"), model_paths[0], model_paths[1]
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0\n2\n")
+        return {
+            "check": ["--input", edf, "--model", model],
+            "tib": ["--input", edf, "--mobility-model", mobility],
+            "stats": ["--input", str(scores)],
+            "train": ["--out", str(tmp_path / "m.json")],
+            "synth": ["--out", str(tmp_path / "data")],
+            "report": ["--input", str(night_dir), "--out", str(tmp_path / "out"),
+                       "--model", model],
+        }
+
+    @pytest.mark.parametrize(
+        "command,key,raw,value", HONOURED_KEYS, ids=[f"{c}-{k}" for c, k, _, _ in HONOURED_KEYS]
+    )
+    def test_key_sets_the_option_of_its_name(
+        self, required, model_paths, tmp_path, command, key, raw, value
+    ):
+        raw = raw.replace("MOBILITY", model_paths[1])
+        value = value.replace("MOBILITY", model_paths[1]) if isinstance(value, str) else value
+        conf = tmp_path / "floss.conf"
+        conf.write_text(f"{key} = {raw}\n")
+        from_config = _params(command, required[command] + ["--config", str(conf)])
+        assert from_config[key] == value
+        assert _params(command, required[command])[key] != value
+        flag = "--" + key.replace("_", "-")
+        flag_args = [flag] if value is True else [flag, raw]
+        assert from_config == _params(command, required[command] + flag_args)
+
+    def test_flag_before_config_also_wins(self, required, tmp_path):
+        conf = tmp_path / "floss.conf"
+        conf.write_text("seed = 5\n")
+        args = required["synth"] + ["--seed", "9", "--config", str(conf)]
+        assert _params("synth", args)["seed"] == 9
+
+    def test_paths_and_kind_are_not_read_from_config(self, required, tmp_path):
+        conf = tmp_path / "floss.conf"
+        conf.write_text("kind = mobility\nout_path = elsewhere.json\n")
+        params = _params("train", required["train"] + ["--config", str(conf)])
+        assert params["kind"] == "usability"
+        assert params["out_path"] == required["train"][1]
+
+    @pytest.mark.parametrize(
+        "command,line,option", BAD_CONFIGS, ids=[line for _, line, _ in BAD_CONFIGS]
+    )
+    def test_bad_value_is_one_usage_error(self, runner, required, tmp_path, command, line, option):
+        conf = tmp_path / "floss.conf"
+        conf.write_text(line.replace("MISSING", str(tmp_path / "missing.json")) + "\n")
+        result = runner.invoke(main, [command, *required[command], "--config", str(conf)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"Error: Invalid value for '{option}'")
+        assert "Traceback" not in result.output

@@ -212,6 +212,35 @@ class TestPipeline:
             name = f"{stem}_usability.csv"
             assert (despiked / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_night_without_lying_run_keeps_its_outputs(self, models, tmp_path):
+        # 9 mobility epochs cannot hold the default 12-epoch Lying run
+        indir = tmp_path / "in"
+        indir.mkdir()
+        rec, _, _, _ = gen_night(subject_index=0, n_epochs=9, seed=3)
+        write_edf(rec, indir / "n0.edf")
+        (indir / "n0_sleep.txt").write_text("2\n2\n2\n")
+        model_path, mobility_path = models
+        config = PipelineConfig(
+            input_dir=indir,
+            out_dir=tmp_path / "out",
+            model_path=model_path,
+            mobility_model_path=mobility_path,
+        )
+        assert config.tib_run_epochs == 12
+        (night,) = run_pipeline(config)
+        assert night.status == "ok", night.message
+        assert night.outputs == [
+            "n0_hypnogram.svg",
+            "n0_mobility.csv",
+            "n0_rejected.csv",
+            "n0_rejected.txt",
+            "n0_stats.json",
+            "n0_usability.csv",
+            "n0_usability.svg",
+        ]
+        stats = json.loads((tmp_path / "out" / "n0_stats.json").read_text())
+        assert "Lights_out_sec" not in stats and "Lights_on_sec" not in stats
+
     def test_mobility_strip_on_the_sleep_epoch_grid(
         self, pipeline_config, tmp_path, monkeypatch
     ):
@@ -331,6 +360,27 @@ class TestWholeNightOrNothing:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             by_id["b"]["outputs"] + ["report.json"]
         )
+
+    def test_unwritable_despiked_copy_skips_the_night(
+        self, models, tmp_path, write_half_second_record_edf
+    ):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        write_half_second_record_edf(indir / "a.edf")
+        _write_night(indir, "b", subject=0)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main,
+            ["report", "--input", str(indir), "--out", str(out), "--model", str(models[0]),
+             "--despike"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "a: EpochMultipleViolation" in result.output
+        by_id = {n["night_id"]: n for n in json.loads((out / "report.json").read_text())["nights"]}
+        assert by_id["a"]["status"] == "skipped"
+        assert by_id["a"]["error_code"] == "EpochMultipleViolation"
+        assert by_id["b"]["status"] == "ok"
+        assert list(out.glob("a*")) == []
 
     @pytest.fixture()
     def failing_hypnogram(self, monkeypatch):

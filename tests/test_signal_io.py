@@ -9,6 +9,7 @@ import pytest
 from floss.errors import (
     ChannelMissing,
     EmptyRecording,
+    EpochMultipleViolation,
     HeaderFieldUnparsable,
     NonFiniteSamples,
     SamplingRateMismatch,
@@ -211,3 +212,17 @@ def test_csv_rejects_uneven_time_grid(tmp_path):
     path.write_text("t_s,EEG\n0.0,1.0\n0.5,1.0\n1.7,1.0\n")
     with pytest.raises(SamplingRateMismatch):
         read_csv(path)
+
+
+def test_unwritable_edf_raises_coded_errors(tmp_path, rng):
+    samples = _digital_recording(rng, n_channels=1, with_acc=False).channels[0].samples
+    cases = [
+        (ChannelSignal("EEG", samples), 127.5, SamplingRateMismatch),
+        (ChannelSignal("EEG", samples[:-1]), 128.0, EpochMultipleViolation),
+        (ChannelSignal("EEG " + "x" * 16, samples), 128.0, HeaderFieldUnparsable),
+    ]
+    for channel, fs, error in cases:
+        with pytest.raises(error):
+            write_edf(Recording(channels=[channel], acc=None, fs=fs), tmp_path / "a.edf")
+        assert error.code is not None
+    assert not (tmp_path / "a.edf").exists()
