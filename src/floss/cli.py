@@ -32,6 +32,9 @@ from .sleepstats import compute_stats, write_stats
 from .usability import VARIANTS, score_recording, train_usability
 
 _VARIANT_CHOICE = click.Choice(sorted(VARIANTS))
+#: counts start at one; lengths, rates and the learning rate are positive
+_COUNT = click.IntRange(min=1)
+_POSITIVE = click.FloatRange(min=0.0, min_open=True)
 _PIPELINE = report_mod.PipelineConfig
 #: parameters a config file does not set: inputs, outputs, the model of each
 #: command but ``report --mobility-model``, and ``train --kind``
@@ -92,7 +95,9 @@ def main() -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None, help="usability CSV path")
-@click.option("--epoch-len", type=float, default=None, help="must match the model when given")
+@click.option(
+    "--epoch-len", type=_POSITIVE, default=None, help="must match the model when given"
+)
 @_config_option
 @_cli_errors
 def check(input_path, model_path, out_path, epoch_len) -> None:
@@ -112,8 +117,10 @@ def check(input_path, model_path, out_path, epoch_len) -> None:
 @main.command()
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--mobility-model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--tib-run-epochs", type=int, default=DEFAULT_RUN_EPOCHS)
-@click.option("--epoch-len", type=float, default=None, help="must match the model when given")
+@click.option("--tib-run-epochs", type=_COUNT, default=DEFAULT_RUN_EPOCHS)
+@click.option(
+    "--epoch-len", type=_POSITIVE, default=None, help="must match the model when given"
+)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="JSON output path")
 @_config_option
 @_cli_errors
@@ -157,7 +164,7 @@ def despike(input_path, out_path) -> None:
     type=click.Path(exists=True),
     help="artifact-rejected scores, one per line (-1 for rejected)",
 )
-@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
+@click.option("--sleep-epoch-len", type=_POSITIVE, default=_PIPELINE.sleep_epoch_len_s)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_config_option
 @_cli_errors
@@ -204,12 +211,12 @@ def _mobility_training_data(
     help="directory of recordings with <stem>_labels.csv sidecars; "
     "omitted: train on synthetic data",
 )
-@click.option("--subjects", type=int, default=8, help="synthetic subjects")
-@click.option("--epochs-per-class", type=int, default=40, help="per synthetic subject")
-@click.option("--fs", type=float, default=256.0)
-@click.option("--epoch-len", type=float, default=10.0)
-@click.option("--iterations", type=int, default=gbt.TrainConfig.n_iterations)
-@click.option("--eta", type=float, default=gbt.TrainConfig.eta)
+@click.option("--subjects", type=_COUNT, default=8, help="synthetic subjects")
+@click.option("--epochs-per-class", type=_COUNT, default=40, help="per synthetic subject")
+@click.option("--fs", type=_POSITIVE, default=256.0)
+@click.option("--epoch-len", type=_POSITIVE, default=10.0)
+@click.option("--iterations", type=_COUNT, default=gbt.TrainConfig.n_iterations)
+@click.option("--eta", type=_POSITIVE, default=gbt.TrainConfig.eta)
 @click.option("--seed", type=int, default=gbt.TrainConfig.seed)
 @_config_option
 @_cli_errors
@@ -255,11 +262,11 @@ def train(
 
 @main.command()
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--subjects", type=int, default=3)
-@click.option("--epochs", type=int, default=360, help="usability epochs per night")
-@click.option("--fs", type=float, default=256.0)
-@click.option("--epoch-len", type=float, default=10.0)
-@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
+@click.option("--subjects", type=_COUNT, default=3)
+@click.option("--epochs", type=_COUNT, default=360, help="usability epochs per night")
+@click.option("--fs", type=_POSITIVE, default=256.0)
+@click.option("--epoch-len", type=_POSITIVE, default=10.0)
+@click.option("--sleep-epoch-len", type=_POSITIVE, default=_PIPELINE.sleep_epoch_len_s)
 @click.option("--seed", type=int, default=0)
 @_config_option
 @_cli_errors
@@ -302,9 +309,9 @@ def synth(out_dir, subjects, epochs, fs, epoch_len, sleep_epoch_len, seed) -> No
 @click.option("--mobility-model", type=click.Path(exists=True), default=None)
 @click.option("--variant", type=_VARIANT_CHOICE, default=None, help="required model variant")
 @click.option("--despike", is_flag=True, default=_PIPELINE.despike)
-@click.option("--sleep-epoch-len", type=float, default=_PIPELINE.sleep_epoch_len_s)
-@click.option("--tib-run-epochs", type=int, default=_PIPELINE.tib_run_epochs)
-@click.option("--workers", type=int, default=_PIPELINE.workers)
+@click.option("--sleep-epoch-len", type=_POSITIVE, default=_PIPELINE.sleep_epoch_len_s)
+@click.option("--tib-run-epochs", type=_COUNT, default=_PIPELINE.tib_run_epochs)
+@click.option("--workers", type=_COUNT, default=_PIPELINE.workers)
 @_config_option
 @_cli_errors
 def report(

@@ -8,6 +8,16 @@ all randomness flows from one seeded generator, so a (seed, config) pair
 reproduces the model bit for bit, single-threaded and thread-count
 independent.
 
+The exact search is blocked and tie-aware, in the way of XGBoost's exact
+greedy method (Chen & Guestrin, KDD 2016, section 4).  ``fit`` sorts each
+column once and notes which columns repeat a value.  A node then scores its
+features a block at a time, over only the positions that leave both
+children ``min_samples_leaf`` rows, and reads X only in the repeating
+columns, to forbid a split between equal values: in any other column the
+sorted values strictly increase.  Every gain takes the operations of one
+whole-node formula in the same order, so the trees do not depend on the
+block size.
+
 A tree is parallel node arrays (feature, threshold, left, right, value;
 node 0 is the root) from growth through predict; model JSON writes it as
 nested dicts and reading builds the arrays back.
@@ -32,6 +42,9 @@ from .errors import (
 
 FORMAT_VERSION = 1
 PROB_CLIP = 1e-15
+#: features the split search scores at a time; its cumsum and gain
+#: temporaries then stay a few (_SPLIT_BLOCK, rows) arrays however wide X is
+_SPLIT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -104,53 +117,97 @@ def ce_loss(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-np.mean(np.log(p)))
 
 
+def _tied_columns(X: np.ndarray, order_t: np.ndarray) -> np.ndarray:
+    """Per column of X, whether it holds a repeated value.
+
+    ``order_t`` is X's stable argsort, transposed to one row per column.
+    A column without a repeat is strictly increasing in any node's sorted
+    order, so the split search compares X values only in tied columns.
+    """
+    tied = np.empty(X.shape[1], dtype=bool)
+    for start in range(0, X.shape[1], _SPLIT_BLOCK):
+        block = np.arange(start, min(start + _SPLIT_BLOCK, X.shape[1]))
+        v = X[order_t[block], block[:, None]]
+        tied[block] = (v[:, 1:] == v[:, :-1]).any(axis=1)
+    return tied
+
+
 def _best_split(
     S: np.ndarray,
     X: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     cols: np.ndarray,
+    tied: np.ndarray,
     reg_lambda: float,
     min_samples_leaf: int,
 ) -> tuple[float, int, int, float] | None:
     """Exact best split over a node.
 
     ``S`` holds the node's row ids sorted per candidate feature, one row
-    per feature.  Returns (gain, local feature index, split position,
-    threshold) or None when no positive-gain split satisfies the leaf-size
-    floor.  Ties resolve to the lowest feature index, then position.
+    per feature; ``tied[j]`` says whether column ``cols[j]`` of X holds a
+    repeated value (``_tied_columns``).  Returns (gain, local feature index,
+    split position, threshold) or None when no positive-gain split
+    satisfies the leaf-size floor.  Ties resolve to the lowest feature
+    index, then position.
+
+    Features are scored _SPLIT_BLOCK at a time, and only the positions that
+    leave both children ``min_samples_leaf`` rows: a split after sorted
+    position i for ``lo <= i < hi``.  Every gain takes the same operations
+    in the same order as one whole-node formula, so the result does not
+    depend on the block size.
     """
     nf, n = S.shape
-    if n < 2 * min_samples_leaf:
+    m = max(min_samples_leaf, 1)
+    if n < 2 * m:
         return None
+    G = g[S[0]].sum()
+    H = h[S[0]].sum()
+    parent = (G * G) / (H + reg_lambda)
+    lo, hi = m - 1, n - m
 
-    gs = g[S]
-    hs = h[S]
-    G = gs[0].sum()
-    H = hs[0].sum()
-    GL = np.cumsum(gs[:, :-1], axis=1)
-    HL = np.cumsum(hs[:, :-1], axis=1)
-    GR = G - GL
-    HR = H - HL
+    # g and h as one complex array: one gather and one cumsum serve both,
+    # and complex addition adds the parts exactly as two real sums would
+    gh = np.empty(len(g), dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
+    best, best_j, best_i = -np.inf, 0, 0
+    for start in range(0, nf, _SPLIT_BLOCK):
+        # take, unlike g[...], uses the int32 row ids without an intp copy
+        left_sums = np.cumsum(np.take(gh, S[start : start + _SPLIT_BLOCK, :hi]), axis=1)
+        GL = left_sums.real[:, lo:]
+        HL = left_sums.imag[:, lo:]
+        GR = G - GL
+        HR = H - HL
+        HL = HL + reg_lambda
+        HR += reg_lambda
+        gain = np.square(GL)
+        gain /= HL
+        np.square(GR, out=GR)
+        GR /= HR
+        gain += GR
+        gain -= parent
+        gain *= 0.5
+        for j in np.flatnonzero(tied[start : start + _SPLIT_BLOCK]):
+            v = X[S[start + j, lo : hi + 1], cols[start + j]]
+            gain[j, v[1:] <= v[:-1]] = -np.inf  # no split between equal values
 
-    Xs = X[S, cols[:, None]]
-    k = np.arange(1, n)
-    valid = (Xs[:, 1:] > Xs[:, :-1]) & (k >= min_samples_leaf) & (n - k >= min_samples_leaf)
-    if not valid.any():
-        return None
+        k = int(np.argmax(gain))
+        top = gain.flat[k]
+        if top != top:  # NaN: an argmax over the whole node would pick it and find no split
+            return None
+        if top > best:
+            best = float(top)
+            best_j, best_i = start + k // gain.shape[1], lo + k % gain.shape[1]
 
-    gain = 0.5 * (
-        GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda) - (G * G) / (H + reg_lambda)
-    )
-    gain[~valid] = -np.inf
-    j, i = np.unravel_index(int(np.argmax(gain)), gain.shape)
-    best = float(gain[j, i])
     if not best > 0.0:
         return None
-    thr = 0.5 * (Xs[j, i] + Xs[j, i + 1])
-    if thr >= Xs[j, i + 1]:  # midpoint rounded up to the right value
-        thr = float(Xs[j, i])
-    return best, int(j), int(i), float(thr)
+    left = X[S[best_j, best_i], cols[best_j]]
+    right = X[S[best_j, best_i + 1], cols[best_j]]
+    thr = 0.5 * (left + right)
+    if thr >= right:  # midpoint rounded up to the right value
+        thr = left
+    return best, best_j, best_i, float(thr)
 
 
 def _leaf_value(S: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -> float:
@@ -166,6 +223,7 @@ def _grow_tree(
     h: np.ndarray,
     S_root: np.ndarray,
     cols: np.ndarray,
+    tied: np.ndarray,
     cfg: TrainConfig,
 ) -> Tree:
     """Leaf-wise growth: always expand the pending leaf with the best gain."""
@@ -174,7 +232,7 @@ def _grow_tree(
     heap: list[tuple[float, int, np.ndarray, tuple[float, int, int, float]]] = []
 
     def settle(node: int, S: np.ndarray) -> None:  # queue the best split or make a leaf
-        cand = _best_split(S, X, g, h, cols, cfg.reg_lambda, cfg.min_samples_leaf)
+        cand = _best_split(S, X, g, h, cols, tied, cfg.reg_lambda, cfg.min_samples_leaf)
         if cand is None:
             value[node] = _leaf_value(S, g, h, cfg)
         else:
@@ -196,9 +254,10 @@ def _grow_tree(
 
         member_left = np.zeros(X.shape[0], dtype=bool)
         member_left[S[j, : i + 1]] = True
-        mask = member_left[S]
-        settle(left[node], S[mask].reshape(S.shape[0], i + 1))
-        settle(right[node], S[~mask].reshape(S.shape[0], S.shape[1] - i - 1))
+        # flat compress keeps each feature's order and beats 2-D boolean indexing
+        mask = np.take(member_left, S).ravel()
+        settle(left[node], np.compress(mask, S).reshape(S.shape[0], i + 1))
+        settle(right[node], np.compress(~mask, S).reshape(S.shape[0], S.shape[1] - i - 1))
 
     for _, node, S, _ in heap:  # leaves cut off by the budget
         value[node] = _leaf_value(S, g, h, cfg)
@@ -275,6 +334,7 @@ def fit(
 
     rng = np.random.default_rng(config.seed)
     order_t = np.argsort(X, axis=0, kind="stable").astype(np.int32).T  # (F, N)
+    tied = _tied_columns(X, order_t)
 
     base = np.log(counts / n)
     margins = np.tile(base, (n, 1))
@@ -299,7 +359,9 @@ def fit(
                 cols = np.sort(rng.choice(n_features, size=n_cols_sub, replace=False))
             else:
                 cols = np.arange(n_features)
-            tree = _grow_tree(X, g[:, cls], h[:, cls], order_sub_t[cols].copy(), cols, config)
+            tree = _grow_tree(
+                X, g[:, cls], h[:, cls], order_sub_t[cols].copy(), cols, tied[cols], config
+            )
             margins[:, cls] += _apply(tree, X)
             row.append(tree)
         trees.append(row)

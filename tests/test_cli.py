@@ -422,6 +422,29 @@ HONOURED_KEYS = [
     ("report", "workers", "2", 2),
 ]
 
+#: (command, option, value): every count below one and every non-positive
+#: length, rate or learning rate a command takes
+OUT_OF_RANGE = [
+    ("check", "--epoch-len", "0"),
+    ("tib", "--epoch-len", "-10"),
+    ("tib", "--tib-run-epochs", "0"),
+    ("stats", "--sleep-epoch-len", "0"),
+    ("train", "--subjects", "0"),
+    ("train", "--epochs-per-class", "0"),
+    ("train", "--fs", "0"),
+    ("train", "--epoch-len", "-1"),
+    ("train", "--iterations", "0"),
+    ("train", "--eta", "0"),
+    ("synth", "--subjects", "0"),
+    ("synth", "--epochs", "0"),
+    ("synth", "--fs", "-256"),
+    ("synth", "--epoch-len", "0"),
+    ("synth", "--sleep-epoch-len", "-30"),
+    ("report", "--sleep-epoch-len", "0"),
+    ("report", "--tib-run-epochs", "0"),
+    ("report", "--workers", "0"),
+]
+
 BAD_CONFIGS = [
     ("synth", "seed = abc", "--seed"),
     ("train", "variant = bogus", "--variant"),
@@ -429,6 +452,23 @@ BAD_CONFIGS = [
     ("report", "mobility_model = MISSING", "--mobility-model"),
     ("report", "workers 4", "--config"),
 ]
+
+
+@pytest.fixture()
+def required(night_dir, model_paths, tmp_path):
+    """The required arguments of each command."""
+    edf, model, mobility = str(night_dir / "n0.edf"), model_paths[0], model_paths[1]
+    scores = tmp_path / "scores.txt"
+    scores.write_text("0\n2\n")
+    return {
+        "check": ["--input", edf, "--model", model],
+        "tib": ["--input", edf, "--mobility-model", mobility],
+        "stats": ["--input", str(scores)],
+        "train": ["--out", str(tmp_path / "m.json")],
+        "synth": ["--out", str(tmp_path / "data")],
+        "report": ["--input", str(night_dir), "--out", str(tmp_path / "out"),
+                   "--model", model],
+    }
 
 
 def _params(command: str, args: list[str]) -> dict:
@@ -473,22 +513,6 @@ class TestConfigFile:
         assert result.exit_code == 0, result.output
         assert (out / "n0_despiked.edf").exists()
 
-    @pytest.fixture()
-    def required(self, night_dir, model_paths, tmp_path):
-        """The required arguments of each command."""
-        edf, model, mobility = str(night_dir / "n0.edf"), model_paths[0], model_paths[1]
-        scores = tmp_path / "scores.txt"
-        scores.write_text("0\n2\n")
-        return {
-            "check": ["--input", edf, "--model", model],
-            "tib": ["--input", edf, "--mobility-model", mobility],
-            "stats": ["--input", str(scores)],
-            "train": ["--out", str(tmp_path / "m.json")],
-            "synth": ["--out", str(tmp_path / "data")],
-            "report": ["--input", str(night_dir), "--out", str(tmp_path / "out"),
-                       "--model", model],
-        }
-
     @pytest.mark.parametrize(
         "command,key,raw,value", HONOURED_KEYS, ids=[f"{c}-{k}" for c, k, _, _ in HONOURED_KEYS]
     )
@@ -526,6 +550,29 @@ class TestConfigFile:
         conf = tmp_path / "floss.conf"
         conf.write_text(line.replace("MISSING", str(tmp_path / "missing.json")) + "\n")
         result = runner.invoke(main, [command, *required[command], "--config", str(conf)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"Error: Invalid value for '{option}'")
+        assert "Traceback" not in result.output
+
+
+class TestNumericRanges:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,option,value", OUT_OF_RANGE, ids=[f"{c}{o}={v}" for c, o, v in OUT_OF_RANGE]
+    )
+    def test_out_of_range_is_one_usage_error(
+        self, runner, required, tmp_path, command, option, value, source
+    ):
+        if source == "flag":
+            extra = [option, value]
+        else:
+            conf = tmp_path / "floss.conf"
+            conf.write_text(f"{option[2:].replace('-', '_')} = {value}\n")
+            extra = ["--config", str(conf)]
+        result = runner.invoke(main, [command, *required[command], *extra])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # not an uncaught error
         errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]

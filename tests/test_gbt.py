@@ -21,6 +21,21 @@ from floss.errors import (
 # 3 iterations, 3 classes, max_leaves=4, 5 features, seed 11.
 PINNED = Path(__file__).parent / "data" / "model_v1.json"
 
+# gbt.fit's model of _pinned_fit_data() under PINNED_FIT_CONFIG, written by
+# the whole-node exact search that the blocked, tie-aware search replaced
+PINNED_FIT = Path(__file__).parent / "data" / "fit_pinned.json"
+PINNED_FIT_CONFIG = gbt.TrainConfig(
+    n_iterations=4,
+    eta=0.3,
+    max_leaves=8,
+    min_samples_leaf=3,
+    feature_subsample=0.7,
+    data_subsample=0.8,
+    data_resample_period=2,
+    class_weights=(1.0, 2.5, 0.5),
+    seed=13,
+)
+
 
 def _loss_at(z, y):
     return -np.log(gbt.softmax(z)[np.arange(len(y)), y]).mean()
@@ -93,12 +108,22 @@ def _sorted_rows(X, cols, rows=None):
     ).astype(np.int32)
 
 
-def _brute_best_split(X, g, h, cols, lam, msl):
-    best_gain = -np.inf
+def _tie_flags(X, cols):
+    """Per candidate feature, whether its column repeats a value, as fit computes it."""
+    return gbt._tied_columns(X, _sorted_rows(X, np.arange(X.shape[1])))[cols]
+
+
+def _brute_split(X, g, h, cols, lam, msl):
+    """(gain, local feature, position) of the best split, scanned one by one.
+
+    A split after sorted position i sends the first i + 1 rows left; a
+    later candidate replaces the best only on a strictly greater gain.
+    """
+    best = (-np.inf, -1, -1)
     n = X.shape[0]
     G, H = g.sum(), h.sum()
     parent = G * G / (H + lam)
-    for f in cols:
+    for j, f in enumerate(cols):
         order = np.argsort(X[:, f], kind="stable")
         v = X[order, f]
         for i in range(n - 1):
@@ -108,8 +133,36 @@ def _brute_best_split(X, g, h, cols, lam, msl):
             HL = h[order[: i + 1]].sum()
             GR, HR = G - GL, H - HL
             gain = 0.5 * (GL**2 / (HL + lam) + GR**2 / (HR + lam) - parent)
-            best_gain = max(best_gain, gain)
-    return best_gain
+            if gain > best[0]:
+                best = (gain, j, i)
+    return best
+
+
+def _brute_best_split(X, g, h, cols, lam, msl):
+    return _brute_split(X, g, h, cols, lam, msl)[0]
+
+
+@st.composite
+def _tied_nodes(draw):
+    """A node with dyadic g and h whose columns hold few distinct values or none repeated.
+
+    Every sum of a few dyadic values is exact in any order, so the blocked
+    search and the one-by-one scan compute bit-identical gains and must
+    break ties between equal gains the same way.
+    """
+    n = draw(st.integers(2, 40))
+    width = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 4))
+    tied_column = st.lists(st.integers(0, levels), min_size=n, max_size=n)
+    X = np.array(
+        [draw(st.one_of(tied_column, st.permutations(range(n)))) for _ in range(width)],
+        dtype=np.float64,
+    ).T
+    g = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    h = np.array(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 8.0
+    msl = draw(st.integers(1, max(1, n // 2)))
+    block = draw(st.sampled_from([1, 2, 3, 5, gbt._SPLIT_BLOCK]))
+    return X, g, h, msl, block
 
 
 class TestSplitSearch:
@@ -121,7 +174,9 @@ class TestSplitSearch:
             h = rng.uniform(0.05, 1.0, size=n)
             msl = int(rng.integers(1, 8))
             cols = np.arange(f)
-            got = gbt._best_split(_sorted_rows(X, cols), X, g, h, cols, 1.0, msl)
+            got = gbt._best_split(
+                _sorted_rows(X, cols), X, g, h, cols, _tie_flags(X, cols), 1.0, msl
+            )
             want = _brute_best_split(X, g, h, cols, 1.0, msl)
             if want == -np.inf or want <= 0:
                 assert got is None
@@ -135,7 +190,9 @@ class TestSplitSearch:
         g = rng.standard_normal(30)
         h = np.full(30, 0.5)
         cols = np.arange(2)
-        got = gbt._best_split(_sorted_rows(X, cols), X, g, h, cols, 1.0, 1)
+        got = gbt._best_split(
+            _sorted_rows(X, cols), X, g, h, cols, _tie_flags(X, cols), 1.0, 1
+        )
         assert got is not None
         assert got[1] == 0
 
@@ -144,7 +201,9 @@ class TestSplitSearch:
         g = rng.standard_normal(10)
         h = np.full(10, 0.5)
         cols = np.arange(2)
-        assert gbt._best_split(_sorted_rows(X, cols), X, g, h, cols, 1.0, 6) is None
+        assert gbt._best_split(
+            _sorted_rows(X, cols), X, g, h, cols, _tie_flags(X, cols), 1.0, 6
+        ) is None
 
     def test_threshold_never_leaks_right_neighbor(self):
         # adjacent representable floats: the midpoint rounds up, so the
@@ -155,7 +214,9 @@ class TestSplitSearch:
         g = np.array([-5.0, 5.0, 5.0, 5.0])
         h = np.full(4, 0.5)
         cols = np.arange(1)
-        got = gbt._best_split(_sorted_rows(X, cols), X, g, h, cols, 1.0, 1)
+        got = gbt._best_split(
+            _sorted_rows(X, cols), X, g, h, cols, _tie_flags(X, cols), 1.0, 1
+        )
         assert got is not None
         _, _, i, thr = got
         if i == 0:
@@ -167,7 +228,28 @@ class TestSplitSearch:
         g = np.linspace(-1, 1, 12)
         h = np.full(12, 0.5)
         cols = np.arange(1)
-        assert gbt._best_split(_sorted_rows(X, cols), X, g, h, cols, 1.0, 1) is None
+        assert gbt._best_split(
+            _sorted_rows(X, cols), X, g, h, cols, _tie_flags(X, cols), 1.0, 1
+        ) is None
+
+    @settings(max_examples=250, deadline=None)
+    @given(node=_tied_nodes())
+    def test_agrees_with_one_by_one_scan_under_ties(self, node):
+        X, g, h, msl, block = node
+        cols = np.arange(X.shape[1])
+        want = _brute_split(X, g, h, cols, 1.0, msl)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gbt, "_SPLIT_BLOCK", block)
+            S = _sorted_rows(X, cols)
+            got = gbt._best_split(S, X, g, h, cols, _tie_flags(X, cols), 1.0, msl)
+        if not want[0] > 0:
+            assert got is None
+            return
+        assert got is not None
+        gain, j, i, thr = got
+        assert (gain, j, i) == want
+        # the threshold sends exactly the first i + 1 sorted rows left
+        assert (X[:, cols[j]] <= thr).sum() == i + 1
 
 
 def _blobs(rng, n_per=30, k=3):
@@ -482,3 +564,27 @@ class TestFormatV1:
         np.testing.assert_array_equal(
             gbt.predict_proba(gbt.load_model(PINNED), X), gbt.softmax(margins)
         )
+
+
+def _pinned_fit_data():
+    """150 rows of 3 classes; every other of the 140 columns repeats values."""
+    rng = np.random.default_rng(2024)
+    X = rng.standard_normal((150, 140))
+    X[:, ::2] = np.round(X[:, ::2], 1)
+    score = X[:, 0] + X[:, 1] - X[:, 3] + 0.5 * rng.standard_normal(150)
+    return X, np.digitize(score, [-0.7, 0.7])
+
+
+class TestPinnedFit:
+    def test_data_covers_both_searches_and_several_blocks(self):
+        X, y = _pinned_fit_data()
+        tied = gbt._tied_columns(X, _sorted_rows(X, np.arange(X.shape[1])))
+        assert tied[::2].all() and not tied[1::2].any()
+        assert PINNED_FIT_CONFIG.feature_subsample * X.shape[1] > gbt._SPLIT_BLOCK
+        assert np.bincount(y).min() >= 30
+
+    def test_fit_reproduces_the_pinned_bytes(self, tmp_path):
+        X, y = _pinned_fit_data()
+        path = tmp_path / "model.json"
+        gbt.save_model(gbt.fit(X, y, PINNED_FIT_CONFIG), path)
+        assert path.read_bytes() == PINNED_FIT.read_bytes()
