@@ -188,9 +188,12 @@ def _best_split(
         gain += GR
         gain -= parent
         gain *= 0.5
-        for j in np.flatnonzero(tied[start : start + _SPLIT_BLOCK]):
-            v = X[S[start + j, lo : hi + 1], cols[start + j]]
-            gain[j, v[1:] <= v[:-1]] = -np.inf  # no split between equal values
+        tb = np.flatnonzero(tied[start : start + _SPLIT_BLOCK])
+        if tb.size:  # no split between equal values
+            v = X[S[start + tb, lo : hi + 1], cols[start + tb, None]]
+            masked = gain[tb]
+            np.putmask(masked, v[:, 1:] <= v[:, :-1], -np.inf)
+            gain[tb] = masked
 
         k = int(np.argmax(gain))
         top = gain.flat[k]
