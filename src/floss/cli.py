@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -31,10 +32,24 @@ from .signal_io import TriAxialAcc
 from .sleepstats import compute_stats, write_stats
 from .usability import VARIANTS, score_recording, train_usability
 
+
+class _PositiveFinite(click.FloatRange):
+    """A float above zero and below infinity; FloatRange alone passes nan."""
+
+    def __init__(self) -> None:
+        super().__init__(min=0.0, min_open=True)
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
+
+
 _VARIANT_CHOICE = click.Choice(sorted(VARIANTS))
 #: counts start at one; lengths, rates and the learning rate are positive
 _COUNT = click.IntRange(min=1)
-_POSITIVE = click.FloatRange(min=0.0, min_open=True)
+_POSITIVE = _PositiveFinite()
 _PIPELINE = report_mod.PipelineConfig
 #: parameters a config file does not set: inputs, outputs, the model of each
 #: command but ``report --mobility-model``, and ``train --kind``

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -147,28 +148,35 @@ def build_epochs(
     subject_id: str = "",
     night_id: str = "",
 ) -> list[EpochSample]:
-    """Cut a recording into labeled per-channel epochs on the epoch_view grid."""
+    """Cut a recording into labeled per-channel epochs on the epoch_view grid.
+
+    Each epoch is labeled over the time its samples cover.  Each span is
+    handed only to the epochs it overlaps, so the work grows with the number
+    of epochs plus the spans' lengths, not with their product.
+    """
     norm = None
     if rec.acc is not None:
         norm = epoch_view(acc_norm(*rec.acc.axes), rec.fs, window_s)
 
     samples: list[EpochSample] = []
     for ch in rec.channels:
-        ch_spans = [s for s in spans if s.channel == ch.label]
-        for i, eeg in enumerate(epoch_view(ch.samples, rec.fs, window_s)):
-            epoch_start = Fraction(i) * _to_fraction(window_s)
-            in_epoch = [
-                s
-                for s in ch_spans
-                if s.start_s < epoch_start + _to_fraction(window_s) and s.end_s > epoch_start
-            ]
+        epochs = epoch_view(ch.samples, rec.fs, window_s)
+        n_epochs, win = epochs.shape
+        epoch_len = Fraction(win) / _to_fraction(rec.fs)
+        in_epoch: list[list[AnnotationSpan]] = [[] for _ in range(n_epochs)]
+        for s in spans:
+            if s.channel == ch.label:
+                first = max(math.floor(s.start_s / epoch_len), 0)
+                for i in range(first, min(math.ceil(s.end_s / epoch_len), n_epochs)):
+                    in_epoch[i].append(s)
+        for i, eeg in enumerate(epochs):
             samples.append(
                 EpochSample(
                     subject_id=subject_id,
                     night_id=night_id,
                     channel=ch.label,
                     epoch_index=i,
-                    label=assign_epoch_label(in_epoch, epoch_start, window_s),
+                    label=assign_epoch_label(in_epoch[i], i * epoch_len, epoch_len),
                     eeg=eeg,
                     acc_norm=None if norm is None else norm[i],
                 )

@@ -444,6 +444,20 @@ OUT_OF_RANGE = [
     ("report", "--tib-run-epochs", "0"),
     ("report", "--workers", "0"),
 ]
+#: every option of the shared positive-float type also refuses nan and inf
+POSITIVE_OPTIONS = [
+    ("check", "--epoch-len"),
+    ("tib", "--epoch-len"),
+    ("stats", "--sleep-epoch-len"),
+    ("train", "--fs"),
+    ("train", "--epoch-len"),
+    ("train", "--eta"),
+    ("synth", "--fs"),
+    ("synth", "--epoch-len"),
+    ("synth", "--sleep-epoch-len"),
+    ("report", "--sleep-epoch-len"),
+]
+OUT_OF_RANGE += [(c, o, v) for c, o in POSITIVE_OPTIONS for v in ("nan", "inf")]
 
 BAD_CONFIGS = [
     ("synth", "seed = abc", "--seed"),

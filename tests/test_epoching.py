@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import floss
 from floss.epoching import (
@@ -26,6 +27,58 @@ from floss.signal_io import ChannelSignal, Recording
 
 def _span(start, end, label, channel="EEG"):
     return AnnotationSpan(channel, Fraction(start), Fraction(end), ArtifactClass(label))
+
+
+def _scan_labels(rec, spans, window_s):
+    """Labels by testing every span against every epoch of a window_s grid.
+
+    The quadratic per-epoch scan that build_epochs once ran; it agrees with
+    build_epochs wherever window_s * fs is a whole number of samples.
+    """
+    w = Fraction(repr(window_s))
+    out = []
+    for ch in rec.channels:
+        ch_spans = [s for s in spans if s.channel == ch.label]
+        for i in range(len(epoch_view(ch.samples, rec.fs, window_s))):
+            start = i * w
+            in_epoch = [s for s in ch_spans if s.start_s < start + w and s.end_s > start]
+            out.append((ch.label, i, assign_epoch_label(in_epoch, start, w)))
+    return out
+
+
+_CODES = [0, 1, 2, 3, 4, 5, 6, 13, 23, 43]
+
+
+@st.composite
+def _labelled_nights(draw):
+    """A two-channel night at a whole-sample rate and spans around and beyond it."""
+    window_s = draw(st.sampled_from([10.0, 30.0, 2.5, 0.5]))
+    fs = draw(st.sampled_from([2.0, 4.0, 10.0]))
+    win = int(window_s * fs)
+    n_epochs = draw(st.integers(1, 8))
+    n = n_epochs * win + draw(st.integers(0, win - 1))
+    rec = Recording(
+        channels=[ChannelSignal("EEG L", np.zeros(n)), ChannelSignal("EEG R", np.zeros(n))],
+        acc=None,
+        fs=fs,
+    )
+    w = Fraction(repr(window_s))
+    # epoch edges, so that a span ending on an epoch's start is drawn often
+    edge = st.integers(-1, n_epochs + 1).map(lambda k: k * w)
+    inside = st.fractions(min_value=-w, max_value=(n_epochs + 1) * w, max_denominator=12)
+    time = st.one_of(edge, inside)
+    raw = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["EEG L", "EEG R", "EMG"]), time, time, st.sampled_from(_CODES)),
+            max_size=12,
+        )
+    )
+    spans = [
+        AnnotationSpan(ch, min(a, b), max(a, b), merge_compound_labels(code))
+        for ch, a, b, code in raw
+        if a != b
+    ]
+    return rec, spans, window_s
 
 
 class TestCompoundMerge:
@@ -129,6 +182,24 @@ class TestBuildEpochs:
         rec = Recording(channels=[ChannelSignal("EEG", np.zeros(32))], acc=None, fs=64.0)
         with pytest.raises(EmptyRecording):
             build_epochs(rec, [], window_s=10.0)
+
+    def test_epochs_labelled_over_the_time_their_samples_cover(self):
+        # 0.1 s at 256 Hz is 26 samples, so epoch i spans i*26/256 s onwards:
+        # epoch 1000 starts at 101.5625 s, and 100.0-100.1 s falls in
+        # epochs 984 (0.039 s of 0.1016) and 985 (0.061 s, a majority)
+        fs = 256.0
+        rec = Recording(channels=[ChannelSignal("EEG", np.zeros(1100 * 26))], acc=None, fs=fs)
+        spans = [_span(Fraction(100), Fraction(1001, 10), 2)]
+        samples = build_epochs(rec, spans, window_s=0.1)
+        assert len(samples) == 1100
+        assert [s.epoch_index for s in samples if s.label != ArtifactClass.USABLE] == [985]
+
+    @settings(max_examples=300, deadline=None)
+    @given(night=_labelled_nights())
+    def test_agrees_with_the_per_epoch_scan(self, night):
+        rec, spans, window_s = night
+        got = [(s.channel, s.epoch_index, s.label) for s in build_epochs(rec, spans, window_s)]
+        assert got == _scan_labels(rec, spans, window_s)
 
 
 class TestEpochView:
