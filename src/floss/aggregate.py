@@ -15,11 +15,11 @@ import numpy as np
 
 from .errors import (
     EpochMultipleViolation,
-    FileUnreadable,
     HeaderFieldUnparsable,
     LengthMismatch,
     ScoreLengthMismatch,
 )
+from .signal_io import open_input
 
 
 class SleepStage(IntEnum):
@@ -128,18 +128,16 @@ def normalize_sleep_codes(raw: np.ndarray, allow_unscorable: bool = False) -> np
 
 def load_sleep_scores(path: str | Path, allow_unscorable: bool = False) -> np.ndarray:
     """Read one stage code per line; 5 is accepted as REM, -1 only if allowed."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    with open_input(path) as handle:
+        text = handle.read()
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            values.append(int(line))
-        except ValueError as exc:
+            values.append(np.int64(int(line)))
+        except (ValueError, OverflowError) as exc:  # not an integer, or past int64
             raise HeaderFieldUnparsable(f"{path} line {lineno}: {line!r}") from exc
     return normalize_sleep_codes(np.asarray(values, dtype=np.int64), allow_unscorable)
 

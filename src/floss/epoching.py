@@ -8,7 +8,6 @@ tie-breaking precedence only ever fires on true ties.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyPartition, EmptyRecording, FileUnreadable, HeaderFieldUnparsable, UnknownLabelCode
+from .errors import EmptyPartition, EmptyRecording, HeaderFieldUnparsable, UnknownLabelCode
 from .features import acc_norm
-from .signal_io import Recording
+from .signal_io import Recording, open_input
 
 
 class ArtifactClass(IntEnum):
@@ -224,24 +223,20 @@ def subject_split(
 
 def load_annotations(path: str | Path) -> list[AnnotationSpan]:
     """Load a channel,start_s,end_s,label CSV; compound codes are merged."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["channel", "start_s", "end_s", "label"]:
-        raise HeaderFieldUnparsable(f"unexpected annotation header: {header}")
     spans = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            spans.append(
-                AnnotationSpan(row[0], Fraction(row[1]), Fraction(row[2]), merge_compound_labels(int(row[3])))
-            )
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
-            raise HeaderFieldUnparsable(f"{path} line {lineno}: {exc}") from exc
+    with open_input(path) as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["channel", "start_s", "end_s", "label"]:
+            raise HeaderFieldUnparsable(f"unexpected annotation header: {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                label = merge_compound_labels(int(row[3]))
+                spans.append(AnnotationSpan(row[0], Fraction(row[1]), Fraction(row[2]), label))
+            except (ValueError, IndexError, ZeroDivisionError) as exc:
+                raise HeaderFieldUnparsable(f"{path} line {lineno}: {exc}") from exc
     return spans
 
 

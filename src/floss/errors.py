@@ -100,7 +100,7 @@ class AmplitudeOutOfDeclaredRange(FlossError):
     code = ErrorTaxonomy.AMPLITUDE_OUT_OF_DECLARED_RANGE
 
 
-class UnknownLabelCode(FlossError):
+class UnknownLabelCode(HeaderFieldUnparsable):
     """Annotation label code outside the known artifact classes."""
 
 

@@ -35,10 +35,10 @@ import numpy as np
 from .errors import (
     DegenerateData,
     FeatureCountMismatch,
-    FileUnreadable,
     ModelIncompatible,
     NonFiniteFeature,
 )
+from .signal_io import open_input
 
 FORMAT_VERSION = 1
 PROB_CLIP = 1e-15
@@ -463,8 +463,6 @@ def model_to_json(model: Model) -> str:
 
 def _checked_meta(meta: object) -> dict:
     """The meta object, after checking the values the pipeline reads from it."""
-    from .mobility import FEATURE_MODES  # not at the top: mobility imports this module
-
     if not isinstance(meta, dict):
         raise ModelIncompatible("meta must be an object")
     for key in ("fs", "epoch_len_s"):
@@ -476,10 +474,6 @@ def _checked_meta(meta: object) -> dict:
     for key in ("include_stats", "binary"):
         if not isinstance(meta.get(key, False), bool):
             raise ModelIncompatible(f"meta.{key} must be true or false, got {meta[key]!r}")
-    if meta.get("feature_mode", FEATURE_MODES[0]) not in FEATURE_MODES:
-        raise ModelIncompatible(
-            f"meta.feature_mode must be one of {FEATURE_MODES}, got {meta['feature_mode']!r}"
-        )
     return dict(meta)
 
 
@@ -525,8 +519,5 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-    return model_from_json(data)
+    with open_input(path, "rb") as handle:
+        return model_from_json(handle.read())

@@ -16,13 +16,11 @@ import numpy as np
 from . import gbt
 from .epoching import epoch_view
 from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
-from .features import band_powers, stat_features, welch_psd
+from .features import stat_features
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
 DEFAULT_RUN_EPOCHS = 12
-
-FEATURE_MODES = ("stat", "welch")
 
 
 class MobilityState(IntEnum):
@@ -40,29 +38,12 @@ class TimeInBed:
 
 
 def mobility_feature_matrix(
-    acc: TriAxialAcc,
-    fs: float,
-    epoch_len_s: float = 10.0,
-    feature_mode: str = "stat",
+    acc: TriAxialAcc, fs: float, epoch_len_s: float = 10.0
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    """Per-epoch feature rows from the three raw axes.
-
-    stat mode concatenates the 24-value summary of each axis; welch mode
-    concatenates each axis's band powers.
-    """
-    if feature_mode not in FEATURE_MODES:
-        raise ValueError(f"feature_mode must be one of {FEATURE_MODES}")
-    blocks = []
-    layout = []
-    for name, axis in zip("xyz", acc.axes):
-        epochs = epoch_view(axis, fs, epoch_len_s)
-        if feature_mode == "stat":
-            prefix, block = "stats", stat_features(epochs, fs)
-        else:
-            prefix, block = "bands", band_powers(*welch_psd(epochs, fs))
-        blocks.append(block)
-        layout.append((f"{prefix}_acc_{name}", block.shape[1]))
-    return np.concatenate(blocks, axis=1), tuple(layout)
+    """Per-epoch feature rows: the 24-value summary of each raw axis, concatenated."""
+    blocks = [stat_features(epoch_view(axis, fs, epoch_len_s), fs) for axis in acc.axes]
+    layout = tuple((f"stats_acc_{name}", block.shape[1]) for name, block in zip("xyz", blocks))
+    return np.concatenate(blocks, axis=1), layout
 
 
 def fit_mobility(
@@ -70,17 +51,16 @@ def fit_mobility(
     labels: list[MobilityState],
     fs: float,
     epoch_len_s: float = 10.0,
-    feature_mode: str = "stat",
     config: gbt.TrainConfig = gbt.TrainConfig(),
 ) -> gbt.Model:
     """Train a wearing-state model on labeled accelerometer epochs."""
-    X, layout = mobility_feature_matrix(acc, fs, epoch_len_s, feature_mode)
+    X, layout = mobility_feature_matrix(acc, fs, epoch_len_s)
     y = np.asarray([int(s) for s in labels], dtype=np.int64)
     if len(y) != X.shape[0]:
         raise ModelIncompatible(f"{X.shape[0]} feature rows vs {len(y)} labels")
     meta = {
         "task": "mobility",
-        "feature_mode": feature_mode,
+        "feature_mode": "stat",
         "fs": fs,
         "epoch_len_s": epoch_len_s,
     }
@@ -97,9 +77,12 @@ def classify_mobility(
         raise ModelIncompatible(f"model task {model.meta.get('task')!r} is not mobility")
     if model.meta.get("fs") != fs:
         raise ModelIncompatible(f"model was fit at {model.meta.get('fs')} Hz, data is {fs} Hz")
-    mode = model.meta.get("feature_mode", "stat")
     epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
-    X, _ = mobility_feature_matrix(acc, fs, epoch_len_s, mode)
+    X, layout = mobility_feature_matrix(acc, fs, epoch_len_s)
+    if model.feature_layout is not None and layout != tuple(model.feature_layout):
+        raise ModelIncompatible(
+            f"feature layout {layout} does not match the model's {model.feature_layout}"
+        )
     return [MobilityState(int(v)) for v in gbt.predict_label(model, X)]
 
 

@@ -27,7 +27,9 @@ from . import gbt, svg
 from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
 from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
 from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
-from .signal_io import ChannelSignal, Recording, read_csv, read_edf, write_csv, write_edf
+from .signal_io import (
+    ChannelSignal, Recording, open_input, read_csv, read_edf, write_csv, write_edf,
+)
 from .sleepstats import compute_stats, write_stats
 from .spiky import design_cascade, apply_zero_phase
 from .usability import score_recording
@@ -68,10 +70,8 @@ class NightReport:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read config {path}: {exc}") from exc
+    with open_input(path) as handle:
+        text = handle.read()
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

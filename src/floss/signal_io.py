@@ -13,10 +13,12 @@ column, one column per EEG channel, and optional ``accX,accY,accZ`` columns.
 from __future__ import annotations
 
 import csv
-import io
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -42,6 +44,23 @@ DEFAULT_EEG_CALIBRATION = (-3276.8, 3276.7, -32768, 32767)
 DEFAULT_ACC_CALIBRATION = (-8.0, 8.0, -32768, 32767)
 
 ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
+
+
+@contextmanager
+def open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
+    """Open an input file, text as UTF-8, so that reading it raises only coded errors.
+
+    An ``OSError`` becomes ``FileUnreadable`` and undecodable text
+    ``HeaderFieldUnparsable``, also where the caller's reads inside the
+    ``with`` block meet them.
+    """
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise HeaderFieldUnparsable(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -123,8 +142,8 @@ class Recording:
     device_id: str = "floss"
 
     def __post_init__(self) -> None:
-        if not self.fs > 0:
-            raise HeaderFieldUnparsable(f"sampling rate {self.fs} must be positive")
+        if not 0 < self.fs < np.inf:
+            raise HeaderFieldUnparsable(f"sampling rate {self.fs} must be finite and positive")
         lengths = {len(ch.samples) for ch in self.channels}
         if len(lengths) > 1:
             raise LengthMismatchEegAcc(f"channel lengths differ: {sorted(lengths)}")
@@ -158,10 +177,8 @@ class Recording:
 
 @dataclass
 class EdfHeader:
-    """Parsed fixed-width EDF header fields."""
+    """The EDF header fields a reader uses or checks."""
 
-    version: str
-    patient_id: str
     recording_id: str
     start: datetime
     header_bytes: int
@@ -169,34 +186,59 @@ class EdfHeader:
     record_duration: float
     n_signals: int
     labels: list[str]
-    transducers: list[str]
     units: list[str]
     phys_min: list[float]
     phys_max: list[float]
     dig_min: list[int]
     dig_max: list[int]
-    prefilters: list[str]
     samples_per_record: list[int]
 
 
-def _ascii_field(value: str, width: int) -> bytes:
+#: (field, width) of the fixed header, in file order
+_HEADER_FIELDS = (
+    ("version", 8), ("patient_id", 80), ("recording_id", 80), ("start_date", 8),
+    ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
+    ("record_duration", 8), ("n_signals", 4),
+)
+#: (field, width) of the per-signal block, which holds a field's value for
+#: every signal before the next field
+_SIGNAL_FIELDS = (
+    ("label", 16), ("transducer", 80), ("unit", 8), ("phys_min", 8), ("phys_max", 8),
+    ("dig_min", 8), ("dig_max", 8), ("prefilter", 80), ("samples_per_record", 8),
+    ("reserved", 32),
+)
+
+
+def _cut(text: str, fields: tuple[tuple[str, int], ...], n: int) -> list[dict[str, str]]:
+    """The stripped fields of the n entries of a block laid out by ``fields``."""
+    entries: list[dict[str, str]] = [{} for _ in range(n)]
+    pos = 0
+    for name, width in fields:
+        for entry in entries:
+            entry[name] = text[pos : pos + width].strip()
+            pos += width
+    return entries
+
+
+def _pack(fields: tuple[tuple[str, int], ...], entries: list[dict]) -> bytes:
+    """The block laid out by ``fields``; a field an entry lacks is blank."""
+    return b"".join(
+        _field(entry.get(name, ""), width) for name, width in fields for entry in entries
+    )
+
+
+def _field(value: str | float | int, width: int) -> bytes:
+    if not isinstance(value, str):
+        value = str(value) if isinstance(value, int) else f"{value:g}"
     raw = value.encode("ascii", errors="replace")
     if len(raw) > width:
         raise HeaderFieldUnparsable(f"field {value!r} does not fit in {width} bytes")
     return raw.ljust(width)
 
 
-def _num_field(value: float | int, width: int) -> bytes:
-    if isinstance(value, int):
-        text = str(value)
-    else:
-        text = f"{value:g}"
-    return _ascii_field(text, width)
-
-
 def _parse_float(text: str, name: str) -> float:
     try:
-        v = float(text.strip())
+        v = float(text)
     except ValueError as exc:
         raise HeaderFieldUnparsable(f"{name}: cannot parse {text!r}") from exc
     if not np.isfinite(v):
@@ -206,29 +248,27 @@ def _parse_float(text: str, name: str) -> float:
 
 def _parse_int(text: str, name: str) -> int:
     try:
-        return int(text.strip())
+        return int(text)
     except ValueError as exc:
         raise HeaderFieldUnparsable(f"{name}: cannot parse {text!r}") from exc
+
+
+def _ascii(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise HeaderFieldUnparsable(f"{what} is not ASCII") from exc
 
 
 def parse_edf_header(raw: bytes) -> EdfHeader:
     """Parse the fixed and per-signal EDF header blocks."""
     if len(raw) < HEADER_BYTES:
         raise TruncatedFile(f"file holds {len(raw)} bytes, EDF header needs {HEADER_BYTES}")
-    try:
-        text = raw[:HEADER_BYTES].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise HeaderFieldUnparsable("header is not ASCII") from exc
-
-    version = text[0:8].strip()
-    patient_id = text[8:88].strip()
-    recording_id = text[88:168].strip()
-    date_s = text[168:176].strip()
-    time_s = text[176:184].strip()
-    header_bytes = _parse_int(text[184:192], "header bytes")
-    n_records = _parse_int(text[236:244], "record count")
-    record_duration = _parse_float(text[244:252], "record duration")
-    n_signals = _parse_int(text[252:256], "signal count")
+    head = _cut(_ascii(raw[:HEADER_BYTES], "header"), _HEADER_FIELDS, 1)[0]
+    header_bytes = _parse_int(head["header_bytes"], "header bytes")
+    n_records = _parse_int(head["n_records"], "record count")
+    record_duration = _parse_float(head["record_duration"], "record duration")
+    n_signals = _parse_int(head["n_signals"], "signal count")
     if n_signals < 0:
         raise HeaderFieldUnparsable(f"signal count {n_signals} is negative")
     if n_records < 0:
@@ -236,6 +276,7 @@ def parse_edf_header(raw: bytes) -> EdfHeader:
     if n_signals and record_duration <= 0:
         raise HeaderFieldUnparsable(f"record duration {record_duration} must be positive")
 
+    date_s, time_s = head["start_date"], head["start_time"]
     try:
         day, month, yy = (int(p) for p in date_s.split("."))
         hh, mm, ss = (int(p) for p in time_s.split("."))
@@ -244,52 +285,31 @@ def parse_edf_header(raw: bytes) -> EdfHeader:
     except (ValueError, TypeError) as exc:
         raise HeaderFieldUnparsable(f"start date/time {date_s!r} {time_s!r}") from exc
 
-    sig_bytes = SIGNAL_HEADER_BYTES * n_signals
-    if len(raw) < HEADER_BYTES + sig_bytes:
-        raise TruncatedFile(
-            f"file holds {len(raw)} bytes, signal headers need {HEADER_BYTES + sig_bytes}"
-        )
-    try:
-        sig = raw[HEADER_BYTES : HEADER_BYTES + sig_bytes].decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise HeaderFieldUnparsable("signal header is not ASCII") from exc
-
-    def sig_fields(offset: int, width: int) -> list[str]:
-        base = offset * n_signals
-        return [sig[base + i * width : base + (i + 1) * width] for i in range(n_signals)]
-
-    labels = [s.strip() for s in sig_fields(0, 16)]
-    transducers = [s.strip() for s in sig_fields(16, 80)]
-    units = [s.strip() for s in sig_fields(96, 8)]
-    phys_min = [_parse_float(s, "phys_min") for s in sig_fields(104, 8)]
-    phys_max = [_parse_float(s, "phys_max") for s in sig_fields(112, 8)]
-    dig_min = [_parse_int(s, "dig_min") for s in sig_fields(120, 8)]
-    dig_max = [_parse_int(s, "dig_max") for s in sig_fields(128, 8)]
-    prefilters = [s.strip() for s in sig_fields(136, 80)]
-    spr = [_parse_int(s, "samples per record") for s in sig_fields(216, 8)]
-    for i, n in enumerate(spr):
-        if n <= 0:
-            raise HeaderFieldUnparsable(f"signal {i}: samples per record {n} must be positive")
-
-    return EdfHeader(
-        version=version,
-        patient_id=patient_id,
-        recording_id=recording_id,
+    end = HEADER_BYTES + SIGNAL_HEADER_BYTES * n_signals
+    if len(raw) < end:
+        raise TruncatedFile(f"file holds {len(raw)} bytes, signal headers need {end}")
+    sigs = _cut(_ascii(raw[HEADER_BYTES:end], "signal header"), _SIGNAL_FIELDS, n_signals)
+    header = EdfHeader(
+        recording_id=head["recording_id"],
         start=start,
         header_bytes=header_bytes,
         n_records=n_records,
         record_duration=record_duration,
         n_signals=n_signals,
-        labels=labels,
-        transducers=transducers,
-        units=units,
-        phys_min=phys_min,
-        phys_max=phys_max,
-        dig_min=dig_min,
-        dig_max=dig_max,
-        prefilters=prefilters,
-        samples_per_record=spr,
+        labels=[s["label"] for s in sigs],
+        units=[s["unit"] for s in sigs],
+        phys_min=[_parse_float(s["phys_min"], "phys_min") for s in sigs],
+        phys_max=[_parse_float(s["phys_max"], "phys_max") for s in sigs],
+        dig_min=[_parse_int(s["dig_min"], "dig_min") for s in sigs],
+        dig_max=[_parse_int(s["dig_max"], "dig_max") for s in sigs],
+        samples_per_record=[
+            _parse_int(s["samples_per_record"], "samples per record") for s in sigs
+        ],
     )
+    for i, n in enumerate(header.samples_per_record):
+        if n <= 0:
+            raise HeaderFieldUnparsable(f"signal {i}: samples per record {n} must be positive")
+    return header
 
 
 def _acc_axis(label: str) -> str | None:
@@ -306,21 +326,13 @@ def read_edf(path: str | Path) -> Recording:
     in g with labels ending in X/Y/Z populate the accelerometer.  All
     signals must share one sampling rate.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+    with open_input(path, "rb") as handle:
+        raw = handle.read()
     header = parse_edf_header(raw)
 
     ns = header.n_signals
     if ns == 0:
-        return Recording(
-            channels=[],
-            acc=None,
-            fs=1.0,
-            start_time=header.start,
-            device_id=header.recording_id,
-        )
+        return Recording([], None, 1.0, header.start, header.recording_id)
 
     rates = {spr / header.record_duration for spr in header.samples_per_record}
     if len(rates) > 1:
@@ -328,13 +340,13 @@ def read_edf(path: str | Path) -> Recording:
     fs = rates.pop()
 
     rec_len = sum(header.samples_per_record)
-    payload = raw[HEADER_BYTES + SIGNAL_HEADER_BYTES * ns :]
-    expected = header.n_records * rec_len * 2
-    if len(payload) < expected:
+    start = HEADER_BYTES + SIGNAL_HEADER_BYTES * ns
+    count = header.n_records * rec_len
+    if len(raw) - start < 2 * count:
         raise TruncatedFile(
-            f"data payload holds {len(payload)} bytes, header declares {expected}"
+            f"data payload holds {len(raw) - start} bytes, header declares {2 * count}"
         )
-    data = np.frombuffer(payload[:expected], dtype="<i2").reshape(header.n_records, rec_len)
+    data = np.frombuffer(raw, "<i2", count, start).reshape(header.n_records, rec_len)
 
     channels: list[ChannelSignal] = []
     acc_axes: dict[str, tuple[np.ndarray, Calibration]] = {}
@@ -367,13 +379,7 @@ def read_edf(path: str | Path) -> Recording:
             calibrations=(acc_axes["X"][1], acc_axes["Y"][1], acc_axes["Z"][1]),
         )
 
-    return Recording(
-        channels=channels,
-        acc=acc,
-        fs=fs,
-        start_time=header.start,
-        device_id=header.recording_id,
-    )
+    return Recording(channels, acc, fs, header.start, header.recording_id)
 
 
 def write_edf(rec: Recording, path: str | Path) -> None:
@@ -399,82 +405,65 @@ def write_edf(rec: Recording, path: str | Path) -> None:
             signals.append((label, "g", cal, axis))
     ns = len(signals)
 
-    buf = io.BytesIO()
-    buf.write(_ascii_field("0", 8))
-    buf.write(_ascii_field("X", 80))
-    buf.write(_ascii_field(rec.device_id, 80))
-    buf.write(_ascii_field(rec.start_time.strftime("%d.%m.%y"), 8))
-    buf.write(_ascii_field(rec.start_time.strftime("%H.%M.%S"), 8))
-    buf.write(_num_field(HEADER_BYTES + SIGNAL_HEADER_BYTES * ns, 8))
-    buf.write(_ascii_field("", 44))
-    buf.write(_num_field(n_records if ns else 0, 8))
-    buf.write(_num_field(1, 8))
-    buf.write(_num_field(ns, 4))
-
-    for label, _, _, _ in signals:
-        buf.write(_ascii_field(label, 16))
-    for _ in signals:
-        buf.write(_ascii_field("", 80))
-    for _, unit, _, _ in signals:
-        buf.write(_ascii_field(unit, 8))
-    for _, _, cal, _ in signals:
-        buf.write(_num_field(cal.phys_min, 8))
-    for _, _, cal, _ in signals:
-        buf.write(_num_field(cal.phys_max, 8))
-    for _, _, cal, _ in signals:
-        buf.write(_num_field(cal.dig_min, 8))
-    for _, _, cal, _ in signals:
-        buf.write(_num_field(cal.dig_max, 8))
-    for _ in signals:
-        buf.write(_ascii_field("", 80))
-    for _ in signals:
-        buf.write(_num_field(fs, 8))
-    for _ in signals:
-        buf.write(_ascii_field("", 32))
-
+    head = {
+        "version": "0",
+        "patient_id": "X",
+        "recording_id": rec.device_id,
+        "start_date": rec.start_time.strftime("%d.%m.%y"),
+        "start_time": rec.start_time.strftime("%H.%M.%S"),
+        "header_bytes": HEADER_BYTES + SIGNAL_HEADER_BYTES * ns,
+        "n_records": n_records if ns else 0,
+        "record_duration": 1,
+        "n_signals": ns,
+    }
+    sigs = [
+        {
+            "label": label,
+            "unit": unit,
+            "phys_min": cal.phys_min,
+            "phys_max": cal.phys_max,
+            "dig_min": cal.dig_min,
+            "dig_max": cal.dig_max,
+            "samples_per_record": fs,
+        }
+        for label, unit, cal, _ in signals
+    ]
+    parts = [_pack(_HEADER_FIELDS, [head]), _pack(_SIGNAL_FIELDS, sigs)]
     if ns:
-        digital = [cal.to_digital(samples) for _, _, cal, samples in signals]
         record = np.empty((n_records, fs * ns), dtype="<i2")
-        for i, d in enumerate(digital):
-            record[:, i * fs : (i + 1) * fs] = d.reshape(n_records, fs)
-        buf.write(record.tobytes())
-
-    Path(path).write_bytes(buf.getvalue())
+        for i, (_, _, cal, samples) in enumerate(signals):
+            record[:, i * fs : (i + 1) * fs] = cal.to_digital(samples).reshape(n_records, fs)
+        parts.append(record.tobytes())
+    Path(path).write_bytes(b"".join(parts))
 
 
 def read_csv(path: str | Path) -> Recording:
     """Read the CSV fallback format into a recording.
 
     The first column must be ``t_s``; ``accX,accY,accZ`` columns populate
-    the accelerometer and every other column becomes an EEG channel.
+    the accelerometer and every other column becomes an EEG channel.  The
+    file is UTF-8, a cell may be double-quoted, and ``#`` starts no comment.
     """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
-
-    reader = csv.reader(io.StringIO(text))
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise EmptyRecording(f"{path} has no header row") from None
-    if not names or names[0] != "t_s":
-        raise HeaderFieldUnparsable(f"first CSV column must be t_s, got {names[:1]}")
-
-    rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(names):
-            raise HeaderFieldUnparsable(f"line {lineno}: expected {len(names)} cells")
+    with open_input(path) as handle:
+        line = handle.readline()
+        if not line:
+            raise EmptyRecording(f"{path} has no header row")
+        names = next(csv.reader([line]))
+        if not names or names[0] != "t_s":
+            raise HeaderFieldUnparsable(f"first CSV column must be t_s, got {names[:1]}")
+        # loadtxt warns on a body without rows, so look for one first
+        body = handle.tell()
+        if not any(line.strip() for line in iter(handle.readline, "")):
+            raise EmptyRecording(f"{path} holds 0 samples; need at least 2")
+        handle.seek(body)
         try:
-            rows.append([float(c) for c in row])
+            table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
         except ValueError as exc:
-            raise HeaderFieldUnparsable(f"line {lineno}: unparsable cell") from exc
-    if len(rows) < 2:
-        raise EmptyRecording(f"{path} holds {len(rows)} samples; need at least 2")
-
-    table = np.asarray(rows, dtype=np.float64)
+            raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
+    if table.shape[1] != len(names):
+        raise HeaderFieldUnparsable(f"{path}: rows hold {table.shape[1]} of {len(names)} cells")
+    if len(table) < 2:
+        raise EmptyRecording(f"{path} holds {len(table)} samples; need at least 2")
     if not np.all(np.isfinite(table)):
         raise NonFiniteSamples(f"{path} contains non-finite values")
 
@@ -512,7 +501,6 @@ def write_csv(rec: Recording, path: str | Path) -> None:
         names += ["accX", "accY", "accZ"]
         columns += list(rec.acc.axes)
 
-    lines = [",".join(names)]
-    for i in range(rec.n_samples):
-        lines.append(",".join(repr(float(col[i])) for col in columns))
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    lines = [",".join(names)] + [",".join(map(repr, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -571,6 +571,15 @@ class TestConfigFile:
         assert errors[0].startswith(f"Error: Invalid value for '{option}'")
         assert "Traceback" not in result.output
 
+    def test_file_not_utf8_is_one_usage_error(self, runner, required, tmp_path):
+        conf = tmp_path / "floss.conf"
+        conf.write_bytes(b"seed = 5\n# caf\xe9\n")
+        result = runner.invoke(main, ["synth", *required["synth"], "--config", str(conf)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: Invalid value for '--config'" in result.output
+        assert "not UTF-8" in result.output
+
 
 class TestNumericRanges:
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -492,7 +492,6 @@ MALFORMED = {
     "infinite fs": lambda: _edited(lambda d: d["meta"].update(fs=float("inf"))),
     "include_stats not a bool": lambda: _edited(lambda d: d["meta"].update(include_stats=1)),
     "binary not a bool": lambda: _edited(lambda d: d["meta"].update(binary="no")),
-    "unknown feature_mode": lambda: _edited(lambda d: d["meta"].update(feature_mode="fft")),
 }
 
 

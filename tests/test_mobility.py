@@ -1,9 +1,12 @@
 """Wearing-state classification and time-in-bed detection."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from floss import gbt
 from floss.errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
 from floss.mobility import (
     MobilityState,
@@ -11,6 +14,7 @@ from floss.mobility import (
     detect_tib,
     mobility_feature_matrix,
 )
+from floss.signal_io import TriAxialAcc
 from floss.synth import gen_mobility_sequence
 
 FS = 256.0
@@ -94,11 +98,9 @@ class TestFeaturesAndModel:
         from floss.signal_io import TriAxialAcc
 
         acc = TriAxialAcc(x=axes[0], y=axes[1], z=axes[2])
-        X, layout = mobility_feature_matrix(acc, FS, 10.0, "stat")
+        X, layout = mobility_feature_matrix(acc, FS, 10.0)
         assert X.shape == (6, 72)
         assert [n for n, _ in layout] == ["stats_acc_x", "stats_acc_y", "stats_acc_z"]
-        X2, layout2 = mobility_feature_matrix(acc, FS, 10.0, "welch")
-        assert X2.shape == (6, 18)
 
     def test_model_classifies_held_out_blocks(self, tiny_mobility_model):
         axes, states = gen_mobility_sequence(
@@ -124,3 +126,17 @@ class TestFeaturesAndModel:
             classify_mobility(acc, FS, tiny_model)  # a usability model
         with pytest.raises(ModelIncompatible):
             classify_mobility(acc, 128.0, tiny_mobility_model)
+
+    def test_model_of_another_feature_layout_is_refused(self, tiny_mobility_model, tmp_path):
+        """A model of an unknown feature mode loads, and classifying with it raises."""
+        model = dataclasses.replace(
+            tiny_mobility_model,
+            feature_layout=tuple((f"bands_acc_{a}", 24) for a in "xyz"),
+            meta={**tiny_mobility_model.meta, "feature_mode": "fft"},
+        )
+        gbt.save_model(model, tmp_path / "model.json")
+        loaded = gbt.load_model(tmp_path / "model.json")
+        axes, _ = gen_mobility_sequence([(L, 2)], FS, 10.0, seed=1)
+        acc = TriAxialAcc(x=axes[0], y=axes[1], z=axes[2])
+        with pytest.raises(ModelIncompatible, match="feature layout"):
+            classify_mobility(acc, FS, loaded)

@@ -311,6 +311,31 @@ class TestPipeline:
         assert "n0_rejected.txt" in reports[0].outputs
         assert "n0_hypnogram.svg" in reports[0].outputs
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("b_sleep.txt", b"99999999999999999999\n0\n"),
+            ("b_sleep.txt", b"0\n\xff\n"),
+            ("b.csv", b"t_s,EEG\n0.0,1.0\n0.1,\xff\n"),
+        ],
+        ids=["stage code past int64", "sleep scores not utf-8", "csv night not utf-8"],
+    )
+    def test_malformed_input_skips_only_its_night(self, models, tmp_path, name, data):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        _write_night(indir, "a", subject=0)
+        _write_night(indir, "b", subject=1)
+        if name.endswith(".csv"):
+            (indir / "b.edf").unlink()
+        (indir / name).write_bytes(data)
+        out = tmp_path / "out"
+        reports = run_pipeline(PipelineConfig(input_dir=indir, out_dir=out, model_path=models[0]))
+        by_id = {r.night_id: r for r in reports}
+        assert by_id["a"].status == "ok"
+        assert (by_id["b"].status, by_id["b"].error_code) == ("skipped", "HeaderFieldUnparsable")
+        assert json.loads((out / "report.json").read_text())["skipped"] == 1
+        assert list(out.glob("b*")) == []
+
     def test_empty_input_dir(self, models, tmp_path):
         indir = tmp_path / "in"
         indir.mkdir()
