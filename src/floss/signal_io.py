@@ -45,6 +45,9 @@ DEFAULT_ACC_CALIBRATION = (-8.0, 8.0, -32768, 32767)
 
 ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 
+#: rows ``write_csv`` formats at a time, so its text stays a few MB
+_CSV_BLOCK_ROWS = 8192
+
 
 @contextmanager
 def open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
@@ -501,6 +504,9 @@ def write_csv(rec: Recording, path: str | Path) -> None:
         names += ["accX", "accY", "accZ"]
         columns += list(rec.acc.axes)
 
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
-    lines = [",".join(names)] + [",".join(map(repr, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack(columns).astype(np.float64, copy=False)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(names) + "\n")
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            rows = table[i : i + _CSV_BLOCK_ROWS].tolist()
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
