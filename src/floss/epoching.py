@@ -223,20 +223,23 @@ def subject_split(
 
 def load_annotations(path: str | Path) -> list[AnnotationSpan]:
     """Load a channel,start_s,end_s,label CSV; compound codes are merged."""
-    spans = []
     with open_input(path) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["channel", "start_s", "end_s", "label"]:
-            raise HeaderFieldUnparsable(f"unexpected annotation header: {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                label = merge_compound_labels(int(row[3]))
-                spans.append(AnnotationSpan(row[0], Fraction(row[1]), Fraction(row[2]), label))
-            except (ValueError, IndexError, ZeroDivisionError) as exc:
-                raise HeaderFieldUnparsable(f"{path} line {lineno}: {exc}") from exc
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:  # a cell past csv's field size limit
+            raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
+    header = rows[0] if rows else None
+    if header != ["channel", "start_s", "end_s", "label"]:
+        raise HeaderFieldUnparsable(f"unexpected annotation header: {header}")
+    spans = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        try:
+            label = merge_compound_labels(int(row[3]))
+            spans.append(AnnotationSpan(row[0], Fraction(row[1]), Fraction(row[2]), label))
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise HeaderFieldUnparsable(f"{path} line {lineno}: {exc}") from exc
     return spans
 
 

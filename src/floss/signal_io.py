@@ -36,8 +36,21 @@ from .errors import (
     TruncatedFile,
 )
 
-HEADER_BYTES = 256
-SIGNAL_HEADER_BYTES = 256
+#: (field, width) of the fixed header, in file order
+_HEADER_FIELDS = (
+    ("version", 8), ("patient_id", 80), ("recording_id", 80), ("start_date", 8),
+    ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
+    ("record_duration", 8), ("n_signals", 4),
+)
+#: (field, width) of the per-signal block, which holds a field's value for
+#: every signal before the next field
+_SIGNAL_FIELDS = (
+    ("label", 16), ("transducer", 80), ("unit", 8), ("phys_min", 8), ("phys_max", 8),
+    ("dig_min", 8), ("dig_max", 8), ("prefilter", 80), ("samples_per_record", 8),
+    ("reserved", 32),
+)
+HEADER_BYTES = sum(width for _, width in _HEADER_FIELDS)
+SIGNAL_HEADER_BYTES = sum(width for _, width in _SIGNAL_FIELDS)
 
 # defaults give clean quantization steps: 0.1 uV for EEG, ~0.24 mg for ACC
 DEFAULT_EEG_CALIBRATION = (-3276.8, 3276.7, -32768, 32767)
@@ -195,21 +208,6 @@ class EdfHeader:
     dig_min: list[int]
     dig_max: list[int]
     samples_per_record: list[int]
-
-
-#: (field, width) of the fixed header, in file order
-_HEADER_FIELDS = (
-    ("version", 8), ("patient_id", 80), ("recording_id", 80), ("start_date", 8),
-    ("start_time", 8), ("header_bytes", 8), ("reserved", 44), ("n_records", 8),
-    ("record_duration", 8), ("n_signals", 4),
-)
-#: (field, width) of the per-signal block, which holds a field's value for
-#: every signal before the next field
-_SIGNAL_FIELDS = (
-    ("label", 16), ("transducer", 80), ("unit", 8), ("phys_min", 8), ("phys_max", 8),
-    ("dig_min", 8), ("dig_max", 8), ("prefilter", 80), ("samples_per_record", 8),
-    ("reserved", 32),
-)
 
 
 def _cut(text: str, fields: tuple[tuple[str, int], ...], n: int) -> list[dict[str, str]]:
@@ -451,12 +449,15 @@ def read_csv(path: str | Path) -> Recording:
         line = handle.readline()
         if not line:
             raise EmptyRecording(f"{path} has no header row")
-        names = next(csv.reader([line]))
+        try:
+            names = next(csv.reader([line]))
+        except csv.Error as exc:  # a name past csv's field size limit
+            raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
         if not names or names[0] != "t_s":
             raise HeaderFieldUnparsable(f"first CSV column must be t_s, got {names[:1]}")
         # loadtxt warns on a body without rows, so look for one first
         body = handle.tell()
-        if not any(line.strip() for line in iter(handle.readline, "")):
+        if not any(row.strip() for row in iter(handle.readline, "")):
             raise EmptyRecording(f"{path} holds 0 samples; need at least 2")
         handle.seek(body)
         try:

@@ -63,6 +63,8 @@ def written(tmp_path_factory) -> dict[str, bytes]:
     write_csv(_recording(), root / "csv")
     write_annotations(spans, root / "labels")
     write_sleep_scores([0, 1, 2, 3, 4, 5], root / "sleep")
+    for kind, reader in READERS.items():
+        reader(root / kind)  # valid, so that flips reach past the first check
     return {kind: (root / kind).read_bytes() for kind in READERS}
 
 
@@ -87,11 +89,6 @@ def _mangled(data: bytes, draw) -> bytes:
 
 @pytest.mark.parametrize("kind", sorted(READERS))
 class TestReadersRaiseOnlyCodedErrors:
-    def test_written_files_read_back(self, kind, written, tmp_path_factory):
-        path = tmp_path_factory.getbasetemp() / f"written-{kind}"
-        path.write_bytes(written[kind])
-        READERS[kind](path)
-
     @settings(max_examples=100, deadline=None)
     @given(data=st.binary(max_size=600))
     def test_any_bytes(self, kind, data, tmp_path_factory):
@@ -118,6 +115,14 @@ class TestCodedFaults:
             path.write_bytes(written[kind][:-2] + b"\xff\n")
         with pytest.raises(HeaderFieldUnparsable, match="not UTF-8"):
             {**READERS, "config": parse_config_file}[kind](path)
+
+    @pytest.mark.parametrize("kind", ["csv", "labels"])
+    def test_cell_past_the_csv_field_limit_is_unparsable(self, kind, written, tmp_path):
+        path = tmp_path / kind
+        head, _, body = written[kind].partition(b"\n")
+        path.write_bytes(head + b"," + b"x" * 200_000 + b"\n" + body)
+        with pytest.raises(HeaderFieldUnparsable, match="field limit"):
+            READERS[kind](path)
 
     def test_stage_code_past_int64_names_path_and_line(self, tmp_path):
         path = tmp_path / "n_sleep.txt"

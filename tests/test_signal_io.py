@@ -1,10 +1,13 @@
 """EDF and CSV readers/writers: round trips, header parsing, error paths."""
 from __future__ import annotations
 
+import csv
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from floss.errors import (
     ChannelMissing,
@@ -195,6 +198,50 @@ def test_csv_round_trip(tmp_path, rng):
         np.testing.assert_allclose(re_read.samples, orig.samples, rtol=0, atol=0)
     for a, b in zip(rec.acc.axes, back.acc.axes):
         np.testing.assert_allclose(b, a, rtol=0, atol=0)
+
+
+_CELL_FORMATS = {
+    "repr": repr,
+    "17 digits": "{:.17g}".format,
+    "6 digits": "{:.6e}".format,
+    "quoted": lambda v: f'"{v!r}"',
+    "padded": lambda v: f" {v!r} ",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+    fmt=st.sampled_from(sorted(_CELL_FORMATS)),
+    blank_every=st.integers(0, 5),
+)
+def test_read_csv_gives_the_bits_of_float_per_cell(tmp_path_factory, values, fmt, blank_every):
+    """The numpy parse equals the reference parse: csv rows, float() per cell."""
+    lines = [",".join(["t_s"] + [f"EEG {j}" for j in range(values.shape[1])])]
+    for i, row in enumerate(values):
+        lines.append(",".join(_CELL_FORMATS[fmt](float(v)) for v in [i / 4, *row]))
+        if blank_every and i % blank_every == 0:
+            lines.append("")
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = np.array([[float(c) for c in row] for row in csv.reader(lines[1:]) if row])
+    rec = read_csv(path)
+    assert rec.fs == 4.0
+    for j, ch in enumerate(rec.channels, start=1):
+        assert ch.samples.tobytes() == want[:, j].tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 20_000])
+def test_write_csv_writes_the_bytes_of_repr_per_sample(tmp_path, n):
+    """The blocked writer equals the reference: repr of each sample, row by row."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    rec = Recording([ChannelSignal("EEG", x)], None, fs=7.0)
+    write_csv(rec, tmp_path / "a.csv")
+    t = np.arange(n) / 7.0
+    lines = ["t_s,EEG"] + [f"{float(t[i])!r},{float(x[i])!r}" for i in range(n)]
+    assert (tmp_path / "a.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_csv_rejects_nan_and_empty(tmp_path):
