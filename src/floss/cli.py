@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, gbt, report as report_mod, synth as synth_mod
 from .aggregate import load_sleep_scores, write_sleep_scores
 from .epoching import EpochSample, balance_rus, build_epochs, load_annotations, write_annotations
-from .errors import FlossError, ModelIncompatible
+from .errors import FlossError, ModelIncompatible, SamplingRateMismatch
 from .mobility import (
     DEFAULT_RUN_EPOCHS,
     MobilityState,
@@ -91,13 +91,17 @@ _config_option = click.option(
 )
 
 
-def _require_epoch_len(epoch_len: float | None, model: gbt.Model) -> None:
-    """An --epoch-len, when given, must be the model's own epoch length."""
-    if epoch_len is not None and epoch_len != model.meta.get("epoch_len_s"):
+def _model_epoch_len(
+    model: gbt.Model, task: str, fs: float, epoch_len: float | None
+) -> float:
+    """The epoch length of a ``task`` model at ``fs`` Hz; an --epoch-len, when
+    given, must equal it."""
+    model_epoch_len = gbt.input_epoch_len(model, task, fs)
+    if epoch_len is not None and epoch_len != model_epoch_len:
         raise ModelIncompatible(
-            f"--epoch-len {epoch_len} differs from the model's "
-            f"{model.meta.get('epoch_len_s')} s"
+            f"--epoch-len {epoch_len} differs from the model's {model_epoch_len} s"
         )
+    return model_epoch_len
 
 
 @click.group(context_settings={"show_default": True})
@@ -118,8 +122,8 @@ def main() -> None:
 def check(input_path, model_path, out_path, epoch_len) -> None:
     """Score one recording's per-epoch usability."""
     model = gbt.load_model(model_path)
-    _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
+    _model_epoch_len(model, "usability", rec.fs, epoch_len)
     scores = score_recording(rec, model)
     if out_path:
         Path(out_path).write_text(scores.to_csv())
@@ -142,10 +146,10 @@ def check(input_path, model_path, out_path, epoch_len) -> None:
 def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path) -> None:
     """Detect time in bed from a recording's accelerometer."""
     model = gbt.load_model(model_path)
-    _require_epoch_len(epoch_len, model)
     rec = report_mod.read_recording(input_path)
+    model_epoch_len = _model_epoch_len(model, "mobility", rec.fs, epoch_len)
     states = classify_mobility(rec.acc, rec.fs, model)
-    result = detect_tib(states, tib_run_epochs, float(model.meta.get("epoch_len_s", 10.0)))
+    result = detect_tib(states, tib_run_epochs, model_epoch_len)
     payload = json.dumps(
         {
             "Lights_out_sec": result.lights_out_s,
@@ -228,7 +232,10 @@ def _mobility_training_data(
 )
 @click.option("--subjects", type=_COUNT, default=8, help="synthetic subjects")
 @click.option("--epochs-per-class", type=_COUNT, default=40, help="per synthetic subject")
-@click.option("--fs", type=_POSITIVE, default=256.0)
+@click.option(
+    "--fs", type=_POSITIVE, default=256.0,
+    help="rate of the synthetic data; --input takes the recordings' rate",
+)
 @click.option("--epoch-len", type=_POSITIVE, default=10.0)
 @click.option("--iterations", type=_COUNT, default=gbt.TrainConfig.n_iterations)
 @click.option("--eta", type=_POSITIVE, default=gbt.TrainConfig.eta)
@@ -257,9 +264,14 @@ def train(
     else:
         if input_path:
             samples: list[EpochSample] = []
-            for path in report_mod.discover_nights(input_path):
+            for i, path in enumerate(report_mod.discover_nights(input_path)):
                 spans = load_annotations(path.with_name(f"{path.stem}_labels.csv"))
                 rec = report_mod.read_recording(path)
+                if i and rec.fs != fs:
+                    raise SamplingRateMismatch(
+                        f"{path.name} is sampled at {rec.fs} Hz, an earlier night at {fs} Hz"
+                    )
+                fs = rec.fs  # the model reads the recordings' one rate
                 samples.extend(
                     build_epochs(rec, spans, epoch_len, subject_id=path.stem, night_id=path.stem)
                 )

@@ -51,10 +51,19 @@ def merge_compound_labels(code: int) -> ArtifactClass:
     raise UnknownLabelCode(f"annotation code {code} is not recognized")
 
 
+#: largest decimal exponent a time string may carry: a float's repr needs at
+#: most 324, and Fraction would build 10**exponent as an exact integer
+_MAX_EXPONENT = 400
+
+
 def _to_fraction(value: int | float | str | Fraction) -> Fraction:
     if isinstance(value, float):
         # repr round-trips, so the decimal the caller wrote is preserved
         return Fraction(repr(value))
+    if isinstance(value, str):
+        _, e, exponent = value.strip().lower().rpartition("e")
+        if e and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError(f"{value!r} has an exponent beyond {_MAX_EXPONENT}")
     return Fraction(value)
 
 
@@ -237,7 +246,7 @@ def load_annotations(path: str | Path) -> list[AnnotationSpan]:
             continue
         try:
             label = merge_compound_labels(int(row[3]))
-            spans.append(AnnotationSpan(row[0], Fraction(row[1]), Fraction(row[2]), label))
+            spans.append(AnnotationSpan(row[0], _to_fraction(row[1]), _to_fraction(row[2]), label))
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise HeaderFieldUnparsable(f"{path} line {lineno}: {exc}") from exc
     return spans

@@ -15,6 +15,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SegmentTooShort
 
+#: samples in a frame of the spectrogram and of the Welch PSD
+SEGMENT_LEN = 256
+#: samples from one spectrogram frame to the next
+HOP = 224
+#: samples from one Welch frame to the next
+WELCH_STEP = 128
+#: fraction of a spectrogram frame under the cosine edges of its Tukey window
+TAPER = 0.25
+
 #: rows of a batch that spectrogram and stat_features take at a time; their
 #: temporaries then stay a few (256, len) arrays however long the night
 _BLOCK_ROWS = 256
@@ -55,27 +64,21 @@ N_STAT_FEATURES = len(STAT_FEATURE_NAMES)
 
 @dataclass(frozen=True)
 class SpectrogramConfig:
-    """Short-time spectrum parameters.
+    """The short-time spectrum of signals sampled at ``fs`` Hz.
 
-    At the defaults a 10 s epoch sampled at 256 Hz yields 11 frames of
-    129 one-sided bins.
+    A 10 s epoch sampled at 256 Hz yields 11 frames of 129 one-sided bins.
     """
 
     fs: float
-    segment_len: int = 256
-    hop: int = 224
-    taper: float = 0.25
 
     def frame_count(self, n_samples: int) -> int:
-        if n_samples < self.segment_len:
-            raise SegmentTooShort(
-                f"{n_samples} samples < one {self.segment_len}-sample segment"
-            )
-        return (n_samples - self.segment_len) // self.hop + 1
+        if n_samples < SEGMENT_LEN:
+            raise SegmentTooShort(f"{n_samples} samples < one {SEGMENT_LEN}-sample segment")
+        return (n_samples - SEGMENT_LEN) // HOP + 1
 
     @property
     def bin_count(self) -> int:
-        return self.segment_len // 2 + 1
+        return SEGMENT_LEN // 2 + 1
 
 
 def acc_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -87,27 +90,21 @@ def acc_norm(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     )
 
 
-def _frames(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
-    """Slice (..., n) signals into (..., frames, segment_len) views."""
-    n = x.shape[-1]
-    cfg.frame_count(n)  # validates length
-    windows = sliding_window_view(x, cfg.segment_len, axis=-1)
-    return windows[..., :: cfg.hop, :]
+def _tukey() -> np.ndarray:
+    """The SEGMENT_LEN-point Tukey window, by scipy.signal.windows.tukey's formula."""
+    n = np.arange(SEGMENT_LEN, dtype=np.float64)
+    m1 = SEGMENT_LEN - 1
+    width = int(np.floor(TAPER * m1 / 2.0))
+    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n[: width + 1] / TAPER / m1)))
+    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / TAPER + 1 + 2.0 * n[m1 - width :] / TAPER / m1)))
+    return np.concatenate([w1, np.ones(SEGMENT_LEN - 2 * width - 2), w3])
 
 
-def _tukey(m: int, alpha: float) -> np.ndarray:
-    """Symmetric tapered-cosine window, by scipy.signal.windows.tukey's formula."""
-    if m <= 1 or alpha <= 0:
-        return np.ones(m)
-    n = np.arange(m, dtype=np.float64)
-    if alpha >= 1.0:
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / (m - 1))
-    width = int(np.floor(alpha * (m - 1) / 2.0))
-    n1 = n[: width + 1]
-    n3 = n[m - width - 1 :]
-    w1 = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
-    w3 = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
-    return np.concatenate([w1, np.ones(m - 2 * width - 2), w3])
+#: the taper of every spectrogram frame
+_TUKEY = _tukey()
+#: periodic Hann window of the Welch frames, and the sum of its squares
+_HANN = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, SEGMENT_LEN + 1)[:-1])
+_HANN_POWER = (_HANN * _HANN).sum()
 
 
 def _in_row_blocks(kernel, x: np.ndarray, row_shape: tuple[int, ...]) -> np.ndarray:
@@ -132,37 +129,31 @@ def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     squared magnitude is kept without further scaling.
     """
     x = np.asarray(x, dtype=np.float64)
-    window = _tukey(cfg.segment_len, cfg.taper)
 
     def kernel(rows: np.ndarray) -> np.ndarray:
-        return np.abs(np.fft.rfft(_frames(rows, cfg) * window, axis=-1)) ** 2
+        frames = sliding_window_view(rows, SEGMENT_LEN, axis=-1)[..., ::HOP, :]
+        return np.abs(np.fft.rfft(frames * _TUKEY, axis=-1)) ** 2
 
     return _in_row_blocks(kernel, x, (cfg.frame_count(x.shape[-1]), cfg.bin_count))
 
 
-def welch_psd(
-    x: np.ndarray,
-    fs: float,
-    segment_len: int = 256,
-    overlap: int = 128,
-) -> tuple[np.ndarray, np.ndarray]:
+def welch_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Welch power spectral density with raised-cosine tapering.
 
-    Frames of ``segment_len`` samples, ``overlap`` shared with the next, are
-    tapered with a periodic Hann window; their squared spectra are averaged.
-    Scaling is Parseval-consistent: sum(psd) * df approximates the variance
-    of a zero-mean input.  Works along the last axis.
+    Frames of SEGMENT_LEN samples, one every WELCH_STEP, are tapered with a
+    periodic Hann window; their squared spectra are averaged.  Scaling is
+    Parseval-consistent: sum(psd) * df approximates the variance of a
+    zero-mean input.  Works along the last axis.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < segment_len:
-        raise SegmentTooShort(f"{x.shape[-1]} samples < one {segment_len}-sample segment")
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, segment_len + 1)[:-1])
-    frames = sliding_window_view(x, segment_len, axis=-1)[..., :: segment_len - overlap, :]
-    spec = np.fft.rfft(frames * window, axis=-1)
-    psd = (spec.real**2 + spec.imag**2).mean(axis=-2) / (fs * (window * window).sum())
-    # every bin but DC and an even length's Nyquist bin folds in its negative twin
-    psd[..., 1 : -1 if segment_len % 2 == 0 else None] *= 2
-    return np.fft.rfftfreq(segment_len, 1.0 / fs), psd
+    if x.shape[-1] < SEGMENT_LEN:
+        raise SegmentTooShort(f"{x.shape[-1]} samples < one {SEGMENT_LEN}-sample segment")
+    frames = sliding_window_view(x, SEGMENT_LEN, axis=-1)[..., ::WELCH_STEP, :]
+    spec = np.fft.rfft(frames * _HANN, axis=-1)
+    psd = (spec.real**2 + spec.imag**2).mean(axis=-2) / (fs * _HANN_POWER)
+    # every bin but DC and Nyquist folds in its negative twin
+    psd[..., 1:-1] *= 2
+    return np.fft.rfftfreq(SEGMENT_LEN, 1.0 / fs), psd
 
 
 def band_powers(freqs: np.ndarray, psd: np.ndarray) -> np.ndarray:

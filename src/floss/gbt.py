@@ -466,6 +466,7 @@ def _checked_meta(meta: object) -> dict:
     if not isinstance(meta, dict):
         raise ModelIncompatible("meta must be an object")
     for key in ("fs", "epoch_len_s"):
+        # an absent value passes here; input_epoch_len refuses it where it is read
         v = meta.get(key, 1.0)
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
             raise ModelIncompatible(f"meta.{key} must be a finite positive number, got {v!r}")
@@ -475,6 +476,30 @@ def _checked_meta(meta: object) -> dict:
         if not isinstance(meta.get(key, False), bool):
             raise ModelIncompatible(f"meta.{key} must be true or false, got {meta[key]!r}")
     return dict(meta)
+
+
+def input_epoch_len(model: Model, task: str, fs: float) -> float:
+    """The epoch length in seconds of the input a ``task`` model reads at ``fs`` Hz.
+
+    Raises ModelIncompatible when the model was fit for another task, at
+    another rate, or names no epoch length.
+    """
+    meta = model.meta
+    if meta.get("task") != task:
+        raise ModelIncompatible(f"model task {meta.get('task')!r} is not {task}")
+    if meta.get("fs") != fs:
+        raise ModelIncompatible(f"model was fit at {meta.get('fs')} Hz, data is {fs} Hz")
+    if "epoch_len_s" not in meta:
+        raise ModelIncompatible("model meta names no epoch_len_s")
+    return float(meta["epoch_len_s"])
+
+
+def check_layout(model: Model, layout: tuple[tuple[str, int], ...]) -> None:
+    """Refuse features laid out otherwise than the ones the model was fit on."""
+    if model.feature_layout is not None and tuple(layout) != tuple(model.feature_layout):
+        raise ModelIncompatible(
+            f"feature layout {layout} does not match the model's {model.feature_layout}"
+        )
 
 
 def model_from_json(text: str | bytes) -> Model:

@@ -73,16 +73,8 @@ def classify_mobility(
     """Per-epoch wearing states for a recording's accelerometer."""
     if acc is None:
         raise AccMissingWhenRequired("mobility classification needs accelerometer data")
-    if model.meta.get("task") != "mobility":
-        raise ModelIncompatible(f"model task {model.meta.get('task')!r} is not mobility")
-    if model.meta.get("fs") != fs:
-        raise ModelIncompatible(f"model was fit at {model.meta.get('fs')} Hz, data is {fs} Hz")
-    epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
-    X, layout = mobility_feature_matrix(acc, fs, epoch_len_s)
-    if model.feature_layout is not None and layout != tuple(model.feature_layout):
-        raise ModelIncompatible(
-            f"feature layout {layout} does not match the model's {model.feature_layout}"
-        )
+    X, layout = mobility_feature_matrix(acc, fs, gbt.input_epoch_len(model, "mobility", fs))
+    gbt.check_layout(model, layout)
     return [MobilityState(int(v)) for v in gbt.predict_label(model, X)]
 
 

@@ -175,7 +175,7 @@ def _write_night(
     tib = None
     if mobility_model is not None:
         states = classify_mobility(rec.acc, rec.fs, mobility_model)
-        mobility_epoch_len_s = float(mobility_model.meta.get("epoch_len_s", 10.0))
+        mobility_epoch_len_s = gbt.input_epoch_len(mobility_model, "mobility", rec.fs)
         write_mobility_csv(states, stage / f"{night_id}_mobility.csv")
         try:
             tib = detect_tib(states, config.tib_run_epochs, mobility_epoch_len_s)
@@ -253,18 +253,15 @@ def run_pipeline(config: PipelineConfig) -> list[NightReport]:
     )
     nights = discover_nights(config.input_dir)
 
-    if config.workers > 1 and len(nights) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            reports = list(
-                pool.map(
-                    lambda p: process_night(p, out_dir, model, mobility_model, config),
-                    nights,
-                )
-            )
-    else:
-        reports = [process_night(p, out_dir, model, mobility_model, config) for p in nights]
-
-    reports.sort(key=lambda r: r.night_id)
+    # one pool serves one worker too; reports come back in the nights' order
+    pool = ThreadPoolExecutor(max_workers=config.workers)
+    try:
+        reports = list(
+            pool.map(lambda p: process_night(p, out_dir, model, mobility_model, config), nights)
+        )
+    finally:
+        # an uncoded failure aborts the batch: no queued night starts after it
+        pool.shutdown(cancel_futures=True)
     summary = {
         "nights": [r.to_dict() for r in reports],
         "ok": sum(r.status == "ok" for r in reports),

@@ -186,10 +186,6 @@ class Recording:
             return len(self.acc)
         return 0
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.fs
-
 
 @dataclass
 class EdfHeader:

@@ -9,7 +9,7 @@ so the pass is zero-phase and the magnitude response applies twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,20 +17,12 @@ from .errors import FrequencyAboveNyquist, SignalTooShort
 
 #: keep the normalized DC gain just under unity so rounding never lands above 1
 DC_GAIN_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class ButterworthSpec:
-    fs: float
-    cutoff_hz: float = 30.0
-    order: int = 4
-
-
-@dataclass(frozen=True)
-class NotchSpec:
-    fs: float
-    center_hz: float
-    bandwidth_hz: float = 2.0
+#: the Butterworth lowpass: its -3 dB frequency and its order
+CUTOFF_HZ = 30.0
+ORDER = 4
+#: the Zmax spike train and its harmonics, each notched over NOTCH_BANDWIDTH_HZ
+NOTCH_CENTERS_HZ = (8.0, 16.0, 24.0)
+NOTCH_BANDWIDTH_HZ = 2.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +30,6 @@ class FilterCascade:
     b: np.ndarray
     a: np.ndarray
     fs: float
-    notch_centers: tuple[float, ...] = field(default=())
 
 
 def _check_below_nyquist(freq: float, fs: float, what: str) -> None:
@@ -46,14 +37,14 @@ def _check_below_nyquist(freq: float, fs: float, what: str) -> None:
         raise FrequencyAboveNyquist(f"{what} {freq} Hz outside (0, {fs / 2}) Hz")
 
 
-def design_butterworth(spec: ButterworthSpec) -> tuple[np.ndarray, np.ndarray]:
+def design_butterworth(fs: float) -> tuple[np.ndarray, np.ndarray]:
     """Digital lowpass via analog poles and the pre-warped bilinear map."""
-    _check_below_nyquist(spec.cutoff_hz, spec.fs, "cutoff")
-    n = spec.order
-    wc = 2.0 * spec.fs * np.tan(np.pi * spec.cutoff_hz / spec.fs)
+    _check_below_nyquist(CUTOFF_HZ, fs, "cutoff")
+    n = ORDER
+    wc = 2.0 * fs * np.tan(np.pi * CUTOFF_HZ / fs)
     k = np.arange(1, n + 1)
     poles_s = wc * np.exp(1j * (2 * k + n - 1) * np.pi / (2 * n))
-    poles_z = (2 * spec.fs + poles_s) / (2 * spec.fs - poles_s)
+    poles_z = (2 * fs + poles_s) / (2 * fs - poles_s)
 
     a = np.poly(poles_z).real
     b = np.poly(-np.ones(n)).real
@@ -61,31 +52,26 @@ def design_butterworth(spec: ButterworthSpec) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-def design_notch(spec: NotchSpec) -> tuple[np.ndarray, np.ndarray]:
+def design_notch(fs: float, center_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Second-order notch: zeros on the unit circle, poles at radius 1 - bw/2."""
-    _check_below_nyquist(spec.center_hz, spec.fs, "notch center")
-    theta = 2.0 * np.pi * spec.center_hz / spec.fs
-    bw = spec.bandwidth_hz / (spec.fs / 2.0)
+    _check_below_nyquist(center_hz, fs, "notch center")
+    theta = 2.0 * np.pi * center_hz / fs
+    bw = NOTCH_BANDWIDTH_HZ / (fs / 2.0)
     r = 1.0 - bw / 2.0
     b = np.array([1.0, -2.0 * np.cos(theta), 1.0])
     a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
     return b, a
 
 
-def design_cascade(
-    fs: float,
-    cutoff_hz: float = 30.0,
-    notch_centers: tuple[float, ...] = (8.0, 16.0, 24.0),
-    bandwidth_hz: float = 2.0,
-) -> FilterCascade:
+def design_cascade(fs: float) -> FilterCascade:
     """Butterworth and notch stages combined by polynomial convolution."""
-    b, a = design_butterworth(ButterworthSpec(fs=fs, cutoff_hz=cutoff_hz))
-    for center in notch_centers:
-        nb, na = design_notch(NotchSpec(fs=fs, center_hz=center, bandwidth_hz=bandwidth_hz))
+    b, a = design_butterworth(fs)
+    for center in NOTCH_CENTERS_HZ:
+        nb, na = design_notch(fs, center)
         b = np.convolve(b, nb)
         a = np.convolve(a, na)
     b = b * (a.sum() / b.sum()) * (1.0 - DC_GAIN_MARGIN)
-    return FilterCascade(b=b, a=a, fs=fs, notch_centers=tuple(notch_centers))
+    return FilterCascade(b=b, a=a, fs=fs)
 
 
 def freq_response(cascade: FilterCascade, freqs_hz: np.ndarray) -> np.ndarray:
@@ -94,10 +80,6 @@ def freq_response(cascade: FilterCascade, freqs_hz: np.ndarray) -> np.ndarray:
     zb = np.exp(-1j * np.outer(w, np.arange(len(cascade.b))))
     za = np.exp(-1j * np.outer(w, np.arange(len(cascade.a))))
     return (zb @ cascade.b) / (za @ cascade.a)
-
-
-def pole_radii(cascade: FilterCascade) -> np.ndarray:
-    return np.abs(np.roots(cascade.a))
 
 
 def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:

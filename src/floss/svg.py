@@ -95,11 +95,8 @@ def _text(x: float, y: float, s: str, size: int = 12, anchor: str = "start") -> 
     )
 
 
-def _rect(x: float, y: float, w: float, h: float, fill: str, extra: str = "") -> str:
-    return (
-        f'<rect x="{_n(x)}" y="{_n(y)}" width="{_n(w)}" height="{_n(h)}" '
-        f'fill="{fill}"{extra}/>'
-    )
+def _rect(x: float, y: float, w: float, h: float, fill: str) -> str:
+    return f'<rect x="{_n(x)}" y="{_n(y)}" width="{_n(w)}" height="{_n(h)}" fill="{fill}"/>'
 
 
 def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:

@@ -21,6 +21,9 @@ _DOMAIN_MOBILITY = 2
 _DOMAIN_NIGHT = 3
 _DOMAIN_SUBJECT = 4
 
+#: chance that an epoch of a generated night is Usable
+_USABLE_FRACTION = 0.7
+
 
 def epoch_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for one epoch, derived from the master seed and a key."""
@@ -244,7 +247,6 @@ def gen_night(
     sleep_epoch_len_s: float = 30.0,
     channels: tuple[str, ...] = ("EEG L", "EEG R"),
     seed: int = 0,
-    usable_fraction: float = 0.7,
 ) -> tuple[Recording, list[AnnotationSpan], list[int], list[MobilityState]]:
     """One synthetic night: recording, annotations, sleep scores, mobility.
 
@@ -270,7 +272,7 @@ def gen_night(
     for ch_idx, ch_label in enumerate(channels):
         pieces = []
         for i in range(n_epochs):
-            if night_rng.uniform() < usable_fraction:
+            if night_rng.uniform() < _USABLE_FRACTION:
                 label = ArtifactClass.USABLE
             else:
                 label = artifact_classes[int(night_rng.integers(0, len(artifact_classes)))]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gbt
 from .epoching import ArtifactClass, EpochSample, epoch_view
-from .errors import ChannelMissing, DegenerateData, ModelIncompatible
+from .errors import ChannelMissing, DegenerateData
 from .features import SpectrogramConfig, acc_norm, epoch_feature_matrix
 from .signal_io import Recording
 
@@ -130,14 +130,9 @@ def train_usability(
 
 def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     """Label every channel epoch of a recording with the model's classes."""
-    if model.meta.get("task") != "usability":
-        raise ModelIncompatible(f"model task {model.meta.get('task')!r} is not usability")
+    epoch_len_s = gbt.input_epoch_len(model, "usability", rec.fs)
     if not rec.channels:
         raise ChannelMissing("recording has no EEG channels")
-    fs = model.meta.get("fs")
-    if fs != rec.fs:
-        raise ModelIncompatible(f"model was fit at {fs} Hz, recording is {rec.fs} Hz")
-    epoch_len_s = float(model.meta.get("epoch_len_s", 10.0))
     include_stats = bool(model.meta.get("include_stats", True))
 
     eeg_epochs = np.stack([epoch_view(ch.samples, rec.fs, epoch_len_s) for ch in rec.channels])
@@ -157,10 +152,7 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
 
     cfg = SpectrogramConfig(fs=rec.fs)
     X, layout = epoch_feature_matrix(eeg_epochs, norm_epochs, cfg, include_stats)
-    if model.feature_layout is not None and tuple(layout) != tuple(model.feature_layout):
-        raise ModelIncompatible(
-            f"feature layout {layout} does not match the model's {model.feature_layout}"
-        )
+    gbt.check_layout(model, layout)
     labels = gbt.predict_label(model, X).reshape(n_channels, n_epochs)
     # every row opens with its EEG spectrogram, frames x bins
     frames = X[:, : layout[0][1]].reshape(n_channels, n_epochs, -1, cfg.bin_count)

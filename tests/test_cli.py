@@ -345,6 +345,47 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert gbt.load_model(out).meta["task"] == "usability"
 
+    @staticmethod
+    def _labelled_nights(root: Path, rates: dict[str, float]) -> Path:
+        root.mkdir()
+        for i, (stem, fs) in enumerate(rates.items()):
+            rec, spans, _, _ = gen_night(subject_index=i, n_epochs=24, fs=fs, seed=4)
+            write_edf(rec, root / f"{stem}.edf")
+            write_annotations(spans, root / f"{stem}_labels.csv")
+        return root
+
+    def test_input_takes_the_recordings_rate(self, runner, tmp_path):
+        nights = self._labelled_nights(tmp_path / "nights", {"n0": 128.0})
+        out = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["train", "--out", str(out), "--variant", "lite", "--input", str(nights),
+             "--iterations", "2", "--seed", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        meta = gbt.load_model(out).meta
+        assert (meta["fs"], meta["epoch_len_s"]) == (128.0, 10.0)
+        checked = runner.invoke(
+            main, ["check", "--input", str(nights / "n0.edf"), "--model", str(out)]
+        )
+        assert checked.exit_code == 0, checked.output
+        assert "EEG L: 24 epochs" in checked.output
+
+    def test_input_of_two_rates_is_one_coded_error_line(self, runner, tmp_path):
+        nights = self._labelled_nights(tmp_path / "nights", {"a": 128.0, "b": 256.0})
+        result = runner.invoke(
+            main,
+            ["train", "--out", str(tmp_path / "model.json"), "--input", str(nights),
+             "--iterations", "1"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        lines = result.output.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: b.edf is sampled at 256.0 Hz")
+        assert lines[0].endswith("[SamplingRateMismatch]")
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestReport:
     def test_full_run(self, runner, night_dir, model_paths, tmp_path):

@@ -65,6 +65,57 @@ def test_spectrogram_too_short_raises():
         spectrogram(np.zeros(100), SpectrogramConfig(fs=FS))
 
 
+def test_spectrogram_row_is_pinned():
+    # bit for bit, so a refactor of the taper or the frames cannot drift unnoticed
+    x = ((np.arange(256) * 37) % 101 - 50).astype(np.float64)
+    (row,) = spectrogram(x, SpectrogramConfig(fs=FS))
+    assert [v.hex() for v in row] == [
+        "0x1.297bb4a4c30f5p+10", "0x1.de2fb474a8ae5p+10", "0x1.5d9849eebb3bcp+13",
+        "0x1.202f94a47dd6dp+13", "0x1.3c34ef9046523p+9", "0x1.5468471ebf2a1p+14",
+        "0x1.b9aaa1fa9f45bp+10", "0x1.dea2e7c48ec0dp+14", "0x1.48245b32f36f7p+16",
+        "0x1.e6094245270b3p+11", "0x1.4117d0b621ec0p+15", "0x1.ae3561153a494p+10",
+        "0x1.19067eeab1ea0p+11", "0x1.7a8cbd5ca2742p+13", "0x1.6645d0fcbace6p+10",
+        "0x1.35a8849b9e3aep+14", "0x1.6d8dc8e5fbef1p+14", "0x1.b019efee56094p+15",
+        "0x1.2ad2b3c0242a0p+17", "0x1.e328b3e759825p+11", "0x1.32b6d35730dcdp+14",
+        "0x1.fae6bf87967d2p+12", "0x1.5ae9ce517765dp+12", "0x1.8e091cc2b6f88p+14",
+        "0x1.852c782d1c1bbp+14", "0x1.ebb187c3c3588p+19", "0x1.bf1100caae2ccp+18",
+        "0x1.44ab5b12f43fep+16", "0x1.a93e4d42f10fcp+13", "0x1.2f399ff82be0bp+12",
+        "0x1.63b8032141b6cp+13", "0x1.7b3f7e125aea2p+11", "0x1.901f0b4ce201dp+9",
+        "0x1.1e4202df2e3fdp+16", "0x1.bb41d97e45f3dp+11", "0x1.23cac2d8f0cdcp+15",
+        "0x1.3a578a6c1ff5bp+14", "0x1.3a3c8ad636c81p+10", "0x1.1b77396bd3af3p+14",
+        "0x1.3b7732ed13161p+9", "0x1.6df55586fc6bep+11", "0x1.0b1c03b086711p+15",
+        "0x1.3f5205da6f162p+12", "0x1.f13b7fabc7bf7p+18", "0x1.8c35f3876b1dcp+14",
+        "0x1.97add05e32a58p+12", "0x1.b8c8a49cdb1efp+14", "0x1.180f4a8023006p+12",
+        "0x1.f0864f30023d5p+14", "0x1.ace5e38e8f67bp+12", "0x1.24d2266d6cb15p+16",
+        "0x1.229775e59f78fp+18", "0x1.485a060232b4bp+12", "0x1.ba3c690268706p+14",
+        "0x1.0ec011fb73f0fp+10", "0x1.c8786bb60a2a2p+9", "0x1.ae2405428c58fp+13",
+        "0x1.117c3f57602c2p+10", "0x1.00264d5d44ebdp+15", "0x1.41af2c1536398p+14",
+        "0x1.bcd35bf40f8f7p+13", "0x1.2da5e578bb32ap+16", "0x1.73244e76fa27bp+10",
+        "0x1.1dd1ae3d31232p+13", "0x1.2df96afc6b92dp+12", "0x1.1d8f0410eedbap+10",
+        "0x1.da620397acd7dp+13", "0x1.a60c8e9ca7f42p+16", "0x1.e9ad95cdc724dp+20",
+        "0x1.3788280e57727p+20", "0x1.bf829deed6b29p+16", "0x1.2022bfe537a2bp+16",
+        "0x1.2a90348e88f78p+11", "0x1.71820d38ad3b8p+13", "0x1.303b9c4d5962ep+13",
+        "0x1.983d3d6ee7783p+12", "0x1.23ce28f1481fdp+17", "0x1.f2a0ca796b949p+13",
+        "0x1.f3848402eb57cp+14", "0x1.628658e92e3f6p+13", "0x1.20d21ee3cfd88p+9",
+        "0x1.0b2248f1daca9p+14", "0x1.6b9963a10f627p+7", "0x1.0ad9aaa5e3a6dp+12",
+        "0x1.5705acb8254a1p+15", "0x1.46ffd3d00d81bp+12", "0x1.c8128d7c50c06p+16",
+        "0x1.e5173a71708a7p+13", "0x1.6f9573c45a7c7p+9", "0x1.b2daba80899c6p+14",
+        "0x1.94c64b927c106p+15", "0x1.f192a39fc8886p+17", "0x1.93ac2e6c3fdfcp+18",
+        "0x1.cb8adc7e1fa14p+20", "0x1.5e445bccb96fbp+23", "0x1.37ec2b10b9ab0p+15",
+        "0x1.a52862a43e515p+15", "0x1.49bf87b21df9fp+14", "0x1.fd261dce561cdp+14",
+        "0x1.0ee17337186acp+15", "0x1.d3454ef4dd9d8p+13", "0x1.1351064be6ab1p+16",
+        "0x1.2be39fe608756p+15", "0x1.4763ae4086c48p+13", "0x1.2d78e11a0102ap+15",
+        "0x1.7dbde84ead66ap+9", "0x1.cdcd7f093822ep+12", "0x1.38ed19f89752bp+12",
+        "0x1.0d72950cdc23ap+10", "0x1.83dfefe53bb52p+14", "0x1.e6085533f65adp+13",
+        "0x1.1ac51c567ed7dp+17", "0x1.e7c1dbe9805cdp+16", "0x1.589e999566fa5p+12",
+        "0x1.b6de9738469f9p+14", "0x1.6ccc7d9fad287p+12", "0x1.1806647932effp+14",
+        "0x1.1f72f864f32e2p+13", "0x1.e55a40a6cffd4p+10", "0x1.70e1f01531f63p+19",
+        "0x1.3db18889512bep+16", "0x1.90bf02a37fbd2p+15", "0x1.efba80c636460p+12",
+        "0x1.a41115d8ddb28p+11", "0x1.129ed4544f6e9p+14", "0x1.5362fdd4170a3p+10",
+        "0x1.e57c1d9bd0473p+12", "0x1.c15f0e27c073cp+15", "0x1.e68033f3ae8e1p+9",
+    ]
+
+
 def test_welch_matches_hand_periodogram(rng):
     # a one-segment signal reduces Welch to a single modified periodogram
     x = rng.standard_normal(256)

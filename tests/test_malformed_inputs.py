@@ -1,13 +1,18 @@
 """Input readers on malformed files: each returns or raises a coded FlossError."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import floss
 from floss.aggregate import load_sleep_scores, write_sleep_scores
 from floss.epoching import AnnotationSpan, ArtifactClass, load_annotations, write_annotations
 from floss.errors import (
@@ -136,6 +141,47 @@ class TestCodedFaults:
         with pytest.raises(UnknownLabelCode) as info:
             load_annotations(path)
         assert info.value.code is not None
+
+    @pytest.mark.parametrize("cell", ["1e99999999", "1e-99999999"])
+    def test_time_of_a_huge_exponent_is_refused_at_once(self, cell, tmp_path):
+        # Fraction would build 10**99999999 first; a child process turns a
+        # regression into a timeout instead of a hung suite
+        path = tmp_path / "n_labels.csv"
+        path.write_text(f"channel,start_s,end_s,label\nEEG,0,{cell},2\n")
+        code = (
+            "import sys, time\n"
+            "from floss.epoching import load_annotations\n"
+            "from floss.errors import FlossError\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    load_annotations(sys.argv[1])\n"
+            "except FlossError as exc:\n"
+            "    print(exc.code.value, time.perf_counter() - start)\n"
+        )
+        src = str(Path(floss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        code_value, seconds = done.stdout.split()
+        assert code_value == "HeaderFieldUnparsable"
+        assert float(seconds) < 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(
+            st.fractions() | st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+            min_size=2, max_size=2, unique=True,
+        )
+    )
+    def test_every_time_written_reads_back(self, times, tmp_path_factory):
+        start, end = sorted(times)
+        path = tmp_path_factory.getbasetemp() / "round-trip_labels.csv"
+        spans = [AnnotationSpan("EEG", start, end, ArtifactClass.SPIKY)]
+        write_annotations(spans, path)
+        assert load_annotations(path) == spans
 
     def test_rate_past_the_float_range_is_unparsable(self, written, tmp_path):
         path = tmp_path / "n.edf"

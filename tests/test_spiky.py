@@ -6,14 +6,13 @@ import pytest
 
 from floss.errors import FrequencyAboveNyquist, SignalTooShort
 from floss.spiky import (
-    ButterworthSpec,
-    NotchSpec,
+    NOTCH_CENTERS_HZ,
+    FilterCascade,
     apply_zero_phase,
     design_butterworth,
     design_cascade,
     design_notch,
     freq_response,
-    pole_radii,
 )
 
 FS = 256.0
@@ -38,17 +37,17 @@ def _hand_lfilter(b, a, x):
 
 class TestDesign:
     def test_butterworth_shapes_and_dc(self):
-        b, a = design_butterworth(ButterworthSpec(fs=FS))
+        b, a = design_butterworth(FS)
         assert len(b) == len(a) == 5
         assert b.sum() / a.sum() == pytest.approx(1.0, rel=1e-12)
 
     def test_butterworth_halfpower_at_cutoff(self):
-        cascade = design_cascade(FS, notch_centers=())
-        h30 = abs(freq_response(cascade, np.array([30.0]))[0])
+        b, a = design_butterworth(FS)
+        h30 = abs(freq_response(FilterCascade(b=b, a=a, fs=FS), np.array([30.0]))[0])
         assert h30 == pytest.approx(1 / np.sqrt(2), rel=1e-6)
 
     def test_notch_roots(self):
-        b, a = design_notch(NotchSpec(fs=FS, center_hz=8.0))
+        b, a = design_notch(FS, 8.0)
         zeros = np.roots(b)
         poles = np.roots(a)
         theta = 2 * np.pi * 8.0 / FS
@@ -62,10 +61,26 @@ class TestDesign:
     def test_cascade_length_and_centers(self):
         cascade = design_cascade(FS)
         assert len(cascade.b) == len(cascade.a) == 5 + 3 * 2
-        assert cascade.notch_centers == (8.0, 16.0, 24.0)
+        assert NOTCH_CENTERS_HZ == (8.0, 16.0, 24.0)
 
     def test_cascade_is_stable(self):
-        assert np.all(pole_radii(design_cascade(FS)) < 1.0)
+        assert np.all(np.abs(np.roots(design_cascade(FS).a)) < 1.0)
+
+    def test_cascade_coefficients_are_pinned(self):
+        # bit for bit, so a refactor of the design cannot drift unnoticed
+        cascade = design_cascade(256.0)
+        assert [v.hex() for v in cascade.b] == [
+            "0x1.0830da852edb8p-7", "-0x1.84f5be5d73bcep-7", "-0x1.8306238eab0fbp-6",
+            "0x1.8e5a3a55116e5p-5", "0x1.fff0e8804ec5ep-7", "-0x1.2c976bc3aa9f3p-4",
+            "0x1.fff0e8804ec62p-7", "0x1.8e5a3a55116e6p-5", "-0x1.8306238eab0fbp-6",
+            "-0x1.84f5be5d73bcdp-7", "0x1.0830da852edb8p-7",
+        ]
+        assert [v.hex() for v in cascade.a] == [
+            "0x1.0000000000000p+0", "-0x1.e177fb524942ep+2", "0x1.a06fbf2069966p+4",
+            "-0x1.b37c64993012bp+5", "0x1.30793715138d4p+6", "-0x1.291cbb13ea8adp+6",
+            "0x1.99703b1ac46b3p+5", "-0x1.890a56b4b57f3p+4", "0x1.f689ce3ba095fp+2",
+            "-0x1.81f799f8c2587p+0", "0x1.0e8517d4cb8a9p-3",
+        ]
 
     def test_rates_other_than_default_work(self):
         cascade = design_cascade(128.0)
@@ -74,9 +89,11 @@ class TestDesign:
 
     def test_frequencies_above_nyquist_rejected(self):
         with pytest.raises(FrequencyAboveNyquist):
-            design_cascade(40.0)  # 24 Hz notch above 20 Hz Nyquist
+            design_cascade(40.0)  # 30 Hz cutoff and 24 Hz notch above 20 Hz Nyquist
         with pytest.raises(FrequencyAboveNyquist):
-            design_butterworth(ButterworthSpec(fs=50.0, cutoff_hz=30.0))
+            design_butterworth(50.0)  # 30 Hz cutoff above 25 Hz Nyquist
+        with pytest.raises(FrequencyAboveNyquist):
+            design_notch(40.0, 24.0)
 
 
 class TestResponseContract:
