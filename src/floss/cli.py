@@ -256,6 +256,11 @@ def train(
     seed,
 ) -> None:
     """Fit a usability or mobility model and save it as JSON."""
+    if kind == "mobility" and input_path:
+        raise click.UsageError(
+            "--input takes labelled nights for --kind usability; "
+            "--kind mobility trains on synthetic data only"
+        )
     train_cfg = gbt.TrainConfig(n_iterations=iterations, eta=eta, seed=seed)
 
     if kind == "mobility":

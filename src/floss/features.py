@@ -7,7 +7,11 @@ fixed 24-value statistical summary of each.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +28,9 @@ WELCH_STEP = 128
 #: fraction of a spectrogram frame under the cosine edges of its Tukey window
 TAPER = 0.25
 
-#: rows of a batch that spectrogram and stat_features take at a time; their
-#: temporaries then stay a few (256, len) arrays however long the night
+#: rows of a batch that spectrogram and stat_features have in flight across
+#: all their threads; their temporaries then stay a few (256, len) arrays
+#: however long the night and however many CPUs
 _BLOCK_ROWS = 256
 
 #: frequency bands integrated from the Welch PSD, [low, high) in Hz
@@ -107,34 +112,87 @@ _HANN = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, SEGMENT_LEN + 1)[:-1])
 _HANN_POWER = (_HANN * _HANN).sum()
 
 
-def _in_row_blocks(kernel, x: np.ndarray, row_shape: tuple[int, ...]) -> np.ndarray:
-    """``kernel`` over _BLOCK_ROWS rows of x at a time.
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _as_batches(x) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """x as float64 (rows, len) batches, and the leading shape of the whole.
+
+    A list or tuple of arrays of one shape, each at least 2-D, such as the
+    channels of a recording, reads as np.stack would read it, but without
+    being copied into one array.
+    """
+    if isinstance(x, (list, tuple)) and x and all(np.ndim(p) >= 2 for p in x):
+        parts = [np.asarray(p, dtype=np.float64) for p in x]
+        if any(p.shape != parts[0].shape for p in parts):
+            raise ValueError(f"arrays of shapes {sorted({p.shape for p in parts})} do not stack")
+        lead = (len(parts),) + parts[0].shape[:-1]
+    else:
+        parts = [np.asarray(x, dtype=np.float64)]
+        lead = parts[0].shape[:-1]
+    return [p.reshape(math.prod(p.shape[:-1]), p.shape[-1]) for p in parts], lead
+
+
+def _in_row_blocks(
+    kernel, batches: list[np.ndarray], lead: tuple[int, ...], row_shape: tuple[int, ...]
+) -> np.ndarray:
+    """``kernel`` over blocks of rows of ``batches``, on every available CPU.
 
     ``kernel`` maps a (rows, len) block to (rows, *row_shape); the result
-    has shape x.shape[:-1] + row_shape.
+    has shape lead + row_shape, rows in batch order.  Each block writes its
+    own rows of the result, so the bits do not depend on the thread count;
+    a block is _BLOCK_ROWS rows over the thread count, so the rows in
+    flight do not grow with it either.
     """
-    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
-    out = np.empty((rows.shape[0],) + row_shape)
-    for start in range(0, rows.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        out[block] = kernel(rows[block])
-    return out.reshape(x.shape[:-1] + row_shape)
+    workers = available_cpus()
+    block_rows = max(1, _BLOCK_ROWS // workers)
+    out = np.empty((math.prod(lead),) + row_shape)
+    blocks = []
+    start = 0
+    for rows in batches:
+        for a in range(0, rows.shape[0], block_rows):
+            block = rows[a : a + block_rows]
+            blocks.append((block, out[start + a : start + a + block.shape[0]]))
+        start += rows.shape[0]
+
+    def run(block: tuple[np.ndarray, np.ndarray]) -> None:
+        rows, dest = block
+        dest[...] = kernel(rows)
+
+    # reading every result raises the first error of a block
+    for _ in _pool(workers).map(run, blocks):
+        pass
+    return out.reshape(lead + row_shape)
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """The threads that feature blocks run on, started on first use and kept,
+    so that a call of one short block pays no thread start-up."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="floss-features")
 
 
 def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     """Magnitude-squared short-time spectrum.
 
-    Returns a (frames, bins) matrix for 1-D input; leading axes batch.
-    Each frame is tapered with a 25%-cosine window before the FFT and the
-    squared magnitude is kept without further scaling.
+    Returns a (frames, bins) matrix for 1-D input; leading axes batch, as
+    does a list of equal-shape batches.  Each frame is tapered with a
+    25%-cosine window before the FFT and the squared magnitude is kept
+    without further scaling.
     """
-    x = np.asarray(x, dtype=np.float64)
+    batches, lead = _as_batches(x)
 
     def kernel(rows: np.ndarray) -> np.ndarray:
         frames = sliding_window_view(rows, SEGMENT_LEN, axis=-1)[..., ::HOP, :]
         return np.abs(np.fft.rfft(frames * _TUKEY, axis=-1)) ** 2
 
-    return _in_row_blocks(kernel, x, (cfg.frame_count(x.shape[-1]), cfg.bin_count))
+    shape = (cfg.frame_count(batches[0].shape[-1]), cfg.bin_count)
+    return _in_row_blocks(kernel, batches, lead, shape)
 
 
 def welch_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +239,33 @@ def _guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
     """The fixed 24-value statistical summary of a segment.
 
-    Accepts a 1-D segment or a batch with leading axes; returns (24,) or
-    the batch shape plus 24, ordered as STAT_FEATURE_NAMES.  Degenerate
-    inputs (zero variance, zero total power) yield 0 for their ratio-based
-    entries.
+    Accepts a 1-D segment, a batch with leading axes, or a list of
+    equal-shape batches; returns (24,) or the batch shape plus 24, ordered
+    as STAT_FEATURE_NAMES.  Degenerate inputs (zero variance, zero total
+    power) yield 0 for their ratio-based entries.
     """
-    x = np.asarray(x, dtype=np.float64)
-    return _in_row_blocks(lambda rows: _stat_block(rows, fs), x, (N_STAT_FEATURES,))
+    batches, lead = _as_batches(x)
+    return _in_row_blocks(lambda rows: _stat_block(rows, fs), batches, lead, (N_STAT_FEATURES,))
+
+
+def _median(x: np.ndarray) -> np.ndarray:
+    """np.median(x, axis=-1) of a (rows, len) block, from one partition.
+
+    The middle value, or the middle value and the max below it, goes
+    through np.mean as in np.median, so the bits are np.median's, signed
+    zeros included; a row holding NaN gives NaN.
+    """
+    n = x.shape[-1]
+    k = n // 2
+    part = np.partition(x, k, axis=-1)
+    if n % 2:
+        middle = part[:, k : k + 1]
+    else:
+        middle = np.stack([part[:, :k].max(axis=-1), part[:, k]], axis=-1)
+    median = np.mean(middle, axis=-1)
+    # NaN sorts last, so a row holding one holds it at or above k
+    median[np.isnan(part[:, k:]).any(axis=-1)] = np.nan
+    return median
 
 
 def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
@@ -232,7 +310,7 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
     out = np.stack(
         [
             mean,
-            np.median(x, axis=-1),
+            _median(x),
             std,
             m2,
             lo,
@@ -256,23 +334,25 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
 
 
 def epoch_feature_matrix(
-    eeg_epochs: np.ndarray,
+    eeg_epochs: np.ndarray | Sequence[np.ndarray],
     acc_epochs: np.ndarray | None,
     cfg: SpectrogramConfig,
     include_stats: bool = True,
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     """Feature matrix for a batch of epochs, one row per epoch.
 
-    ``eeg_epochs`` is (n, len), or (channels, n, len) for the channels of
-    one recording, whose rows then follow channel by channel.
+    ``eeg_epochs`` is (n, len), or the channels of one recording as a
+    (channels, n, len) array or a list of (n, len) arrays, whose rows then
+    follow channel by channel.
     ``acc_epochs`` is the matching (n, len) batch of accelerometer-norm
     segments, shared by every channel, or None, in which case the
     accelerometer blocks are zero-filled so the layout is unchanged.
     """
-    eeg = np.atleast_2d(np.asarray(eeg_epochs, dtype=np.float64))
-    channels = math.prod(eeg.shape[:-2])
-    n, width = eeg.shape[-2:]
-    eeg = eeg.reshape(channels * n, width)
+    batches, lead = _as_batches(eeg_epochs)
+    channels = math.prod(lead[:-1])
+    n = lead[-1] if lead else 1
+    rows = channels * n
+    width = batches[0].shape[-1]
     spect_len = cfg.frame_count(width) * cfg.bin_count
 
     layout = (("spectrogram_eeg", spect_len), ("spectrogram_acc", spect_len))
@@ -281,10 +361,10 @@ def epoch_feature_matrix(
     edges = np.cumsum([0] + [w for _, w in layout])
     cols = [slice(a, b) for a, b in zip(edges, edges[1:])]
 
-    X = np.zeros((channels * n, edges[-1]))
-    X[:, cols[0]] = spectrogram(eeg, cfg).reshape(channels * n, spect_len)
+    X = np.zeros((rows, edges[-1]))
+    X[:, cols[0]] = spectrogram(batches, cfg).reshape(rows, spect_len)
     if include_stats:
-        X[:, cols[2]] = stat_features(eeg, cfg.fs)
+        X[:, cols[2]] = stat_features(batches, cfg.fs).reshape(rows, N_STAT_FEATURES)
     if acc_epochs is not None:
         acc = np.atleast_2d(np.asarray(acc_epochs, dtype=np.float64))
         acc_blocks = [(cols[1], spectrogram(acc, cfg).reshape(n, spect_len))]

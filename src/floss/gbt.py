@@ -5,8 +5,9 @@ with second-order leaf values.  Trees grow leaf-wise: the candidate leaf
 with the highest split gain is expanded until the leaf budget or the
 minimum leaf size binds.  Split search is exact over sorted feature values;
 all randomness flows from one seeded generator, so a (seed, config) pair
-reproduces the model bit for bit, single-threaded and thread-count
-independent.
+reproduces the model bit for bit.  The fit runs on one thread; the feature
+matrices it is given are computed on every available CPU, with bits that do
+not depend on how many there are.
 
 The exact search is blocked and tie-aware, in the way of XGBoost's exact
 greedy method (Chen & Guestrin, KDD 2016, section 4).  ``fit`` sorts each

@@ -104,7 +104,11 @@ class Calibration:
 
     def to_digital(self, physical: np.ndarray) -> np.ndarray:
         scale = (self.dig_max - self.dig_min) / (self.phys_max - self.phys_min)
-        d = np.rint((np.asarray(physical, dtype=np.float64) - self.phys_min) * scale + self.dig_min)
+        # one temporary, the steps of rint((physical - phys_min) * scale + dig_min)
+        d = np.subtract(physical, self.phys_min, dtype=np.float64)
+        d *= scale
+        d += self.dig_min
+        np.rint(d, out=d)
         if d.size and (d.min() < self.dig_min or d.max() > self.dig_max):
             raise AmplitudeOutOfDeclaredRange(
                 f"samples exceed declared physical range [{self.phys_min}, {self.phys_max}]"
@@ -425,13 +429,14 @@ def write_edf(rec: Recording, path: str | Path) -> None:
         }
         for label, unit, cal, _ in signals
     ]
-    parts = [_pack(_HEADER_FIELDS, [head]), _pack(_SIGNAL_FIELDS, sigs)]
-    if ns:
-        record = np.empty((n_records, fs * ns), dtype="<i2")
-        for i, (_, _, cal, samples) in enumerate(signals):
-            record[:, i * fs : (i + 1) * fs] = cal.to_digital(samples).reshape(n_records, fs)
-        parts.append(record.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    header = _pack(_HEADER_FIELDS, [head]) + _pack(_SIGNAL_FIELDS, sigs)
+    record = np.empty((n_records, fs * ns), dtype="<i2")
+    for i, (_, _, cal, samples) in enumerate(signals):
+        record[:, i * fs : (i + 1) * fs] = cal.to_digital(samples).reshape(n_records, fs)
+    # the file opens once every sample fits; the records go out from their buffer
+    with open(path, "wb") as out:
+        out.write(header)
+        out.write(record)
 
 
 def read_csv(path: str | Path) -> Recording:

@@ -128,6 +128,28 @@ def train_usability(
     return gbt.fit(X, y, config, feature_layout=layout, meta=meta)
 
 
+def _percentile_of(x: np.ndarray, q: float) -> float:
+    """np.percentile(x, q) of a 1-D float array, from one partition of x.
+
+    x is reordered.  The two order statistics around the index
+    (n - 1) * q / 100 are the value at the upper index and the max below
+    it, blended by the formula of numpy's _lerp, so the value is
+    np.percentile's, and its bits too where x holds no -0.0 (the absolute
+    values it is taken of); NaN anywhere gives NaN.
+    """
+    virtual = (x.size - 1) * np.true_divide(q, 100)
+    if virtual >= x.size - 1:
+        return x.max()
+    k = int(virtual) + 1
+    x.partition(k)
+    if np.isnan(x[k:]).any():  # NaN sorts last
+        return np.nan
+    below, above = x[:k].max(), x[k]
+    t = virtual - (k - 1)
+    diff = above - below
+    return above - diff * (1 - t) if t >= 0.5 else below + diff * t
+
+
 def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     """Label every channel epoch of a recording with the model's classes."""
     epoch_len_s = gbt.input_epoch_len(model, "usability", rec.fs)
@@ -135,11 +157,12 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
         raise ChannelMissing("recording has no EEG channels")
     include_stats = bool(model.meta.get("include_stats", True))
 
-    eeg_epochs = np.stack([epoch_view(ch.samples, rec.fs, epoch_len_s) for ch in rec.channels])
-    n_channels, n_epochs = eeg_epochs.shape[:2]
+    # one view per channel: epoch_feature_matrix reads them without a stack
+    eeg_epochs = [epoch_view(ch.samples, rec.fs, epoch_len_s) for ch in rec.channels]
+    n_channels, n_epochs = len(eeg_epochs), len(eeg_epochs[0])
 
     for ch in rec.channels:
-        if np.percentile(np.abs(ch.samples), 99.9) > AMPLITUDE_WARN_UV:
+        if _percentile_of(np.abs(ch.samples), 99.9) > AMPLITUDE_WARN_UV:
             warnings.warn(
                 f"channel {ch.label!r} amplitudes exceed {AMPLITUDE_WARN_UV} uV; "
                 "data may need normalization to the expected microvolt scale",

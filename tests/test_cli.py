@@ -345,6 +345,20 @@ class TestTrain:
         assert result.exit_code == 0, result.output
         assert gbt.load_model(out).meta["task"] == "usability"
 
+    def test_mobility_from_input_is_one_usage_error(self, runner, night_dir, tmp_path):
+        out = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["train", "--out", str(out), "--kind", "mobility", "--input", str(night_dir),
+             "--iterations", "1"],
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+        assert len(errors) == 1
+        assert "--input" in errors[0] and "--kind mobility" in errors[0]
+        assert not out.exists()
+
     @staticmethod
     def _labelled_nights(root: Path, rates: dict[str, float]) -> Path:
         root.mkdir()

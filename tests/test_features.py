@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 import scipy.signal
 import scipy.stats
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from floss import features
 from floss.errors import SegmentTooShort
 from floss.features import (
     BANDS,
@@ -19,6 +22,7 @@ from floss.features import (
     stat_features,
     welch_psd,
 )
+from floss.features import _median
 
 FS = 256.0
 
@@ -319,3 +323,71 @@ def test_feature_matrix_stacks_channels_over_one_acc(rng):
     per_channel = [epoch_feature_matrix(ch, acc, cfg) for ch in eeg]
     np.testing.assert_array_equal(X, np.concatenate([m for m, _ in per_channel]))
     assert layout == per_channel[0][1]
+
+
+def test_feature_matrix_reads_a_list_of_channels_as_their_stack(rng):
+    cfg = SpectrogramConfig(fs=FS)
+    eeg = [rng.standard_normal((5, 2560)), rng.standard_normal((5, 2560))]
+    acc = np.abs(rng.standard_normal((5, 2560)))
+    X, layout = epoch_feature_matrix(eeg, acc, cfg)
+    stacked = epoch_feature_matrix(np.stack(eeg), acc, cfg)
+    np.testing.assert_array_equal(X, stacked[0])
+    assert layout == stacked[1]
+    np.testing.assert_array_equal(stat_features(eeg, FS), stat_features(np.stack(eeg), FS))
+    np.testing.assert_array_equal(spectrogram(eeg, cfg), spectrogram(np.stack(eeg), cfg))
+
+
+def test_list_of_unequal_batches_is_refused(rng):
+    with pytest.raises(ValueError, match="do not stack"):
+        stat_features([rng.standard_normal((3, 2560)), rng.standard_normal((2, 2560))], FS)
+
+
+def test_thread_count_does_not_change_bits(rng, monkeypatch):
+    # 600 rows: blocks of 256 rows on one thread, of 85 on three
+    batch = rng.standard_normal((600, 2560)) * rng.uniform(0.1, 50.0, (600, 1))
+    acc = np.abs(rng.standard_normal((300, 2560)))
+    cfg = SpectrogramConfig(fs=FS)
+    results = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
+        results.append(
+            (
+                stat_features(batch, FS),
+                spectrogram(batch, cfg),
+                epoch_feature_matrix([batch[:300], batch[300:]], acc, cfg)[0],
+            )
+        )
+    for one, three in zip(*results):
+        np.testing.assert_array_equal(one, three)
+
+
+def test_block_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(features, "available_cpus", lambda: 3)
+    with pytest.raises(SegmentTooShort):
+        stat_features(np.zeros((4, 100)), FS)
+
+
+_ZERO_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 1e300])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=st.integers(1, 70).flatmap(
+        lambda n: arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.just(n)),
+            elements=st.one_of(_ZERO_HEAVY, st.floats(-1e6, 1e6, allow_nan=False)),
+        )
+    )
+)
+def test_median_is_numpys_bit_for_bit(x):
+    got, want = _median(x), np.median(x, axis=-1)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_median_of_a_row_holding_nan_is_nan(rng):
+    x = rng.standard_normal((3, 9))
+    x[0, 2] = np.nan
+    x[2, :] = np.nan
+    np.testing.assert_array_equal(_median(x), np.median(x, axis=-1))

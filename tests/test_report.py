@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from floss import gbt
+from floss import gbt, report
 from floss.cli import main
 from floss.errors import FileUnreadable
 from floss.report import (
@@ -20,6 +20,7 @@ from floss.report import (
     run_pipeline,
 )
 from floss.signal_io import ChannelSignal, Recording, write_edf
+from floss.spiky import apply_zero_phase, design_cascade
 from floss.synth import gen_night
 from floss.epoching import write_annotations
 
@@ -361,6 +362,19 @@ def _write_square_wave_night(out: Path, stem: str) -> None:
     wave = np.where(t % 1.0 < 0.5, 3200.0, -3200.0)
     channels = [ChannelSignal("C3", wave.copy()), ChannelSignal("C4", wave.copy())]
     write_edf(Recording(channels=channels, acc=None, fs=fs), out / f"{stem}.edf")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_despiked_equals_a_serial_filter_per_channel(monkeypatch, cpus):
+    rec, _, _, _ = gen_night(subject_index=0, n_epochs=12, channels=("a", "b", "c", "d"), seed=5)
+    cascade = design_cascade(rec.fs)
+    want = [apply_zero_phase(cascade, ch.samples) for ch in rec.channels]
+    monkeypatch.setattr(report, "available_cpus", lambda: cpus)
+    clean = report.despiked(rec)
+    assert [ch.label for ch in clean.channels] == ["a", "b", "c", "d"]
+    for ch, samples in zip(clean.channels, want):
+        np.testing.assert_array_equal(ch.samples, samples)
+    assert clean.acc is rec.acc
 
 
 class TestWholeNightOrNothing:

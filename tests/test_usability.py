@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from floss import gbt
 from floss.epoching import ArtifactClass
@@ -20,6 +22,7 @@ from floss.usability import (
     M_CLASS_WEIGHT,
     VARIANTS,
     UsabilityScores,
+    _percentile_of,
     score_recording,
     train_usability,
     variant_spec,
@@ -269,3 +272,31 @@ class TestScoresContainer:
 
     def test_empty_container(self):
         assert UsabilityScores([], [], 10.0, np.zeros((0, 0, 129))).n_epochs == 0
+
+
+_AMPLITUDES = st.one_of(
+    st.sampled_from([0.0, 1.0, 2000.0, 2000.5, 1e300]), st.floats(0.0, 1e5, allow_nan=False)
+)
+
+
+class TestPercentile:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        x=arrays(np.float64, st.integers(1, 3000), elements=_AMPLITUDES),
+        q=st.one_of(st.just(99.9), st.floats(0.0, 100.0)),
+    )
+    def test_equals_numpy_bit_for_bit(self, x, q):
+        want = np.percentile(x, q)
+        got = _percentile_of(x.copy(), q)
+        assert got == want
+        assert np.signbit(got) == np.signbit(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, st.integers(1, 300), elements=st.sampled_from([-0.0, 0.0, -1.0, 3.0])))
+    def test_value_of_signed_zeros_equals_numpy(self, x):
+        assert _percentile_of(x.copy(), 99.9) == np.percentile(x, 99.9)
+
+    def test_nan_gives_nan(self, rng):
+        x = np.abs(rng.standard_normal(5000))
+        x[17] = np.nan
+        assert np.isnan(_percentile_of(x, 99.9))
