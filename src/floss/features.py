@@ -149,8 +149,7 @@ def _in_row_blocks(
     a block is _BLOCK_ROWS rows over the thread count, so the rows in
     flight do not grow with it either.
     """
-    workers = available_cpus()
-    block_rows = max(1, _BLOCK_ROWS // workers)
+    block_rows = max(1, _BLOCK_ROWS // available_cpus())
     out = np.empty((math.prod(lead),) + row_shape)
     blocks = []
     start = 0
@@ -165,16 +164,25 @@ def _in_row_blocks(
         dest[...] = kernel(rows)
 
     # reading every result raises the first error of a block
-    for _ in _pool(workers).map(run, blocks):
+    for _ in cpu_pool().map(run, blocks):
         pass
     return out.reshape(lead + row_shape)
 
 
+def cpu_pool() -> ThreadPoolExecutor:
+    """The kept thread pool, one worker per available CPU.
+
+    Feature blocks, despike filters and tree growth all run on it, so the
+    process starts its threads once.  No task run on it may wait on it.
+    """
+    return _pool(available_cpus())
+
+
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
-    """The threads that feature blocks run on, started on first use and kept,
-    so that a call of one short block pays no thread start-up."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="floss-features")
+    """The threads behind ``cpu_pool``, started on first use and kept, so
+    that a call of one short block pays no thread start-up."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="floss")
 
 
 def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:

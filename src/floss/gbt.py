@@ -5,19 +5,21 @@ with second-order leaf values.  Trees grow leaf-wise: the candidate leaf
 with the highest split gain is expanded until the leaf budget or the
 minimum leaf size binds.  Split search is exact over sorted feature values;
 all randomness flows from one seeded generator, so a (seed, config) pair
-reproduces the model bit for bit.  The fit runs on one thread; the feature
-matrices it is given are computed on every available CPU, with bits that do
-not depend on how many there are.
+reproduces the model bit for bit.  An iteration draws the column sets of
+its K class trees first, in class order, then grows the trees on the kept
+CPU pool (``features.cpu_pool``) and adds their margins in class order;
+growth draws no random numbers, so the trees do not depend on the number of
+CPUs.  ``fit`` must not be called from a task on that pool.
 
 The exact search is blocked and tie-aware, in the way of XGBoost's exact
 greedy method (Chen & Guestrin, KDD 2016, section 4).  ``fit`` sorts each
-column once and notes which columns repeat a value.  A node then scores its
-features a block at a time, over only the positions that leave both
-children ``min_samples_leaf`` rows, and reads X only in the repeating
-columns, to forbid a split between equal values: in any other column the
-sorted values strictly increase.  Every gain takes the operations of one
-whole-node formula in the same order, so the trees do not depend on the
-block size.
+column once, a block of columns per task on the pool, and notes which
+columns repeat a value.  A node then scores its features a block at a time,
+over only the positions that leave both children ``min_samples_leaf`` rows,
+and reads X only in the repeating columns, to forbid a split between equal
+values: in any other column the sorted values strictly increase.  Every
+gain takes the operations of one whole-node formula in the same order, so
+the trees do not depend on the block size.
 
 A tree is parallel node arrays (feature, threshold, left, right, value;
 node 0 is the root) from growth through predict; model JSON writes it as
@@ -25,9 +27,11 @@ nested dicts and reading builds the arrays back.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
+from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from .errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
+from .features import cpu_pool
 from .signal_io import open_input
 
 FORMAT_VERSION = 1
@@ -131,6 +136,26 @@ def _tied_columns(X: np.ndarray, order_t: np.ndarray) -> np.ndarray:
         v = X[order_t[block], block[:, None]]
         tied[block] = (v[:, 1:] == v[:, :-1]).any(axis=1)
     return tied
+
+
+def _sorted_columns(X: np.ndarray, pool: Executor) -> tuple[np.ndarray, np.ndarray]:
+    """X's stable argsort as int32, one row per column, and ``_tied_columns``.
+
+    Columns are sorted _SPLIT_BLOCK at a time on ``pool``; each block writes
+    its own rows of the result, so the bits do not depend on the threads.
+    """
+    order_t = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
+    tied = np.empty(X.shape[1], dtype=bool)
+
+    def sort(start: int) -> None:
+        block = slice(start, start + _SPLIT_BLOCK)
+        order_t[block] = np.argsort(X[:, block], axis=0, kind="stable").T
+        tied[block] = _tied_columns(X[:, block], order_t[block])
+
+    # reading every result raises the first error of a block
+    for _ in pool.map(sort, range(0, X.shape[1], _SPLIT_BLOCK)):
+        pass
+    return order_t, tied
 
 
 def _best_split(
@@ -268,6 +293,20 @@ def _grow_tree(
     return Tree(feature, threshold, left, right, value)
 
 
+def _grown(
+    X: np.ndarray,
+    order_t: np.ndarray,
+    tied: np.ndarray,
+    cfg: TrainConfig,
+    cols: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+) -> tuple[Tree, np.ndarray]:
+    """One class's tree, grown on columns ``cols``, and its value at every row of X."""
+    tree = _grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
+    return tree, _apply(tree, X)
+
+
 def _apply(tree: Tree, X: np.ndarray) -> np.ndarray:
     idx = np.zeros(X.shape[0], dtype=np.int32)
     while True:
@@ -337,8 +376,8 @@ def fit(
             raise DegenerateData(f"class_weights must have {k} entries")
 
     rng = np.random.default_rng(config.seed)
-    order_t = np.argsort(X, axis=0, kind="stable").astype(np.int32).T  # (F, N)
-    tied = _tied_columns(X, order_t)
+    pool = cpu_pool()
+    order_t, tied = _sorted_columns(X, pool)  # (F, N)
 
     base = np.log(counts / n)
     margins = np.tile(base, (n, 1))
@@ -357,16 +396,16 @@ def fit(
 
         probs = softmax(margins)
         g, h = grad_hess(probs, y, weights)
+        if config.feature_subsample < 1.0:
+            col_sets = [
+                np.sort(rng.choice(n_features, size=n_cols_sub, replace=False)) for _ in range(k)
+            ]
+        else:
+            col_sets = [np.arange(n_features)] * k
+        grow = functools.partial(_grown, X, order_sub_t, tied, config)
         row: list[Tree] = []
-        for cls in range(k):
-            if config.feature_subsample < 1.0:
-                cols = np.sort(rng.choice(n_features, size=n_cols_sub, replace=False))
-            else:
-                cols = np.arange(n_features)
-            tree = _grow_tree(
-                X, g[:, cls], h[:, cls], order_sub_t[cols].copy(), cols, tied[cols], config
-            )
-            margins[:, cls] += _apply(tree, X)
+        for cls, (tree, update) in enumerate(pool.map(grow, col_sets, g.T, h.T)):
+            margins[:, cls] += update
             row.append(tree)
         trees.append(row)
         train_loss.append(ce_loss(softmax(margins), y))

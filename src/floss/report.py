@@ -26,7 +26,7 @@ import numpy as np
 from . import gbt, svg
 from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
 from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
-from .features import available_cpus
+from .features import cpu_pool
 from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import (
     ChannelSignal, Recording, open_input, read_csv, read_edf, write_csv, write_edf,
@@ -120,11 +120,10 @@ def write_recording(rec: Recording, path: str | Path) -> None:
 def despiked(rec: Recording) -> Recording:
     """The recording with every EEG channel through the zero-phase cascade.
 
-    The channels are filtered on a thread each, up to the available CPUs.
+    The channels are filtered on the kept CPU pool, a task each.
     """
     cascade = design_cascade(rec.fs)
-    with ThreadPoolExecutor(max_workers=available_cpus()) as pool:
-        filtered = list(pool.map(lambda ch: apply_zero_phase(cascade, ch.samples), rec.channels))
+    filtered = list(cpu_pool().map(lambda ch: apply_zero_phase(cascade, ch.samples), rec.channels))
     channels = [
         ChannelSignal(ch.label, samples, unit=ch.unit, calibration=ch.calibration)
         for ch, samples in zip(rec.channels, filtered)

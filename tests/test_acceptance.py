@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.signal  # loaded before A7, whose 1-s timed region would otherwise hold its import
 from click.testing import CliRunner
 
 from floss import gbt

@@ -1,14 +1,16 @@
 """Boosted-tree training: gradients, split search vs brute force, formats."""
 from __future__ import annotations
 
+import itertools
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floss import gbt
+from floss import features, gbt
 from floss.errors import (
     DegenerateData,
     FeatureCountMismatch,
@@ -16,6 +18,9 @@ from floss.errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
+from floss.mobility import MobilityState, fit_mobility
+from floss.signal_io import TriAxialAcc
+from floss.synth import gen_mobility_sequence
 
 # Format-v1 model as the nested-node writer used before array trees wrote it:
 # 3 iterations, 3 classes, max_leaves=4, 5 features, seed 11.
@@ -361,8 +366,13 @@ class TestFitPredict:
         fitted = [t for row in model.trees for t in row]
 
         assert len(grown) == len(fitted) == len(loaded) == 15
-        for (tree, cols), fit_tree, reread in zip(grown, fitted, loaded):
-            assert tree is fit_tree
+        # the class trees of an iteration grow on threads, so they finish in
+        # any order: pair each grown tree with its fitted tree by identity
+        cols_of = {id(tree): cols for tree, cols in grown}
+        assert len(cols_of) == 15
+        for tree, reread in zip(fitted, loaded):
+            assert id(tree) in cols_of  # each fitted tree is a grown tree
+            cols = cols_of[id(tree)]
             assert len(cols) == 3
             for t in (tree, reread):
                 _assert_well_formed(t, cfg.max_leaves, cols)
@@ -587,3 +597,60 @@ class TestPinnedFit:
         path = tmp_path / "model.json"
         gbt.save_model(gbt.fit(X, y, PINNED_FIT_CONFIG), path)
         assert path.read_bytes() == PINNED_FIT.read_bytes()
+
+
+def _mobility_data():
+    """A short accelerometer sequence holding all four wearing states twice."""
+    blocks = [(state, 6) for state in MobilityState] * 2
+    axes, states = gen_mobility_sequence(blocks, 32.0, 10.0, seed=4)
+    return TriAxialAcc(*axes), states
+
+
+class _TreeFault(Exception):
+    pass
+
+
+class TestCpuCount:
+    """Trees grow on the kept CPU pool; how many CPUs it has changes no byte."""
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_pinned_fit_at_any_cpu_count(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        X, y = _pinned_fit_data()
+        path = tmp_path / "model.json"
+        gbt.save_model(gbt.fit(X, y, PINNED_FIT_CONFIG), path)
+        assert path.read_bytes() == PINNED_FIT.read_bytes()
+
+    def test_binary_and_mobility_fits_at_one_and_three_cpus(self, rng, monkeypatch):
+        X = rng.standard_normal((120, 150))
+        X[:, ::3] = np.round(X[:, ::3], 1)
+        y = (X[:, 0] - X[:, 5] + 0.5 * rng.standard_normal(120) > 0).astype(np.int64)
+        cfg = gbt.TrainConfig(n_iterations=4, eta=0.3, max_leaves=6, min_samples_leaf=3, seed=7)
+        acc, states = _mobility_data()
+        mobility_cfg = gbt.TrainConfig(n_iterations=3, eta=0.3, min_samples_leaf=2, seed=1)
+        docs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
+            binary = gbt.fit(X, y, cfg)
+            mobility = fit_mobility(acc, states, 32.0, 10.0, config=mobility_cfg)
+            assert (binary.num_classes, mobility.num_classes) == (2, 4)
+            docs.append((gbt.model_to_json(binary), gbt.model_to_json(mobility)))
+        assert docs[0] == docs[1]
+
+    def test_error_while_a_tree_grows_reaches_the_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(features, "available_cpus", lambda: 3)
+        X, y = _blobs(rng)
+        grow = gbt._grow_tree
+        calls = itertools.count()
+        raised_on = []
+
+        def failing_grow(*args):
+            if next(calls) == 4:  # a tree of the second iteration
+                raised_on.append(threading.current_thread().name)
+                raise _TreeFault("tree growth failed")
+            return grow(*args)
+
+        monkeypatch.setattr(gbt, "_grow_tree", failing_grow)
+        with pytest.raises(_TreeFault, match="tree growth failed"):
+            gbt.fit(X, y, gbt.TrainConfig(n_iterations=3, eta=0.3, min_samples_leaf=2))
+        assert raised_on[0].startswith("floss")

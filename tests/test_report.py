@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from floss import gbt, report
+from floss import features, gbt, report
 from floss.cli import main
 from floss.errors import FileUnreadable
 from floss.report import (
@@ -369,7 +369,7 @@ def test_despiked_equals_a_serial_filter_per_channel(monkeypatch, cpus):
     rec, _, _, _ = gen_night(subject_index=0, n_epochs=12, channels=("a", "b", "c", "d"), seed=5)
     cascade = design_cascade(rec.fs)
     want = [apply_zero_phase(cascade, ch.samples) for ch in rec.channels]
-    monkeypatch.setattr(report, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(features, "available_cpus", lambda: cpus)
     clean = report.despiked(rec)
     assert [ch.label for ch in clean.channels] == ["a", "b", "c", "d"]
     for ch, samples in zip(clean.channels, want):
