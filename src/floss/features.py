@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -138,7 +139,7 @@ def _as_batches(x) -> tuple[list[np.ndarray], tuple[int, ...]]:
     return [p.reshape(math.prod(p.shape[:-1]), p.shape[-1]) for p in parts], lead
 
 
-def _in_row_blocks(
+def in_row_blocks(
     kernel, batches: list[np.ndarray], lead: tuple[int, ...], row_shape: tuple[int, ...]
 ) -> np.ndarray:
     """``kernel`` over blocks of rows of ``batches``, on every available CPU.
@@ -163,26 +164,51 @@ def _in_row_blocks(
         rows, dest = block
         dest[...] = kernel(rows)
 
-    # reading every result raises the first error of a block
-    for _ in cpu_pool().map(run, blocks):
-        pass
+    pool_map(run, blocks)
     return out.reshape(lead + row_shape)
+
+
+def pool_map(fn, items) -> list:
+    """``fn`` of every item, in order, as tasks on the kept pool.
+
+    The first error of a task is raised.  Called from a task on the pool,
+    which may not wait on it, the calls run on the calling thread.
+    """
+    if on_pool_thread():
+        return [fn(item) for item in items]
+    return list(cpu_pool().map(fn, items))
 
 
 def cpu_pool() -> ThreadPoolExecutor:
     """The kept thread pool, one worker per available CPU.
 
-    Feature blocks, despike filters and tree growth all run on it, so the
-    process starts its threads once.  No task run on it may wait on it.
+    Feature blocks, despike filters, tree growth and usability scoring all
+    run on it, so the process starts its threads once.  No task run on it
+    may wait on it (``on_pool_thread``).
     """
     return _pool(available_cpus())
+
+
+#: ``in_pool`` is set on the threads of every pool ``_pool`` starts
+_thread_state = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _thread_state.in_pool = True
+
+
+def on_pool_thread() -> bool:
+    """Whether the calling thread is a worker of the kept pool."""
+    return getattr(_thread_state, "in_pool", False)
 
 
 @functools.cache
 def _pool(workers: int) -> ThreadPoolExecutor:
     """The threads behind ``cpu_pool``, started on first use and kept, so
     that a call of one short block pays no thread start-up."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="floss")
+    return ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="floss", initializer=_mark_pool_thread
+    )
 
 
 def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
@@ -200,7 +226,7 @@ def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
         return np.abs(np.fft.rfft(frames * _TUKEY, axis=-1)) ** 2
 
     shape = (cfg.frame_count(batches[0].shape[-1]), cfg.bin_count)
-    return _in_row_blocks(kernel, batches, lead, shape)
+    return in_row_blocks(kernel, batches, lead, shape)
 
 
 def welch_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +279,7 @@ def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
     power) yield 0 for their ratio-based entries.
     """
     batches, lead = _as_batches(x)
-    return _in_row_blocks(lambda rows: _stat_block(rows, fs), batches, lead, (N_STAT_FEATURES,))
+    return in_row_blocks(lambda rows: _stat_block(rows, fs), batches, lead, (N_STAT_FEATURES,))
 
 
 def _median(x: np.ndarray) -> np.ndarray:
@@ -341,6 +367,17 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
     return np.concatenate([out, band_powers(freqs, psd)], axis=-1)
 
 
+def feature_layout(
+    epoch_samples: int, cfg: SpectrogramConfig, include_stats: bool = True
+) -> tuple[tuple[str, int], ...]:
+    """(name, width) of each block of an ``epoch_feature_matrix`` row."""
+    spect_len = cfg.frame_count(epoch_samples) * cfg.bin_count
+    layout = (("spectrogram_eeg", spect_len), ("spectrogram_acc", spect_len))
+    if include_stats:
+        layout += (("stats_eeg", N_STAT_FEATURES), ("stats_acc", N_STAT_FEATURES))
+    return layout
+
+
 def epoch_feature_matrix(
     eeg_epochs: np.ndarray | Sequence[np.ndarray],
     acc_epochs: np.ndarray | None,
@@ -360,12 +397,8 @@ def epoch_feature_matrix(
     channels = math.prod(lead[:-1])
     n = lead[-1] if lead else 1
     rows = channels * n
-    width = batches[0].shape[-1]
-    spect_len = cfg.frame_count(width) * cfg.bin_count
-
-    layout = (("spectrogram_eeg", spect_len), ("spectrogram_acc", spect_len))
-    if include_stats:
-        layout += (("stats_eeg", N_STAT_FEATURES), ("stats_acc", N_STAT_FEATURES))
+    layout = feature_layout(batches[0].shape[-1], cfg, include_stats)
+    spect_len = layout[0][1]
     edges = np.cumsum([0] + [w for _, w in layout])
     cols = [slice(a, b) for a, b in zip(edges, edges[1:])]
 

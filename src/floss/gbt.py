@@ -9,7 +9,7 @@ reproduces the model bit for bit.  An iteration draws the column sets of
 its K class trees first, in class order, then grows the trees on the kept
 CPU pool (``features.cpu_pool``) and adds their margins in class order;
 growth draws no random numbers, so the trees do not depend on the number of
-CPUs.  ``fit`` must not be called from a task on that pool.
+CPUs.  ``fit`` refuses to run in a task on that pool.
 
 The exact search is blocked and tie-aware, in the way of XGBoost's exact
 greedy method (Chen & Guestrin, KDD 2016, section 4).  ``fit`` sorts each
@@ -21,9 +21,14 @@ values: in any other column the sorted values strictly increase.  Every
 gain takes the operations of one whole-node formula in the same order, so
 the trees do not depend on the block size.
 
-A tree is parallel node arrays (feature, threshold, left, right, value;
-node 0 is the root) from growth through predict; model JSON writes it as
-nested dicts and reading builds the arrays back.
+A tree is parallel node arrays (``Tree``: feature, threshold, left, right,
+value; node 0 is the root) through growth; model JSON writes it as nested
+dicts and reading builds the arrays back.  Prediction walks a ``Forest``:
+every tree of a model packed into one set of node arrays, built once per
+model (``Model.forest``).  Rows move down all trees one level at a time,
+and each row's margins add the trees' values in iteration order, so the
+margins are those of one tree after another.  Fit walks each new tree the
+same way, as a forest of one.
 """
 from __future__ import annotations
 
@@ -43,7 +48,7 @@ from .errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
-from .features import cpu_pool
+from .features import cpu_pool, in_row_blocks, on_pool_thread
 from .signal_io import open_input
 
 FORMAT_VERSION = 1
@@ -304,18 +309,73 @@ def _grown(
 ) -> tuple[Tree, np.ndarray]:
     """One class's tree, grown on columns ``cols``, and its value at every row of X."""
     tree = _grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
-    return tree, _apply(tree, X)
+    return tree, _leaf_values(Forest.pack([tree]), X)[:, 0]
 
 
-def _apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
-        active = np.flatnonzero(tree.feature[idx] >= 0)
-        if active.size == 0:
-            return tree.value[idx]
-        node = idx[active]
-        go_left = X[active, tree.feature[node]] <= tree.threshold[node]
-        idx[active] = np.where(go_left, tree.left[node], tree.right[node])
+@dataclass(frozen=True)
+class Forest:
+    """Trees packed into one set of node arrays, the form prediction walks.
+
+    Tree t's root is node ``roots[t]``.  Node i's children are nodes
+    ``children[2 * i]`` (X <= threshold) and ``children[2 * i + 1]``
+    (X > threshold); a leaf has feature 0 and both children itself, so a
+    row that reaches it stays there however many levels remain.  ``depth``
+    is the number of levels of the deepest tree.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def pack(cls, trees: list[Tree]) -> "Forest":
+        sizes = [len(t.feature) for t in trees]
+        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)[: len(trees)]
+        offset = np.repeat(roots, sizes)
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in trees] or [np.empty(0)])
+
+        feature = joined("feature").astype(np.intp)
+        leaf = feature < 0
+        node = np.arange(len(feature))
+        left = np.where(leaf, node, joined("left").astype(np.intp) + offset)
+        right = np.where(leaf, node, joined("right").astype(np.intp) + offset)
+        # as X <= NaN, X > -inf sends every finite X right
+        threshold = joined("threshold")
+        threshold[np.isnan(threshold)] = -np.inf
+        feature[leaf] = 0
+
+        depth, level = 0, roots[~leaf[roots]]
+        while level.size:  # the split nodes of one level of every tree
+            depth += 1
+            level = np.concatenate([left[level], right[level]])
+            level = level[~leaf[level]]
+        return cls(
+            feature=feature,
+            threshold=threshold,
+            children=np.stack([left, right], axis=1).ravel(),
+            value=joined("value"),
+            roots=roots,
+            depth=depth,
+        )
+
+
+def _leaf_values(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """(rows, trees): the value of the leaf each row of X reaches in each tree.
+
+    Every row moves down every tree one level at a time, ``depth`` times.
+    """
+    n, n_features = X.shape
+    node = np.tile(forest.roots, (n, 1))
+    row_start = np.arange(0, n * n_features, n_features)[:, None]
+    for _ in range(forest.depth):
+        x = X.take(row_start + forest.feature.take(node))
+        node = forest.children.take(2 * node + (x > forest.threshold.take(node)))
+    return forest.value.take(node)
 
 
 @dataclass
@@ -330,6 +390,11 @@ class Model:
     feature_layout: tuple[tuple[str, int], ...] | None = None
     meta: dict = field(default_factory=dict)
     train_loss: list[float] = field(default_factory=list)
+
+    @functools.cached_property
+    def forest(self) -> Forest:
+        """Every tree, iteration by iteration and class by class, packed once."""
+        return Forest.pack([tree for row in self.trees for tree in row])
 
 
 def _validate_matrix(X: np.ndarray) -> np.ndarray:
@@ -352,8 +417,11 @@ def fit(
 
     Row subsampling redraws every ``data_resample_period`` iterations;
     feature subsampling redraws per tree.  Trees are fit on the subsample
-    but update the margins of every row.
+    but update the margins of every row.  Raises RuntimeError on a thread
+    of the kept CPU pool, which fit waits on.
     """
+    if on_pool_thread():
+        raise RuntimeError("gbt.fit cannot run in a task on the kept CPU pool: it waits on that pool")
     X = _validate_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     if len(y) != X.shape[0]:
@@ -423,17 +491,26 @@ def fit(
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
-    """Class probabilities, rows summing to 1."""
+    """Class probabilities, rows summing to 1.
+
+    Rows go through the packed forest a block at a time on the kept CPU
+    pool; each row's margin adds its trees' values in iteration order.
+    """
     X = _validate_matrix(X)
     if X.shape[1] != model.feature_count:
         raise FeatureCountMismatch(
             f"model expects {model.feature_count} features, got {X.shape[1]}"
         )
-    margins = np.tile(model.base_score, (X.shape[0], 1))
-    for row in model.trees:
-        for cls, tree in enumerate(row):
-            margins[:, cls] += _apply(tree, X)
-    return softmax(margins)
+    forest, k = model.forest, model.num_classes
+
+    def kernel(rows: np.ndarray) -> np.ndarray:
+        values = _leaf_values(forest, rows)
+        margins = np.tile(model.base_score, (rows.shape[0], 1))
+        for start in range(0, values.shape[1], k):
+            margins += values[:, start : start + k]
+        return softmax(margins)
+
+    return in_row_blocks(kernel, [X], X.shape[:1], (k,))
 
 
 def predict_label(model: Model, X: np.ndarray) -> np.ndarray:

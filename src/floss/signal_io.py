@@ -60,6 +60,8 @@ ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 
 #: rows ``write_csv`` formats at a time, so its text stays a few MB
 _CSV_BLOCK_ROWS = 8192
+#: one-second records ``write_edf`` converts to digital values at a time
+_EDF_BLOCK_RECORDS = 256
 
 
 @contextmanager
@@ -430,13 +432,20 @@ def write_edf(rec: Recording, path: str | Path) -> None:
         for label, unit, cal, _ in signals
     ]
     header = _pack(_HEADER_FIELDS, [head]) + _pack(_SIGNAL_FIELDS, sigs)
-    record = np.empty((n_records, fs * ns), dtype="<i2")
-    for i, (_, _, cal, samples) in enumerate(signals):
-        record[:, i * fs : (i + 1) * fs] = cal.to_digital(samples).reshape(n_records, fs)
-    # the file opens once every sample fits; the records go out from their buffer
+    # the file opens once every sample fits; to_digital is monotone, so a
+    # signal's extremes go out of range wherever any of its samples does
+    for _, _, cal, samples in signals:
+        if len(samples):
+            cal.to_digital(np.array([np.min(samples), np.max(samples)]))
     with open(path, "wb") as out:
         out.write(header)
-        out.write(record)
+        # a block of records at a time, so no whole-signal copy exists
+        for start in range(0, n_records, _EDF_BLOCK_RECORDS):
+            stop = min(start + _EDF_BLOCK_RECORDS, n_records)
+            record = np.empty((stop - start, ns, fs), dtype="<i2")
+            for i, (_, _, cal, samples) in enumerate(signals):
+                record[:, i] = cal.to_digital(samples[start * fs : stop * fs]).reshape(-1, fs)
+            out.write(record)
 
 
 def read_csv(path: str | Path) -> Recording:

@@ -23,6 +23,8 @@ ORDER = 4
 #: the Zmax spike train and its harmonics, each notched over NOTCH_BANDWIDTH_HZ
 NOTCH_CENTERS_HZ = (8.0, 16.0, 24.0)
 NOTCH_BANDWIDTH_HZ = 2.0
+#: samples ``apply_zero_phase`` filters per ``lfilter`` call
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,12 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     """Filter forward and backward with odd-reflection edge padding.
 
     The output has zero sample lag and the squared magnitude response of
-    the cascade.
+    the cascade.  Its bits are those of ``lfilter`` run forward over the
+    padded signal and backward over that output, each from the steady
+    state of its first sample, then cut to ``x``'s span.  Both passes go
+    _CHUNK samples at a time, carrying the filter state, through one
+    buffer that the backward pass overwrites from its end: neither the
+    padded signal nor a second full-length output is ever built.
     """
     # imported here: scipy.signal takes about a second to import, and most
     # floss commands never filter
@@ -96,14 +103,20 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     pad = 3 * max(len(cascade.a), len(cascade.b))
     if x.ndim != 1 or len(x) <= pad:
         raise SignalTooShort(f"need more than {pad} samples, got {x.shape}")
+    b, a = cascade.b, cascade.a
+    zi = lfilter_zi(b, a)
 
     head = 2.0 * x[0] - x[pad:0:-1]
-    tail = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
-    ext = np.concatenate([head, x, tail])
+    _, z = lfilter(b, a, head, zi=zi * head[0])
+    y = np.empty_like(x)
+    for start in range(0, len(x), _CHUNK):
+        y[start : start + _CHUNK], z = lfilter(b, a, x[start : start + _CHUNK], zi=z)
+    tail, _ = lfilter(b, a, 2.0 * x[-1] - x[-2 : -pad - 2 : -1], zi=z)
 
-    zi = lfilter_zi(cascade.b, cascade.a)
-    y, _ = lfilter(cascade.b, cascade.a, ext, zi=zi * ext[0])
-    y = y[::-1]
-    y, _ = lfilter(cascade.b, cascade.a, y, zi=zi * y[0])
-    y = y[::-1]
-    return y[pad:-pad]
+    # backward: the padding first, then y's chunks from the end, each
+    # filtered and written back reversed over itself
+    _, z = lfilter(b, a, tail[::-1], zi=zi * tail[-1])
+    for stop in range(len(x), 0, -_CHUNK):
+        chunk = y[max(stop - _CHUNK, 0) : stop]
+        chunk[::-1], z = lfilter(b, a, chunk[::-1], zi=z)
+    return y

@@ -30,14 +30,6 @@ CLASS_NAMES = {0: "usable", 1: "no data", 2: "high noise", 3: "spiky", 4: "m-sha
 BINARY_COLORS = {0: "#2e7d32", 1: "#c62828"}
 BINARY_NAMES = {0: "usable", 1: "unusable"}
 
-STAGE_COLORS = {
-    int(SleepStage.WAKE): "#ef6c00",
-    int(SleepStage.REM): "#8e24aa",
-    int(SleepStage.N1): "#90caf9",
-    int(SleepStage.N2): "#1e88e5",
-    int(SleepStage.N3): "#0d47a1",
-    int(SleepStage.UNSCORABLE): "#757575",
-}
 # y rank of each stage band, top row first
 STAGE_ROWS = (
     (int(SleepStage.WAKE), "W"),
@@ -196,10 +188,15 @@ def render_usability_graph(
 
     if rec.acc is not None:
         body.append(_text(MARGIN_LEFT - 6, y + trace_h / 2 + 4, "acc", size=11, anchor="end"))
-        norm = acc_norm(*rec.acc.axes)
-        buckets = min(len(norm), 1200)
-        edges = np.linspace(0, len(norm), buckets + 1).astype(int)
-        means = np.array([norm[a:b].mean() for a, b in zip(edges, edges[1:])])
+        buckets = min(len(rec.acc), 1200)
+        edges = np.linspace(0, len(rec.acc), buckets + 1).astype(int)
+        # the norm of one bucket at a time, not of the whole night
+        means = np.array(
+            [
+                acc_norm(*(axis[a:b] for axis in rec.acc.axes)).mean()
+                for a, b in zip(edges, edges[1:])
+            ]
+        )
         lo, hi = means.min(), means.max()
         span = hi - lo if hi > lo else 1.0
         pts = []

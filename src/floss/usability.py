@@ -16,7 +16,13 @@ import numpy as np
 from . import gbt
 from .epoching import ArtifactClass, EpochSample, epoch_view
 from .errors import ChannelMissing, DegenerateData
-from .features import SpectrogramConfig, acc_norm, epoch_feature_matrix
+from .features import (
+    SpectrogramConfig,
+    acc_norm,
+    epoch_feature_matrix,
+    feature_layout,
+    pool_map,
+)
 from .signal_io import Recording
 
 #: class weight applied to the two-humped artifact class by weighted-m
@@ -24,6 +30,11 @@ M_CLASS_WEIGHT = 3.0
 
 #: 99.9th-percentile amplitude above this suggests non-standard scaling
 AMPLITUDE_WARN_UV = 2000.0
+
+#: epochs one ``score_recording`` task takes, for every channel at once,
+#: through features, trees and spectra; a task's arrays then stay a few MB
+#: however long the night
+_BLOCK_EPOCHS = 128
 
 
 @dataclass(frozen=True)
@@ -151,7 +162,14 @@ def _percentile_of(x: np.ndarray, q: float) -> float:
 
 
 def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
-    """Label every channel epoch of a recording with the model's classes."""
+    """Label every channel epoch of a recording with the model's classes.
+
+    The night is scored _BLOCK_EPOCHS epochs at a time, a task each on the
+    kept CPU pool: a task computes its epochs' feature rows, predicts them
+    and writes their labels and spectra.  A row's features, label and
+    spectrum do not depend on its neighbours, so the blocks and the CPU
+    count leave every bit as one whole-night feature matrix would.
+    """
     epoch_len_s = gbt.input_epoch_len(model, "usability", rec.fs)
     if not rec.channels:
         raise ChannelMissing("recording has no EEG channels")
@@ -169,20 +187,29 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
                 stacklevel=2,
             )
 
-    norm_epochs = None
-    if rec.acc is not None:
-        norm_epochs = epoch_view(acc_norm(*rec.acc.axes), rec.fs, epoch_len_s)
-
     cfg = SpectrogramConfig(fs=rec.fs)
-    X, layout = epoch_feature_matrix(eeg_epochs, norm_epochs, cfg, include_stats)
+    win = eeg_epochs[0].shape[1]
+    layout = feature_layout(win, cfg, include_stats)
     gbt.check_layout(model, layout)
-    labels = gbt.predict_label(model, X).reshape(n_channels, n_epochs)
-    # every row opens with its EEG spectrogram, frames x bins
-    frames = X[:, : layout[0][1]].reshape(n_channels, n_epochs, -1, cfg.bin_count)
+    labels = np.empty((n_channels, n_epochs), dtype=np.intp)
+    spectra = np.empty((n_channels, n_epochs, cfg.bin_count))
 
+    def score_block(start: int) -> None:
+        stop = min(start + _BLOCK_EPOCHS, n_epochs)
+        norm = None
+        if rec.acc is not None:
+            axes = (axis[start * win : stop * win] for axis in rec.acc.axes)
+            norm = acc_norm(*axes).reshape(stop - start, win)
+        X, _ = epoch_feature_matrix([e[start:stop] for e in eeg_epochs], norm, cfg, include_stats)
+        labels[:, start:stop] = gbt.predict_label(model, X).reshape(n_channels, -1)
+        # every row opens with its EEG spectrogram, frames x bins
+        frames = X[:, : layout[0][1]].reshape(n_channels, stop - start, -1, cfg.bin_count)
+        spectra[:, start:stop] = frames.mean(axis=2)
+
+    pool_map(score_block, range(0, n_epochs, _BLOCK_EPOCHS))
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
         labels=list(labels),
         epoch_len_s=epoch_len_s,
-        spectra=frames.mean(axis=2),
+        spectra=spectra,
     )

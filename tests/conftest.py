@@ -47,6 +47,29 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture(scope="session")
+def per_tree_proba():
+    """The per-tree predict formula, as an oracle of the packed forest.
+
+    Each tree walks the rows on its own, only the rows not yet at a leaf
+    each step, and the margins add one tree's values after another.
+    """
+
+    def proba(model: gbt.Model, X: np.ndarray) -> np.ndarray:
+        margins = np.tile(model.base_score, (len(X), 1))
+        for row in model.trees:
+            for cls, tree in enumerate(row):
+                node = np.zeros(len(X), dtype=np.intp)
+                while (active := np.flatnonzero(tree.feature[node] >= 0)).size:
+                    at = node[active]
+                    go_left = X[active, tree.feature[at]] <= tree.threshold[at]
+                    node[active] = np.where(go_left, tree.left[at], tree.right[at])
+                margins[:, cls] += tree.value[node]
+        return gbt.softmax(margins)
+
+    return proba
+
+
 @pytest.fixture()
 def write_half_second_record_edf():
     """Writer of a valid two-channel EDF night in 119 records of 0.5 s.

@@ -367,6 +367,20 @@ def test_block_error_reaches_the_caller(monkeypatch):
         stat_features(np.zeros((4, 100)), FS)
 
 
+def test_on_pool_thread_tells_the_pool_workers_apart():
+    assert not features.on_pool_thread()
+    assert features.cpu_pool().submit(features.on_pool_thread).result(timeout=60)
+
+
+def test_row_blocks_of_a_pool_task_run_on_its_thread(rng, monkeypatch):
+    # one worker: a task that waited on the pool for its own blocks would
+    # wait for ever, so the timeout fails the test instead of hanging it
+    monkeypatch.setattr(features, "available_cpus", lambda: 1)
+    batch = rng.standard_normal((600, 2560))
+    future = features.cpu_pool().submit(stat_features, batch, FS)
+    np.testing.assert_array_equal(future.result(timeout=60), stat_features(batch, FS))
+
+
 _ZERO_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 1e300])
 
 

@@ -610,6 +610,52 @@ class _TreeFault(Exception):
     pass
 
 
+class TestPackedForest:
+    """predict_proba walks one packed forest with the per-tree formula's bits."""
+
+    def test_pinned_fit_model(self, rng, per_tree_proba):
+        model = gbt.load_model(PINNED_FIT)
+        X, _ = _pinned_fit_data()
+        X = np.concatenate([X, rng.standard_normal((50, X.shape[1]))])
+        np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
+
+    def test_trees_of_unequal_depth(self, rng, per_tree_proba):
+        leaf = gbt.Tree([-1], [0.0], [-1], [-1], [0.7])
+        stump = gbt.Tree([1, -1, -1], [0.25, 0, 0], [1, -1, -1], [2, -1, -1], [0, -0.5, 0.5])
+        # four levels; the nodes are numbered out of level order
+        chain = gbt.Tree(
+            feature=[0, -1, 2, -1, 1, -1, 0, -1, -1],
+            threshold=[0.0, 0, -0.3, 0, 0.5, 0, 1.0, 0, 0],
+            left=[1, -1, 3, -1, 5, -1, 7, -1, -1],
+            right=[4, -1, 6, -1, 2, -1, 8, -1, -1],
+            value=[0, -0.2, 0, 0.9, 0, 0.1, 0, -0.6, 0.3],
+        )
+        model = gbt.Model(
+            trees=[[chain, leaf], [stump, chain], [leaf, stump]],
+            base_score=np.log([0.4, 0.6]),
+            num_classes=2,
+            feature_count=3,
+            config=gbt.TrainConfig(),
+        )
+        X = rng.standard_normal((200, 3))
+        X[:4] = [[0.0, 0.5, -0.3], [1.0, 0.25, 0.0], [2.0, 0.6, -0.3], [0.5, 0.25, -0.2]]
+        assert model.forest.depth == 4
+        np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
+
+    def test_single_leaf_trees(self, rng, per_tree_proba):
+        leaves = [gbt.Tree([-1], [0.0], [-1], [-1], [v]) for v in (0.3, -0.1, 0.05)]
+        model = gbt.Model(
+            trees=[leaves, leaves[::-1]],
+            base_score=np.log([0.2, 0.3, 0.5]),
+            num_classes=3,
+            feature_count=4,
+            config=gbt.TrainConfig(),
+        )
+        X = rng.standard_normal((7, 4))
+        assert model.forest.depth == 0
+        np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
+
+
 class TestCpuCount:
     """Trees grow on the kept CPU pool; how many CPUs it has changes no byte."""
 
@@ -654,3 +700,12 @@ class TestCpuCount:
         with pytest.raises(_TreeFault, match="tree growth failed"):
             gbt.fit(X, y, gbt.TrainConfig(n_iterations=3, eta=0.3, min_samples_leaf=2))
         assert raised_on[0].startswith("floss")
+
+    def test_fit_in_a_pool_task_raises(self, rng, monkeypatch):
+        # one worker: a fit that waited on the pool from its only thread
+        # would wait for ever, so the timeout fails the test instead of hanging it
+        monkeypatch.setattr(features, "available_cpus", lambda: 1)
+        X, y = _blobs(rng)
+        future = features.cpu_pool().submit(gbt.fit, X, y, gbt.TrainConfig(n_iterations=1))
+        with pytest.raises(RuntimeError, match="kept CPU pool"):
+            future.result(timeout=60)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from floss import signal_io
 from floss.errors import (
+    AmplitudeOutOfDeclaredRange,
     ChannelMissing,
     EmptyRecording,
     EpochMultipleViolation,
@@ -272,4 +274,30 @@ def test_unwritable_edf_raises_coded_errors(tmp_path, rng):
         with pytest.raises(error):
             write_edf(Recording(channels=[channel], acc=None, fs=fs), tmp_path / "a.edf")
         assert error.code is not None
+    assert not (tmp_path / "a.edf").exists()
+
+
+def test_edf_record_blocks_hold_the_whole_signal_conversion(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(signal_io, "_EDF_BLOCK_RECORDS", 2)
+    rec = _digital_recording(rng, seconds=5)  # blocks of records 0-1, 2-3 and 4
+    write_edf(rec, tmp_path / "a.edf")
+    signals = [(ch.calibration, ch.samples) for ch in rec.channels]
+    signals += list(zip(rec.acc.calibrations, rec.acc.axes))
+    records = np.stack([cal.to_digital(x).reshape(5, 128) for cal, x in signals], axis=1)
+    raw = (tmp_path / "a.edf").read_bytes()
+    assert raw[256 * (1 + len(signals)) :] == records.astype("<i2").tobytes()
+
+
+@pytest.mark.parametrize("signal", ["eeg", "acc"])
+def test_out_of_range_sample_in_the_last_record_block_leaves_no_file(
+    tmp_path, rng, monkeypatch, signal
+):
+    monkeypatch.setattr(signal_io, "_EDF_BLOCK_RECORDS", 2)
+    rec = _digital_recording(rng, seconds=5)
+    if signal == "eeg":
+        rec.channels[0].samples[-1] = 3300.0  # above the declared 3276.7 uV
+    else:
+        rec.acc.z[-1] = -8.1  # below the declared -8 g
+    with pytest.raises(AmplitudeOutOfDeclaredRange):
+        write_edf(rec, tmp_path / "a.edf")
     assert not (tmp_path / "a.edf").exists()

@@ -1,9 +1,14 @@
 """Spike-removal filter: response contract, stability, and a kernel oracle."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from floss import spiky
 from floss.errors import FrequencyAboveNyquist, SignalTooShort
 from floss.spiky import (
     NOTCH_CENTERS_HZ,
@@ -183,3 +188,41 @@ class TestApplication:
         cascade = design_cascade(FS)
         with pytest.raises(SignalTooShort):
             apply_zero_phase(cascade, np.zeros(20))
+
+
+def _two_pass_filter(cascade, x):
+    """The zero-phase filter as two whole-signal lfilter passes over a padded copy."""
+    from scipy.signal import lfilter, lfilter_zi
+
+    pad = 3 * max(len(cascade.a), len(cascade.b))
+    head = 2.0 * x[0] - x[pad:0:-1]
+    tail = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
+    ext = np.concatenate([head, x, tail])
+    zi = lfilter_zi(cascade.b, cascade.a)
+    y, _ = lfilter(cascade.b, cascade.a, ext, zi=zi * ext[0])
+    y = y[::-1]
+    y, _ = lfilter(cascade.b, cascade.a, y, zi=zi * y[0])
+    return y[::-1][pad:-pad]
+
+
+class TestChunkedFilter:
+    """apply_zero_phase filters in chunks with the bits of two whole passes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=arrays(
+            np.float64, st.integers(34, 300), elements=st.floats(-1e4, 1e4, allow_nan=False)
+        ),
+        chunk=st.integers(1, 80),
+    )
+    def test_equals_two_whole_passes_at_any_chunk_size(self, x, chunk):
+        cascade = design_cascade(FS)
+        with mock.patch.object(spiky, "_CHUNK", chunk):
+            got = apply_zero_phase(cascade, x)
+        np.testing.assert_array_equal(got, _two_pass_filter(cascade, x))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, spiky._CHUNK + 3])
+    def test_equals_two_whole_passes_across_the_chunk_edge(self, rng, extra):
+        cascade = design_cascade(FS)
+        x = rng.standard_normal(spiky._CHUNK + extra) * 40.0
+        np.testing.assert_array_equal(apply_zero_phase(cascade, x), _two_pass_filter(cascade, x))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floss import gbt
+from floss import features, gbt, usability
 from floss.epoching import ArtifactClass
 from floss.errors import (
     ChannelMissing,
@@ -255,6 +255,81 @@ class TestScoreRecording:
         assert scores.spectra.shape == (2, 60, cfg.bin_count)
         for got, expect in zip(scores.spectra, want):
             np.testing.assert_array_equal(got, expect)
+
+
+_B = usability._BLOCK_EPOCHS
+
+
+class TestBlockedScoring:
+    """score_recording scores epoch blocks on the pool with one whole pass's bits."""
+
+    @pytest.fixture(scope="class")
+    def night(self):
+        rec, _, _, _ = gen_night(subject_index=1, n_epochs=2 * _B + 3, fs=FS, seed=3)
+        return rec
+
+    @pytest.fixture(scope="class")
+    def default_model(self, tiny_samples, tiny_train_config):
+        return train_usability(tiny_samples, FS, "default", tiny_train_config)
+
+    @staticmethod
+    def _prefix(rec, n, with_acc=True):
+        win = int(10.0 * FS)
+        return Recording(
+            channels=[ChannelSignal(ch.label, ch.samples[: n * win]) for ch in rec.channels],
+            acc=TriAxialAcc(*(ax[: n * win] for ax in rec.acc.axes)) if with_acc else None,
+            fs=rec.fs,
+        )
+
+    @staticmethod
+    def _whole_pass(rec, model, per_tree_proba):
+        """Labels and spectra from one feature matrix of the night and per-tree predict."""
+        from floss.epoching import epoch_view
+        from floss.features import SpectrogramConfig, acc_norm, epoch_feature_matrix
+
+        cfg = SpectrogramConfig(fs=FS)
+        eeg = np.stack([epoch_view(ch.samples, FS, 10.0) for ch in rec.channels])
+        acc = None if rec.acc is None else epoch_view(acc_norm(*rec.acc.axes), FS, 10.0)
+        X, layout = epoch_feature_matrix(eeg, acc, cfg)
+        n_channels, n = eeg.shape[:2]
+        labels = np.argmax(per_tree_proba(model, X), axis=1).reshape(n_channels, n)
+        frames = X[:, : layout[0][1]].reshape(n_channels, n, -1, cfg.bin_count)
+        return labels, frames.mean(axis=2)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_blocks_equal_one_whole_pass(
+        self, night, default_model, per_tree_proba, monkeypatch, cpus
+    ):
+        want_labels, want_spectra = self._whole_pass(night, default_model, per_tree_proba)
+        assert len(set(want_labels.ravel().tolist())) > 1
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        for n in (1, _B - 1, _B, _B + 1, 2 * _B + 3):
+            scores = score_recording(self._prefix(night, n), default_model)
+            np.testing.assert_array_equal(np.stack(scores.labels), want_labels[:, :n])
+            np.testing.assert_array_equal(scores.spectra, want_spectra[:, :n])
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_blocks_without_accelerometer(
+        self, night, default_model, per_tree_proba, monkeypatch, cpus
+    ):
+        bare = self._prefix(night, _B + 1, with_acc=False)
+        want_labels, want_spectra = self._whole_pass(bare, default_model, per_tree_proba)
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        scores = score_recording(bare, default_model)
+        np.testing.assert_array_equal(np.stack(scores.labels), want_labels)
+        np.testing.assert_array_equal(scores.spectra, want_spectra)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_amplitude_warning_reaches_the_caller(self, night, tiny_model, monkeypatch, cpus):
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        rec = self._prefix(night, _B + 1)
+        loud = Recording(
+            channels=[ChannelSignal(ch.label, ch.samples * 100.0) for ch in rec.channels],
+            acc=rec.acc,
+            fs=rec.fs,
+        )
+        with pytest.warns(UserWarning, match="normalization"):
+            assert score_recording(loud, tiny_model).n_epochs == _B + 1
 
 
 class TestScoresContainer:
