@@ -267,23 +267,26 @@ def train(
         acc, labels = _mobility_training_data(fs, epoch_len, seed)
         model = fit_mobility(acc, labels, fs, epoch_len, config=train_cfg)
     else:
+        read_night = None
         if input_path:
+            # pass 1 labels every night from its layout; train_usability
+            # then reads each night once for the rows balance_rus keeps
+            nights = {path.stem: path for path in report_mod.discover_nights(input_path)}
             samples: list[EpochSample] = []
-            for i, path in enumerate(report_mod.discover_nights(input_path)):
-                spans = load_annotations(path.with_name(f"{path.stem}_labels.csv"))
-                rec = report_mod.read_recording(path)
-                if i and rec.fs != fs:
+            for i, (stem, path) in enumerate(nights.items()):
+                spans = load_annotations(path.with_name(f"{stem}_labels.csv"))
+                layout = report_mod.read_layout(path)
+                if i and layout.fs != fs:
                     raise SamplingRateMismatch(
-                        f"{path.name} is sampled at {rec.fs} Hz, an earlier night at {fs} Hz"
+                        f"{path.name} is sampled at {layout.fs} Hz, an earlier night at {fs} Hz"
                     )
-                fs = rec.fs  # the model reads the recordings' one rate
-                samples.extend(
-                    build_epochs(rec, spans, epoch_len, subject_id=path.stem, night_id=path.stem)
-                )
+                fs = layout.fs  # the model reads the recordings' one rate
+                samples += build_epochs(layout, spans, epoch_len, subject_id=stem, night_id=stem)
+            read_night = lambda stem: report_mod.read_recording(nights[stem])
         else:
             samples = synth_mod.gen_labeled_dataset(subjects, epochs_per_class, fs, epoch_len, seed)
         samples = balance_rus(samples, seed)
-        model = train_usability(samples, fs, variant, train_cfg)
+        model = train_usability(samples, fs, variant, train_cfg, epoch_len, read_night)
 
     gbt.save_model(model, out_path)
     click.echo(

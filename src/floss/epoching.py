@@ -4,6 +4,11 @@ Annotation spans carry raw label codes; compound codes collapse onto the
 five artifact classes before any epoch-level decision.  Majority votes over
 sub-epoch durations are taken in exact rational arithmetic so the
 tie-breaking precedence only ever fires on true ties.
+
+Labelling needs a night's layout, not its samples: ``build_epochs`` makes
+one ``EpochSample`` label record per channel-epoch from the channel labels,
+sample count and rate, so a training set of many nights is labelled and
+balanced before any night's samples are read.
 """
 from __future__ import annotations
 
@@ -18,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyPartition, EmptyRecording, HeaderFieldUnparsable, UnknownLabelCode
-from .features import acc_norm
-from .signal_io import Recording, open_input
+from .signal_io import RecordingLayout, open_input
 
 
 class ArtifactClass(IntEnum):
@@ -83,17 +87,21 @@ class AnnotationSpan:
             raise ValueError(f"span [{self.start_s}, {self.end_s}) is empty or reversed")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EpochSample:
-    """One labeled channel-epoch ready for feature extraction."""
+    """The label of one channel-epoch and where its samples are.
+
+    It holds no samples: the epoch is ``epoch_index`` on the epoch grid of
+    channel ``channel`` of night ``night_id``.  ``has_acc`` says whether
+    that night carries an accelerometer.
+    """
 
     subject_id: str
     night_id: str
     channel: str
     epoch_index: int
     label: ArtifactClass
-    eeg: np.ndarray
-    acc_norm: np.ndarray | None
+    has_acc: bool
 
 
 def assign_epoch_label(
@@ -133,60 +141,66 @@ def assign_epoch_label(
     raise AssertionError("unreachable: PRECEDENCE covers all classes")
 
 
-def epoch_view(x: np.ndarray, fs: float, epoch_len_s: float) -> np.ndarray:
-    """The last axis of ``x`` cut into whole epochs: (..., n_epochs, win).
+def _epoch_grid(n: int, fs: float, epoch_len_s: float) -> tuple[int, int]:
+    """(whole epochs, samples per epoch) of ``n`` samples at ``fs`` Hz.
 
     An epoch is ``round(epoch_len_s * fs)`` samples and the partial tail is
-    dropped; a signal holding no whole epoch raises EmptyRecording.  For a
-    contiguous ``x`` the result is a view.
+    dropped; no whole epoch raises EmptyRecording.
     """
-    x = np.asarray(x)
-    n = x.shape[-1]
     win = int(round(epoch_len_s * fs))
     n_epochs = n // win if win >= 1 else 0
     if n_epochs == 0:
         raise EmptyRecording(f"{n} samples make no {epoch_len_s} s epochs at {fs} Hz")
+    return n_epochs, win
+
+
+def epoch_view(x: np.ndarray, fs: float, epoch_len_s: float) -> np.ndarray:
+    """The last axis of ``x`` cut into whole epochs (``_epoch_grid``):
+    (..., n_epochs, win).  For a contiguous ``x`` the result is a view."""
+    x = np.asarray(x)
+    n_epochs, win = _epoch_grid(x.shape[-1], fs, epoch_len_s)
     return x[..., : n_epochs * win].reshape(x.shape[:-1] + (n_epochs, win))
 
 
 def build_epochs(
-    rec: Recording,
+    layout: RecordingLayout,
     spans: list[AnnotationSpan],
     window_s: float = 10.0,
     subject_id: str = "",
     night_id: str = "",
 ) -> list[EpochSample]:
-    """Cut a recording into labeled per-channel epochs on the epoch_view grid.
+    """Label every channel-epoch of a night on the epoch_view grid.
 
-    Each epoch is labeled over the time its samples cover.  Each span is
-    handed only to the epochs it overlaps, so the work grows with the number
-    of epochs plus the spans' lengths, not with their product.
+    Only the night's layout is needed.  Each epoch is labeled over the time
+    its samples cover.  Each span is handed only to the epochs it overlaps,
+    so the work grows with the number of epochs plus the spans' lengths,
+    not with their product.
     """
-    norm = None
-    if rec.acc is not None:
-        norm = epoch_view(acc_norm(*rec.acc.axes), rec.fs, window_s)
-
     samples: list[EpochSample] = []
-    for ch in rec.channels:
-        epochs = epoch_view(ch.samples, rec.fs, window_s)
-        n_epochs, win = epochs.shape
-        epoch_len = Fraction(win) / _to_fraction(rec.fs)
+    if not layout.channels:
+        return samples
+    if len(set(layout.channels)) < len(layout.channels):
+        raise HeaderFieldUnparsable(
+            f"channel labels {list(layout.channels)} repeat; spans name a channel by its label"
+        )
+    n_epochs, win = _epoch_grid(layout.n_samples, layout.fs, window_s)
+    epoch_len = Fraction(win) / _to_fraction(layout.fs)
+    for channel in layout.channels:
         in_epoch: list[list[AnnotationSpan]] = [[] for _ in range(n_epochs)]
         for s in spans:
-            if s.channel == ch.label:
+            if s.channel == channel:
                 first = max(math.floor(s.start_s / epoch_len), 0)
                 for i in range(first, min(math.ceil(s.end_s / epoch_len), n_epochs)):
                     in_epoch[i].append(s)
-        for i, eeg in enumerate(epochs):
+        for i in range(n_epochs):
             samples.append(
                 EpochSample(
                     subject_id=subject_id,
                     night_id=night_id,
-                    channel=ch.label,
+                    channel=channel,
                     epoch_index=i,
                     label=assign_epoch_label(in_epoch[i], i * epoch_len, epoch_len),
-                    eeg=eeg,
-                    acc_norm=None if norm is None else norm[i],
+                    has_acc=layout.has_acc,
                 )
             )
     return samples

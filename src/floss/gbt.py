@@ -266,14 +266,17 @@ def _grow_tree(
     heap: list[tuple[float, int, np.ndarray, tuple[float, int, int, float]]] = []
 
     def settle(node: int, S: np.ndarray) -> None:  # queue the best split or make a leaf
-        cand = _best_split(S, X, g, h, cols, tied, cfg.reg_lambda, cfg.min_samples_leaf)
+        # once the leaves fill the budget no node splits, so none is searched
+        cand = None
+        if n_leaves < cfg.max_leaves:
+            cand = _best_split(S, X, g, h, cols, tied, cfg.reg_lambda, cfg.min_samples_leaf)
         if cand is None:
             value[node] = _leaf_value(S, g, h, cfg)
         else:
             heapq.heappush(heap, (-cand[0], node, S, cand))
 
-    settle(0, S_root)
     n_leaves = 1
+    settle(0, S_root)
     while heap and n_leaves < cfg.max_leaves:
         _, node, S, (gain, j, i, thr) = heapq.heappop(heap)
         feature[node] = int(cols[j])

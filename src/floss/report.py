@@ -29,7 +29,15 @@ from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
 from .features import cpu_pool
 from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import (
-    ChannelSignal, Recording, open_input, read_csv, read_edf, write_csv, write_edf,
+    ChannelSignal,
+    Recording,
+    RecordingLayout,
+    open_input,
+    read_csv,
+    read_edf,
+    read_edf_layout,
+    write_csv,
+    write_edf,
 )
 from .sleepstats import compute_stats, write_stats
 from .spiky import design_cascade, apply_zero_phase
@@ -102,16 +110,28 @@ def discover_nights(input_dir: str | Path) -> list[Path]:
     return [chosen[stem] for stem in sorted(chosen)]
 
 
+def _is_edf(path: str | Path) -> bool:
+    """Whether a night's file is EDF: an ``.edf`` suffix; any other is CSV."""
+    return Path(path).suffix.lower() == ".edf"
+
+
 def read_recording(path: str | Path) -> Recording:
     """Read an ``.edf`` file as EDF and any other file as the CSV fallback."""
-    path = Path(path)
-    return read_edf(path) if path.suffix.lower() == ".edf" else read_csv(path)
+    return read_edf(path) if _is_edf(path) else read_csv(path)
+
+
+def read_layout(path: str | Path) -> RecordingLayout:
+    """A night's layout, the reader chosen as ``read_recording`` chooses it.
+
+    An EDF night's comes from its header alone.  A CSV night has no header
+    that gives its length, so it is read whole and dropped.
+    """
+    return read_edf_layout(path) if _is_edf(path) else read_csv(path).layout
 
 
 def write_recording(rec: Recording, path: str | Path) -> None:
     """Write EDF to an ``.edf`` path and the CSV fallback to any other."""
-    path = Path(path)
-    if path.suffix.lower() == ".edf":
+    if _is_edf(path):
         write_edf(rec, path)
     else:
         write_csv(rec, path)

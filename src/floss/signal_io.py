@@ -13,6 +13,7 @@ column, one column per EEG channel, and optional ``accX,accY,accZ`` columns.
 from __future__ import annotations
 
 import csv
+import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -153,6 +154,24 @@ class TriAxialAcc:
         return len(self.x)
 
 
+def _check_rate(fs: float) -> float:
+    if not 0 < fs < np.inf:
+        raise HeaderFieldUnparsable(f"sampling rate {fs} must be finite and positive")
+    return fs
+
+
+@dataclass(frozen=True)
+class RecordingLayout:
+    """What a night holds, without its samples: the EEG channel labels in
+    file order, the sample count, the rate and whether an accelerometer is
+    present."""
+
+    channels: tuple[str, ...]
+    n_samples: int
+    fs: float
+    has_acc: bool
+
+
 @dataclass
 class Recording:
     """A night of EEG (and optionally accelerometer) data at one rate."""
@@ -164,8 +183,7 @@ class Recording:
     device_id: str = "floss"
 
     def __post_init__(self) -> None:
-        if not 0 < self.fs < np.inf:
-            raise HeaderFieldUnparsable(f"sampling rate {self.fs} must be finite and positive")
+        _check_rate(self.fs)
         lengths = {len(ch.samples) for ch in self.channels}
         if len(lengths) > 1:
             raise LengthMismatchEegAcc(f"channel lengths differ: {sorted(lengths)}")
@@ -191,6 +209,12 @@ class Recording:
         if self.acc is not None:
             return len(self.acc)
         return 0
+
+    @property
+    def layout(self) -> RecordingLayout:
+        return RecordingLayout(
+            tuple(ch.label for ch in self.channels), self.n_samples, self.fs, self.acc is not None
+        )
 
 
 @dataclass
@@ -322,12 +346,82 @@ def _acc_axis(label: str) -> str | None:
     return tail if tail in ("X", "Y", "Z") else None
 
 
+@dataclass(frozen=True)
+class _EdfSignals:
+    """The roles of an EDF file's signals: its one rate, the EEG signals and
+    the accelerometer axes (signal indices), and every signal's calibration."""
+
+    fs: float
+    eeg: list[int]
+    acc: dict[str, int]
+    calibrations: list[Calibration]
+
+
+def _edf_signals(header: EdfHeader) -> _EdfSignals:
+    """The roles ``read_edf`` gives an EDF file's signals, from its header."""
+    rates = {spr / header.record_duration for spr in header.samples_per_record}
+    if len(rates) > 1:
+        raise SamplingRateMismatch(f"signals declare multiple rates: {sorted(rates)}")
+    calibrations = [
+        Calibration(*fields)
+        for fields in zip(header.phys_min, header.phys_max, header.dig_min, header.dig_max)
+    ]
+    eeg: list[int] = []
+    acc: dict[str, int] = {}
+    for i, (label, unit) in enumerate(zip(header.labels, header.units)):
+        axis = _acc_axis(label)
+        if unit == "uV":
+            eeg.append(i)
+        elif unit == "g" and axis is not None:
+            acc[axis] = i
+    if acc:
+        missing = [a for a in ("X", "Y", "Z") if a not in acc]
+        if missing:
+            raise ChannelMissing(f"accelerometer axes missing: {missing}")
+    return _EdfSignals(_check_rate(rates.pop()) if rates else 1.0, eeg, acc, calibrations)
+
+
+def _payload_samples(header: EdfHeader, file_bytes: int) -> int:
+    """The 16-bit samples the header declares; the file must hold them all."""
+    start = HEADER_BYTES + SIGNAL_HEADER_BYTES * header.n_signals
+    count = header.n_records * sum(header.samples_per_record)
+    if file_bytes - start < 2 * count:
+        raise TruncatedFile(
+            f"data payload holds {file_bytes - start} bytes, header declares {2 * count}"
+        )
+    return count
+
+
+def read_edf_layout(path: str | Path) -> RecordingLayout:
+    """An EDF night's layout from its header alone; no sample is read.
+
+    The rates, signal roles, calibrations and payload length are checked as
+    ``read_edf`` checks them, so a night it lays out reads whole unless its
+    samples themselves are at fault.
+    """
+    with open_input(path, "rb") as handle:
+        raw = handle.read(HEADER_BYTES)
+        try:  # the signal count is the fixed header's last field
+            n_signals = max(int(raw[HEADER_BYTES - 4 :]), 0)
+        except ValueError:
+            n_signals = 0  # parse_edf_header names the fault
+        raw += handle.read(SIGNAL_HEADER_BYTES * n_signals)
+        file_bytes = os.fstat(handle.fileno()).st_size
+    header = parse_edf_header(raw)
+    signals = _edf_signals(header)
+    _payload_samples(header, file_bytes)
+    n_samples = header.n_records * header.samples_per_record[0] if header.n_signals else 0
+    labels = tuple(header.labels[i] for i in signals.eeg)
+    return RecordingLayout(labels, n_samples, signals.fs, bool(signals.acc))
+
+
 def read_edf(path: str | Path) -> Recording:
     """Read an EDF file into physical units.
 
     EEG channels are the signals declared in microvolts; signals declared
-    in g with labels ending in X/Y/Z populate the accelerometer.  All
-    signals must share one sampling rate.
+    in g with labels ending in X/Y/Z populate the accelerometer, which needs
+    all three.  All signals must share one sampling rate; signals of other
+    units take no part in analysis.
     """
     with open_input(path, "rb") as handle:
         raw = handle.read()
@@ -337,52 +431,30 @@ def read_edf(path: str | Path) -> Recording:
     if ns == 0:
         return Recording([], None, 1.0, header.start, header.recording_id)
 
-    rates = {spr / header.record_duration for spr in header.samples_per_record}
-    if len(rates) > 1:
-        raise SamplingRateMismatch(f"signals declare multiple rates: {sorted(rates)}")
-    fs = rates.pop()
-
+    signals = _edf_signals(header)
     rec_len = sum(header.samples_per_record)
+    count = _payload_samples(header, len(raw))
     start = HEADER_BYTES + SIGNAL_HEADER_BYTES * ns
-    count = header.n_records * rec_len
-    if len(raw) - start < 2 * count:
-        raise TruncatedFile(
-            f"data payload holds {len(raw) - start} bytes, header declares {2 * count}"
-        )
     data = np.frombuffer(raw, "<i2", count, start).reshape(header.n_records, rec_len)
+    offsets = np.cumsum([0] + header.samples_per_record)
 
-    channels: list[ChannelSignal] = []
-    acc_axes: dict[str, tuple[np.ndarray, Calibration]] = {}
-    offset = 0
-    for i in range(ns):
-        spr = header.samples_per_record[i]
-        digital = data[:, offset : offset + spr].reshape(-1)
-        offset += spr
-        cal = Calibration(
-            header.phys_min[i], header.phys_max[i], header.dig_min[i], header.dig_max[i]
-        )
-        physical = cal.to_physical(digital)
-        unit = header.units[i]
-        axis = _acc_axis(header.labels[i])
-        if unit == "uV":
-            channels.append(ChannelSignal(header.labels[i], physical, unit, cal))
-        elif unit == "g" and axis is not None:
-            acc_axes[axis] = (physical, cal)
-        # other units are carried by the file but take no part in analysis
+    def physical(i: int) -> np.ndarray:
+        digital = data[:, offsets[i] : offsets[i + 1]].reshape(-1)
+        return signals.calibrations[i].to_physical(digital)
 
+    channels = [
+        ChannelSignal(header.labels[i], physical(i), header.units[i], signals.calibrations[i])
+        for i in signals.eeg
+    ]
     acc: TriAxialAcc | None = None
-    if acc_axes:
-        missing = [a for a in ("X", "Y", "Z") if a not in acc_axes]
-        if missing:
-            raise ChannelMissing(f"accelerometer axes missing: {missing}")
+    if signals.acc:
+        axes = [signals.acc[a] for a in ("X", "Y", "Z")]
         acc = TriAxialAcc(
-            x=acc_axes["X"][0],
-            y=acc_axes["Y"][0],
-            z=acc_axes["Z"][0],
-            calibrations=(acc_axes["X"][1], acc_axes["Y"][1], acc_axes["Z"][1]),
+            *(physical(i) for i in axes),
+            calibrations=tuple(signals.calibrations[i] for i in axes),
         )
 
-    return Recording(channels, acc, fs, header.start, header.recording_id)
+    return Recording(channels, acc, signals.fs, header.start, header.recording_id)
 
 
 def write_edf(rec: Recording, path: str | Path) -> None:

@@ -6,6 +6,7 @@ is sliced or parallelized.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -190,15 +191,23 @@ def subject_amplitude_scale(seed: int, subject_index: int) -> float:
     return float(epoch_rng(seed, _DOMAIN_SUBJECT, subject_index).uniform(0.85, 1.1))
 
 
+@dataclass(frozen=True, slots=True)
+class SynthEpoch(EpochSample):
+    """A generated labelled epoch, which carries its EEG and accelerometer norm."""
+
+    eeg: np.ndarray
+    acc_norm: np.ndarray
+
+
 def gen_labeled_dataset(
     n_subjects: int = 10,
     epochs_per_class_per_subject: int = 50,
     fs: float = 256.0,
     epoch_len_s: float = 10.0,
     seed: int = 0,
-) -> list[EpochSample]:
+) -> list[SynthEpoch]:
     """Balanced multi-subject artifact dataset of labeled epochs."""
-    samples: list[EpochSample] = []
+    samples: list[SynthEpoch] = []
     for subj in range(n_subjects):
         scale = subject_amplitude_scale(seed, subj)
         index = 0
@@ -208,12 +217,13 @@ def gen_labeled_dataset(
                     label, fs, epoch_len_s, seed, key=(subj, k), subject_scale=scale
                 )
                 samples.append(
-                    EpochSample(
+                    SynthEpoch(
                         subject_id=f"s{subj:02d}",
                         night_id=f"s{subj:02d}n0",
                         channel="EEG",
                         epoch_index=index,
                         label=label,
+                        has_acc=True,
                         eeg=eeg,
                         acc_norm=acc_norm(*axes),
                     )

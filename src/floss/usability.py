@@ -4,18 +4,24 @@ A usability model is the boosted-tree classifier over per-epoch features.
 Variants change the recipe, not the machinery: lite drops the statistical
 blocks, binary collapses the labels to usable/unusable, and weighted-m
 raises the two-humped-artifact class weight.
+
+Training builds its feature matrix in place, in blocks of rows on the kept
+CPU pool: the epochs of labelled nights are read night by night, each
+night once, so a training set costs its matrix plus one recording.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gbt
 from .epoching import ArtifactClass, EpochSample, epoch_view
-from .errors import ChannelMissing, DegenerateData
+from .errors import ChannelMissing, DegenerateData, EmptyRecording
 from .features import (
     SpectrogramConfig,
     acc_norm,
@@ -35,6 +41,11 @@ AMPLITUDE_WARN_UV = 2000.0
 #: through features, trees and spectra; a task's arrays then stay a few MB
 #: however long the night
 _BLOCK_EPOCHS = 128
+
+#: feature rows one ``train_usability`` task builds; a row of one channel
+#: carries its own accelerometer blocks, so blocks are smaller than
+#: scoring's to keep the temporaries in flight as small
+_TRAIN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -90,32 +101,129 @@ def variant_spec(name: str) -> VariantSpec:
         raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}") from None
 
 
-def _dataset_matrices(
-    samples: list[EpochSample], fs: float, include_stats: bool
-) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    eeg = np.stack([s.eeg for s in samples])
-    if any(s.acc_norm is not None for s in samples):
-        width = eeg.shape[1]
-        acc = np.stack(
-            [s.acc_norm if s.acc_norm is not None else np.zeros(width) for s in samples]
-        )
-    else:
-        acc = None
-    cfg = SpectrogramConfig(fs=fs)
-    return epoch_feature_matrix(eeg, acc, cfg, include_stats=include_stats)
+#: a block of training rows: its rows of X, and a function that gives their
+#: EEG epochs and accelerometer norms, (rows, win) each, or None for norms
+#: whose feature blocks stay zero
+_RowBlock = tuple[np.ndarray, Callable[[], tuple[np.ndarray, np.ndarray | None]]]
+
+
+def _write_rows(
+    X: np.ndarray, blocks: list[_RowBlock], cfg: SpectrogramConfig, include_stats: bool
+) -> None:
+    """Write each block's feature rows into its rows of X, a task per block on
+    the kept pool.  A row's features do not depend on its neighbours, so X
+    gets the bits of one feature matrix of every row at once."""
+
+    def write(block: _RowBlock) -> None:
+        rows, epochs = block
+        eeg, norm = epochs()
+        X[rows] = epoch_feature_matrix(eeg, norm, cfg, include_stats)[0]
+
+    pool_map(write, blocks)
+
+
+def _in_blocks(rows: np.ndarray) -> list[slice]:
+    return [slice(a, a + _TRAIN_BLOCK_ROWS) for a in range(0, len(rows), _TRAIN_BLOCK_ROWS)]
+
+
+def _carried_blocks(samples: Sequence) -> list[_RowBlock]:
+    """Row blocks of samples that carry their epochs (``synth.SynthEpoch``)."""
+
+    def epochs(part: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        return np.stack([s.eeg for s in part]), np.stack([s.acc_norm for s in part])
+
+    rows = np.arange(len(samples))
+    return [(rows[sel], functools.partial(epochs, samples[sel])) for sel in _in_blocks(rows)]
+
+
+def _write_night(
+    X: np.ndarray,
+    kept: dict[str, tuple[np.ndarray, np.ndarray]],
+    rec: Recording,
+    epoch_len_s: float,
+    zero_norms: bool,
+    cfg: SpectrogramConfig,
+    include_stats: bool,
+) -> None:
+    """Write the feature rows of one night's kept epochs into X.
+
+    ``kept`` maps a channel to its kept epoch indices and their rows of X.
+    A block gathers its epochs by index from the night's epoch views, and
+    takes its accelerometer norm from the axes' epochs alike; a night
+    without an accelerometer gives zero norms when ``zero_norms``.
+    """
+    axes = None if rec.acc is None else [epoch_view(a, rec.fs, epoch_len_s) for a in rec.acc.axes]
+
+    def epochs(view: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        if axes is not None:
+            norm = acc_norm(*(a[index] for a in axes))
+        else:
+            norm = np.zeros((len(index), view.shape[1])) if zero_norms else None
+        return view[index], norm
+
+    # the night was labelled from its layout; a file changed since fails here
+    channels = {ch.label: ch.samples for ch in rec.channels}
+    blocks: list[_RowBlock] = []
+    for channel, (index, rows) in kept.items():
+        if channel not in channels:
+            raise ChannelMissing(f"labelled channel {channel!r} is not in the recording")
+        view = epoch_view(channels[channel], rec.fs, epoch_len_s)
+        if index.max() >= len(view):
+            raise EmptyRecording(f"channel {channel!r} holds no epoch {index.max()}")
+        for sel in _in_blocks(rows):
+            blocks.append((rows[sel], functools.partial(epochs, view, index[sel])))
+    _write_rows(X, blocks, cfg, include_stats)
+
+
+def _kept_by_night(
+    samples: Sequence[EpochSample],
+) -> dict[str, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Per night, in order of first appearance, and per channel: the epoch
+    indices of the samples and their rows of X."""
+    nights: dict[str, dict[str, tuple[list[int], list[int]]]] = {}
+    for row, s in enumerate(samples):
+        index, rows = nights.setdefault(s.night_id, {}).setdefault(s.channel, ([], []))
+        index.append(s.epoch_index)
+        rows.append(row)
+    return {
+        night: {ch: (np.asarray(index), np.asarray(rows)) for ch, (index, rows) in kept.items()}
+        for night, kept in nights.items()
+    }
 
 
 def train_usability(
-    samples: list[EpochSample],
+    samples: Sequence[EpochSample],
     fs: float,
     variant: str = "default",
     config: gbt.TrainConfig = gbt.TrainConfig(),
+    epoch_len_s: float = 10.0,
+    read_night: Callable[[str], Recording] | None = None,
 ) -> gbt.Model:
-    """Fit a usability model of the chosen variant on labeled epochs."""
+    """Fit a usability model of the chosen variant on labeled epochs.
+
+    Row i of the feature matrix is samples[i].  The epochs of label records
+    (``build_epochs``) come from ``read_night(night_id)``, called once per
+    night in the order the nights first appear; a night's recording is
+    dropped before the next is read and before the fit.  Without
+    ``read_night``, the samples carry their epochs (``synth.SynthEpoch``).
+    When any sample's night has an accelerometer, epochs of a night without
+    one get the features of an all-zero norm; when none has, the
+    accelerometer blocks are zero.
+    """
     if not samples:
         raise DegenerateData("no training samples")
     spec = variant_spec(variant)
-    X, layout = _dataset_matrices(samples, fs, include_stats=not spec.lite)
+    include_stats = not spec.lite
+    cfg = SpectrogramConfig(fs=fs)
+    win = int(round(epoch_len_s * fs))
+    layout = feature_layout(win, cfg, include_stats)
+    X = np.zeros((len(samples), sum(width for _, width in layout)))
+    if read_night is None:
+        _write_rows(X, _carried_blocks(samples), cfg, include_stats)
+    else:
+        zero_norms = any(s.has_acc for s in samples)
+        for night, kept in _kept_by_night(samples).items():
+            _write_night(X, kept, read_night(night), epoch_len_s, zero_norms, cfg, include_stats)
 
     if spec.binary:
         y = np.asarray([0 if s.label == ArtifactClass.USABLE else 1 for s in samples])
@@ -127,13 +235,12 @@ def train_usability(
         weights[int(ArtifactClass.M_SHAPED)] = M_CLASS_WEIGHT
         config = dataclasses.replace(config, class_weights=tuple(weights))
 
-    epoch_len_s = samples[0].eeg.shape[-1] / fs
     meta = {
         "task": "usability",
         "variant": variant,
         "fs": fs,
-        "epoch_len_s": epoch_len_s,
-        "include_stats": not spec.lite,
+        "epoch_len_s": win / fs,
+        "include_stats": include_stats,
         "binary": spec.binary,
     }
     return gbt.fit(X, y, config, feature_layout=layout, meta=meta)

@@ -14,6 +14,7 @@ import pytest
 import scipy.signal  # loaded before A7, whose 1-s timed region would otherwise hold its import
 from click.testing import CliRunner
 
+from confusion import Confusion
 from floss import gbt
 from floss.aggregate import (
     channel_majority,
@@ -66,25 +67,6 @@ def _feature_matrix(samples, include_stats: bool) -> np.ndarray:
         eeg, acc, SpectrogramConfig(fs=FS), include_stats=include_stats
     )
     return X
-
-
-def _recall(y_true, y_pred, label) -> float:
-    mask = y_true == label
-    return float(np.mean(y_pred[mask] == label))
-
-
-def _macro_f1(y_true, y_pred, n_classes) -> float:
-    scores = []
-    for c in range(n_classes):
-        tp = np.sum((y_pred == c) & (y_true == c))
-        fp = np.sum((y_pred == c) & (y_true != c))
-        fn = np.sum((y_pred != c) & (y_true == c))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(
-            2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        )
-    return float(np.mean(scores))
 
 
 @pytest.fixture(scope="module")
@@ -155,13 +137,14 @@ def test_a02_spectrogram_shape(rng):
 def test_a03_heldout_classification(default_model, heldout_truth):
     model, fit_s = default_model
     X, y = heldout_truth
-    pred = gbt.predict_label(model, X)
-    f1 = _macro_f1(y, pred, 5)
-    usable = _recall(y, pred, int(ArtifactClass.USABLE))
+    matrix = Confusion(y, gbt.predict_label(model, X), 5)
+    f1 = matrix.macro_f1()
+    usable = matrix.recall(int(ArtifactClass.USABLE))
     _verdict(
         "A3",
         f1 >= 0.90 and usable >= 0.93 and fit_s <= 300.0,
-        f"macro_f1={f1:.3f} usable_recall={usable:.3f} fit={fit_s:.1f}s",
+        f"macro_f1={f1:.3f} kappa={matrix.kappa():.3f} usable_recall={usable:.3f} "
+        f"fit={fit_s:.1f}s",
     )
 
 
@@ -180,8 +163,8 @@ def test_a04_variant_behavior(heldout_split, default_model, heldout_truth):
     binary_pred = gbt.predict_label(binary, X)
     elapsed = time.perf_counter() - t0
 
-    m_default = _recall(y, default_pred, m_class)
-    m_weighted = _recall(y, weighted_pred, m_class)
+    m_default = Confusion(y, default_pred, 5).recall(m_class)
+    m_weighted = Confusion(y, weighted_pred, 5).recall(m_class)
     y_bin = (y != 0).astype(np.int64)
     binarized_acc = float(np.mean((default_pred != 0).astype(np.int64) == y_bin))
     binary_acc = float(np.mean(binary_pred == y_bin))

@@ -3,19 +3,32 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 import floss
-from floss import gbt
+from floss import features, gbt, report as report_mod
 from floss.cli import main
-from floss.signal_io import read_edf, write_edf
+from floss.epoching import (
+    AnnotationSpan,
+    ArtifactClass,
+    balance_rus,
+    build_epochs,
+    epoch_view,
+    load_annotations,
+    write_annotations,
+)
+from floss.errors import FlossError
+from floss.features import SpectrogramConfig, acc_norm, epoch_feature_matrix
+from floss.signal_io import ChannelSignal, Recording, TriAxialAcc, read_edf, write_csv, write_edf
 from floss.synth import gen_night
-from floss.epoching import write_annotations
 
 
 def _installed_version() -> str | None:
@@ -400,6 +413,189 @@ class TestTrain:
         assert lines[0].endswith("[SamplingRateMismatch]")
         assert not (tmp_path / "model.json").exists()
 
+
+#: the rate and epoch length of the generated labelled nights: 640-sample
+#: epochs of two spectrogram frames keep the nights small
+_FS, _EPOCH_S = 64.0, 10.0
+_CHANNELS = ("EEG L", "EEG R")
+
+
+def _write_labelled_night(root: Path, stem: str, csv: bool, acc: bool, classes: np.ndarray, rng):
+    """A two-channel night whose epochs carry ``classes`` (channels x epochs)."""
+    n = classes.shape[1] * int(_FS * _EPOCH_S)
+    channels = [ChannelSignal(ch, rng.normal(0.0, 20.0, n)) for ch in _CHANNELS]
+    axes = None
+    if acc:
+        axes = TriAxialAcc(*(g + rng.normal(0.0, 0.02, n) for g in (0.0, 0.0, 1.0)))
+    (write_csv if csv else write_edf)(
+        Recording(channels, axes, _FS), root / f"{stem}.{'csv' if csv else 'edf'}"
+    )
+    length = Fraction(int(_EPOCH_S))
+    spans = [
+        AnnotationSpan(ch, i * length, (i + 1) * length, ArtifactClass(int(c)))
+        for ch, row in zip(_CHANNELS, classes)
+        for i, c in enumerate(row)
+        if c
+    ]
+    write_annotations(spans, root / f"{stem}_labels.csv")
+
+
+def _one_pass_oracle(root: Path, variant: str, config: gbt.TrainConfig):
+    """X and the model as labelled training made them in one pass: every night
+    read and kept, the kept epochs and norms stacked, one feature matrix."""
+    samples, eeg, norms = [], {}, {}
+    for path in report_mod.discover_nights(root):
+        rec = report_mod.read_recording(path)
+        spans = load_annotations(path.with_name(f"{path.stem}_labels.csv"))
+        norm = None if rec.acc is None else epoch_view(acc_norm(*rec.acc.axes), rec.fs, _EPOCH_S)
+        views = {ch.label: epoch_view(ch.samples, rec.fs, _EPOCH_S) for ch in rec.channels}
+        for s in build_epochs(rec.layout, spans, _EPOCH_S, path.stem, path.stem):
+            key = (s.night_id, s.channel, s.epoch_index)
+            eeg[key] = views[s.channel][s.epoch_index]
+            norms[key] = None if norm is None else norm[s.epoch_index]
+            samples.append(s)
+    kept = balance_rus(samples, config.seed)
+    if not kept:
+        return None, None
+    keys = [(s.night_id, s.channel, s.epoch_index) for s in kept]
+    win = int(_FS * _EPOCH_S)
+    acc = None
+    if any(norms[k] is not None for k in keys):
+        acc = np.stack([np.zeros(win) if norms[k] is None else norms[k] for k in keys])
+    lite = variant == "lite"
+    X, layout = epoch_feature_matrix(
+        np.stack([eeg[k] for k in keys]), acc, SpectrogramConfig(fs=_FS), include_stats=not lite
+    )
+    meta = {"task": "usability", "variant": variant, "fs": _FS, "epoch_len_s": win / _FS,
+            "include_stats": not lite, "binary": False}
+    y = np.asarray([int(s.label) for s in kept])
+    try:
+        return X, gbt.model_to_json(gbt.fit(X, y, config, feature_layout=layout, meta=meta))
+    except FlossError as exc:  # such as a class with fewer than two epochs
+        return X, exc
+
+
+#: one directory of labelled nights: which labels its epochs carry, then per
+#: night (CSV?, accelerometer?, epochs), and a seed for signals and labels
+_PLAN = st.tuples(
+    st.sampled_from(["mixed", "all usable", "no usable"]),
+    st.lists(st.tuples(st.booleans(), st.booleans(), st.integers(5, 12)), min_size=1, max_size=3),
+    st.integers(0, 2**16),
+)
+
+
+class TestLabelledTrainingInTwoPasses:
+    """`train --input` labels every night from its layout, then builds the
+    rows night by night: X and the model keep the one-pass bits."""
+
+    @staticmethod
+    def _classes(rng, mode: str, n_epochs: int) -> np.ndarray:
+        if mode == "all usable":
+            return np.zeros((2, n_epochs), dtype=int)
+        if mode == "no usable":
+            return rng.integers(1, 5, size=(2, n_epochs))
+        # every class on each channel, then mostly Usable, so balance_rus
+        # has Usable epochs to drop
+        shape = (2, n_epochs - 5)
+        rest = np.where(rng.random(shape) < 0.8, 0, rng.integers(1, 5, shape))
+        return np.hstack([[rng.permutation(5) for _ in range(2)], rest])
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @settings(max_examples=12, deadline=None)
+    @given(plan=_PLAN, variant=st.sampled_from(["default", "lite"]))
+    @example(plan=("mixed", [(False, True, 9), (True, True, 6), (False, False, 7)], 1),
+             variant="default")
+    @example(plan=("all usable", [(False, True, 5), (True, False, 5)], 2), variant="default")
+    @example(plan=("no usable", [(True, True, 5), (False, False, 6)], 3), variant="default")
+    def test_x_and_model_equal_the_one_pass_oracle(self, tmp_path_factory, cpus, plan, variant):
+        mode, nights, seed = plan
+        rng = np.random.default_rng(seed)
+        root = tmp_path_factory.mktemp("nights")
+        for i, (csv, acc, n_epochs) in enumerate(nights):
+            classes = self._classes(rng, mode, n_epochs)
+            _write_labelled_night(root, f"n{i}", csv, acc, classes, rng)
+        config = gbt.TrainConfig(n_iterations=1, eta=0.5, seed=seed)
+        fitted = []
+        fit = gbt.fit
+
+        def kept_x(X, *args, **kwargs):
+            fitted.append(X.copy())
+            return fit(X, *args, **kwargs)
+
+        out = root / "model.json"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "available_cpus", lambda: cpus)
+            want_x, want_model = _one_pass_oracle(root, variant, config)
+            patch.setattr(gbt, "fit", kept_x)
+            result = CliRunner().invoke(
+                main,
+                ["train", "--out", str(out), "--input", str(root), "--variant", variant,
+                 "--iterations", "1", "--eta", "0.5", "--seed", str(seed)],
+            )
+        if want_x is None:  # balance_rus kept nothing
+            assert fitted == [] and "no training samples" in result.output
+            return
+        assert len(fitted) == 1 and fitted[0].tobytes() == want_x.tobytes()
+        if isinstance(want_model, FlossError):
+            assert result.exit_code == 1 and str(want_model) in result.output
+        else:
+            assert result.exit_code == 0, result.output
+            assert out.read_text() == want_model + "\n"
+
+    def test_each_night_is_dropped_before_the_next_read_and_the_fit(
+        self, runner, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(8)
+        for i in range(3):
+            classes = self._classes(rng, "mixed", 8)
+            _write_labelled_night(tmp_path, f"n{i}", i == 1, i != 2, classes, rng)
+        alive = []
+        read, fit = report_mod.read_recording, gbt.fit
+
+        def tracked_read(path):
+            assert all(ref() is None for ref in alive), "an earlier night is still held"
+            rec = read(path)
+            alive.append(weakref.ref(rec))
+            return rec
+
+        def checked_fit(*args, **kwargs):
+            assert len(alive) == 3 and all(ref() is None for ref in alive), "a night is held"
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(report_mod, "read_recording", tracked_read)
+        monkeypatch.setattr(gbt, "fit", checked_fit)
+        result = runner.invoke(
+            main,
+            ["train", "--out", str(tmp_path / "model.json"), "--input", str(tmp_path),
+             "--iterations", "1", "--eta", "0.5"],
+        )
+        assert result.exit_code == 0, (result.output, result.exception)
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            (lambda channels: [ChannelSignal("EEG X", channels[0].samples)] + channels[1:],
+             "ChannelMissing"),
+            (lambda channels: [ChannelSignal(ch.label, ch.samples[:640]) for ch in channels],
+             "EmptyRecording"),
+        ],
+    )
+    def test_night_changed_since_its_labelling_is_a_coded_error(
+        self, runner, tmp_path, monkeypatch, change, code
+    ):
+        rng = np.random.default_rng(9)
+        _write_labelled_night(tmp_path, "n0", False, False, self._classes(rng, "mixed", 8), rng)
+        read = report_mod.read_recording
+        monkeypatch.setattr(
+            report_mod, "read_recording",
+            lambda path: Recording(change(read(path).channels), None, _FS),
+        )
+        result = runner.invoke(
+            main,
+            ["train", "--out", str(tmp_path / "model.json"), "--input", str(tmp_path),
+             "--iterations", "1"],
+        )
+        assert result.exit_code == 1 and result.output.rstrip().endswith(f"[{code}]")
 
 class TestReport:
     def test_full_run(self, runner, night_dir, model_paths, tmp_path):

@@ -21,8 +21,8 @@ from floss.epoching import (
     subject_split,
     write_annotations,
 )
-from floss.errors import EmptyPartition, EmptyRecording, UnknownLabelCode
-from floss.signal_io import ChannelSignal, Recording
+from floss.errors import EmptyPartition, EmptyRecording, HeaderFieldUnparsable, UnknownLabelCode
+from floss.signal_io import ChannelSignal, Recording, RecordingLayout
 
 
 def _span(start, end, label, channel="EEG"):
@@ -166,7 +166,7 @@ class TestBuildEpochs:
             channels=[ChannelSignal("EEG", np.zeros(int(fs * 30)))], acc=None, fs=fs
         )
         spans = [_span(10, 20, 2)]
-        samples = build_epochs(rec, spans, window_s=10.0)
+        samples = build_epochs(rec.layout, spans, window_s=10.0)
         assert [int(s.label) for s in samples] == [0, 2, 0]
         assert [s.epoch_index for s in samples] == [0, 1, 2]
 
@@ -175,13 +175,27 @@ class TestBuildEpochs:
         rec = Recording(
             channels=[ChannelSignal("EEG", np.zeros(int(fs * 25)))], acc=None, fs=fs
         )
-        samples = build_epochs(rec, [], window_s=10.0)
+        samples = build_epochs(rec.layout, [], window_s=10.0)
         assert len(samples) == 2
+
+    @pytest.mark.parametrize("has_acc", [True, False])
+    def test_records_carry_the_nights_ids_and_accelerometer(self, has_acc):
+        layout = RecordingLayout(("EEG L", "EEG R"), 2 * 640 + 5, 64.0, has_acc)
+        samples = build_epochs(layout, [_span(10, 20, 3, "EEG R")], 10.0, "s1", "n1")
+        assert [(s.channel, s.epoch_index, int(s.label)) for s in samples] == [
+            ("EEG L", 0, 0), ("EEG L", 1, 0), ("EEG R", 0, 0), ("EEG R", 1, 3),
+        ]
+        assert {(s.subject_id, s.night_id, s.has_acc) for s in samples} == {("s1", "n1", has_acc)}
+
+    def test_repeated_channel_label_raises(self):
+        # spans name a channel by label, so the two could not be told apart
+        with pytest.raises(HeaderFieldUnparsable, match="repeat"):
+            build_epochs(RecordingLayout(("EEG", "EEG"), 640, 64.0, False), [], 10.0)
 
     def test_too_short_recording_raises(self):
         rec = Recording(channels=[ChannelSignal("EEG", np.zeros(32))], acc=None, fs=64.0)
         with pytest.raises(EmptyRecording):
-            build_epochs(rec, [], window_s=10.0)
+            build_epochs(rec.layout, [], window_s=10.0)
 
     def test_epochs_labelled_over_the_time_their_samples_cover(self):
         # 0.1 s at 256 Hz is 26 samples, so epoch i spans i*26/256 s onwards:
@@ -190,7 +204,7 @@ class TestBuildEpochs:
         fs = 256.0
         rec = Recording(channels=[ChannelSignal("EEG", np.zeros(1100 * 26))], acc=None, fs=fs)
         spans = [_span(Fraction(100), Fraction(1001, 10), 2)]
-        samples = build_epochs(rec, spans, window_s=0.1)
+        samples = build_epochs(rec.layout, spans, window_s=0.1)
         assert len(samples) == 1100
         assert [s.epoch_index for s in samples if s.label != ArtifactClass.USABLE] == [985]
 
@@ -198,7 +212,8 @@ class TestBuildEpochs:
     @given(night=_labelled_nights())
     def test_agrees_with_the_per_epoch_scan(self, night):
         rec, spans, window_s = night
-        got = [(s.channel, s.epoch_index, s.label) for s in build_epochs(rec, spans, window_s)]
+        samples = build_epochs(rec.layout, spans, window_s)
+        got = [(s.channel, s.epoch_index, s.label) for s in samples]
         assert got == _scan_labels(rec, spans, window_s)
 
 
@@ -231,8 +246,7 @@ class TestBalanceRus:
             channel="EEG",
             epoch_index=i,
             label=ArtifactClass(label),
-            eeg=np.zeros(4),
-            acc_norm=None,
+            has_acc=False,
         )
 
     def test_majority_reduced_to_artifact_total(self):

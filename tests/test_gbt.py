@@ -385,6 +385,29 @@ class TestFitPredict:
             gbt.fit(X, y, gbt.TrainConfig(class_weights=(1.0, 1.0, 1.0)))
 
 
+    @pytest.mark.parametrize("max_leaves", [2, 4, 31])
+    def test_budget_filling_split_searches_neither_child(self, rng, monkeypatch, max_leaves):
+        # the split that makes the last leaf leaves both children as leaves,
+        # so of the 2L - 1 nodes only the root and L - 2 splits' children
+        # are searched: 2L - 3 searches
+        X = rng.standard_normal((400, 6))
+        g, h = rng.standard_normal(400), np.ones(400)
+        order_t, tied = gbt._sorted_columns(X, features.cpu_pool())
+        cols = np.arange(6)
+        searched = []
+        search = gbt._best_split
+
+        def counted(*args):
+            searched.append(args[0].shape[1])
+            return search(*args)
+
+        monkeypatch.setattr(gbt, "_best_split", counted)
+        cfg = gbt.TrainConfig(max_leaves=max_leaves, min_samples_leaf=2)
+        tree = gbt._grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
+        assert (tree.feature < 0).sum() == max_leaves
+        assert len(searched) == 2 * max_leaves - 3
+
+
 class TestSerialization:
     def test_json_round_trip_preserves_predictions(self, rng, tmp_path):
         X, y = _blobs(rng)

@@ -30,12 +30,14 @@ from floss.signal_io import (
     TriAxialAcc,
     read_csv,
     read_edf,
+    read_edf_layout,
     write_csv,
     write_edf,
 )
 
 READERS = {
     "edf": read_edf,
+    "edf_layout": read_edf_layout,
     "csv": read_csv,
     "labels": load_annotations,
     "sleep": load_sleep_scores,
@@ -65,6 +67,7 @@ def written(tmp_path_factory) -> dict[str, bytes]:
         AnnotationSpan("EEG", Fraction(1), Fraction(2), ArtifactClass.USABLE),
     ]
     write_edf(_recording(), root / "edf")
+    write_edf(_recording(), root / "edf_layout")
     write_csv(_recording(), root / "csv")
     write_annotations(spans, root / "labels")
     write_sleep_scores([0, 1, 2, 3, 4, 5], root / "sleep")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from datetime import datetime
 
 import numpy as np
@@ -26,9 +27,12 @@ from floss.signal_io import (
     ChannelSignal,
     Recording,
     TriAxialAcc,
+    HEADER_BYTES,
+    SIGNAL_HEADER_BYTES,
     parse_edf_header,
     read_csv,
     read_edf,
+    read_edf_layout,
     write_csv,
     write_edf,
 )
@@ -166,6 +170,67 @@ def test_acc_axis_label_variants(tmp_path, rng):
     assert back.acc is not None
     assert [ch.label for ch in back.channels] == ["EEG 0"]
     assert ACC_AXIS_LABELS == ("ACC X", "ACC Y", "ACC Z")
+
+
+class TestEdfLayout:
+    """read_edf_layout gives read_edf's layout from the header alone."""
+
+    @pytest.mark.parametrize("with_acc", [True, False])
+    @pytest.mark.parametrize("other_signal", [True, False])
+    def test_layout_is_the_read_recordings(self, tmp_path, rng, with_acc, other_signal):
+        rec = _digital_recording(rng, n_channels=2, with_acc=with_acc)
+        if other_signal:  # a signal of another unit takes no part in analysis
+            rec.channels.insert(1, ChannelSignal("Temp", np.zeros(rec.n_samples), unit="degC"))
+        path = tmp_path / "a.edf"
+        write_edf(rec, path)
+        layout = read_edf_layout(path)
+        assert layout == read_edf(path).layout
+        assert layout == signal_io.RecordingLayout(("EEG 0", "EEG 1"), 512, 128.0, with_acc)
+
+    def test_file_without_signals(self, tmp_path):
+        path = tmp_path / "a.edf"
+        write_edf(Recording([], None, fs=4.0), path)
+        assert read_edf_layout(path) == read_edf(path).layout == signal_io.RecordingLayout(
+            (), 0, 1.0, False
+        )
+
+    def test_reads_the_header_alone(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "a.edf"
+        write_edf(_digital_recording(rng, n_channels=2, with_acc=True), path)
+        sizes = []
+        opened = signal_io.open_input
+
+        @contextmanager
+        def counted(name, mode="r"):
+            with opened(name, mode) as handle:
+                read = handle.read
+                handle.read = lambda n=-1: sizes.append(len(data := read(n))) or data
+                yield handle
+
+        monkeypatch.setattr(signal_io, "open_input", counted)
+        read_edf_layout(path)
+        assert sum(sizes) == HEADER_BYTES + 5 * SIGNAL_HEADER_BYTES
+
+    @pytest.mark.parametrize(
+        "fault, error",
+        [
+            (lambda data: data[:-10], TruncatedFile),
+            (lambda data: data[:100], TruncatedFile),
+            # ACC Z's label becomes an unrelated name
+            (lambda data: data[:304] + b"Temp".ljust(16) + data[320:], ChannelMissing),
+            # the first of four signals' samples per record
+            (lambda data: data[:1120] + b"64".ljust(8) + data[1128:], SamplingRateMismatch),
+            # the first signal's digital minimum equals its maximum
+            (lambda data: data[:736] + b"32767".ljust(8) + data[744:], HeaderFieldUnparsable),
+        ],
+    )
+    def test_faults_the_header_shows_are_read_edfs(self, tmp_path, rng, fault, error):
+        path = tmp_path / "a.edf"
+        write_edf(_digital_recording(rng, n_channels=1, with_acc=True), path)
+        path.write_bytes(fault(path.read_bytes()))
+        for reader in (read_edf, read_edf_layout):
+            with pytest.raises(error):
+                reader(path)
 
 
 def test_recording_validations():
