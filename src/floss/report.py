@@ -18,7 +18,7 @@ import shutil
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,13 +148,7 @@ def despiked(rec: Recording) -> Recording:
         ChannelSignal(ch.label, samples, unit=ch.unit, calibration=ch.calibration)
         for ch, samples in zip(rec.channels, filtered)
     ]
-    return Recording(
-        channels=channels,
-        acc=rec.acc,
-        fs=rec.fs,
-        start_time=rec.start_time,
-        device_id=rec.device_id,
-    )
+    return replace(rec, channels=channels)
 
 
 @contextmanager

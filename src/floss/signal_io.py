@@ -181,6 +181,8 @@ class Recording:
     fs: float
     start_time: datetime = datetime(2024, 1, 1, 22, 0, 0)
     device_id: str = "floss"
+    #: the CSV ``t_s`` of the first sample, which ``write_csv`` counts on from
+    t0_s: float = 0.0
 
     def __post_init__(self) -> None:
         _check_rate(self.fs)
@@ -576,13 +578,13 @@ def read_csv(path: str | Path) -> Recording:
             raise ChannelMissing(f"accelerometer columns missing: acc{missing[0]}")
         acc = TriAxialAcc(x=acc_cols["X"], y=acc_cols["Y"], z=acc_cols["Z"])
 
-    return Recording(channels=channels, acc=acc, fs=fs)
+    return Recording(channels=channels, acc=acc, fs=fs, t0_s=float(t[0]))
 
 
 def write_csv(rec: Recording, path: str | Path) -> None:
     """Write a recording in the CSV fallback format."""
     names = ["t_s"] + [ch.label for ch in rec.channels]
-    columns = [np.arange(rec.n_samples) / rec.fs] + [ch.samples for ch in rec.channels]
+    columns = [rec.t0_s + np.arange(rec.n_samples) / rec.fs] + [ch.samples for ch in rec.channels]
     if rec.acc is not None:
         names += ["accX", "accY", "accZ"]
         columns += list(rec.acc.axes)

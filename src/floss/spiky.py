@@ -9,6 +9,9 @@ so the pass is zero-phase and the magnitude response applies twice.
 """
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,10 @@ NOTCH_CENTERS_HZ = (8.0, 16.0, 24.0)
 NOTCH_BANDWIDTH_HZ = 2.0
 #: samples ``apply_zero_phase`` filters per ``lfilter`` call
 _CHUNK = 1 << 16
+
+#: the ``lfilter(b, a, x, axis, zi)`` recursion, resolved on first use
+_lfilter = None
+_lfilter_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,68 @@ def freq_response(cascade: FilterCascade, freqs_hz: np.ndarray) -> np.ndarray:
     return (zb @ cascade.b) / (za @ cascade.a)
 
 
+def _compiled_lfilter():
+    """scipy's compiled ``_sigtools._linear_filter``, or None if it is missing.
+
+    ``scipy.signal.lfilter`` with more than one ``a`` coefficient is exactly
+    this call.  The extension is loaded by its file path, which does not run
+    ``scipy/signal/__init__.py`` and its import of about a second.  A module
+    the import system already holds is reused; one loaded here is not left
+    in ``sys.modules``, so a later ``import scipy.signal`` binds its own.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            return None
+        signal_dir = os.path.join(scipy_spec.submodule_search_locations[0], "signal")
+        loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(signal_dir, loader).find_spec(name)
+        if spec is None:
+            return None
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            return None
+        finally:
+            sys.modules.pop(name, None)
+    return getattr(module, "_linear_filter", None)
+
+
+def _get_lfilter():
+    """The recursion every pass uses: the compiled kernel, else the public
+    ``scipy.signal.lfilter``.  It is resolved once per process, under a lock,
+    as two pool threads may filter their first channels at once."""
+    global _lfilter
+    with _lfilter_lock:
+        if _lfilter is None:
+            _lfilter = _compiled_lfilter()
+        if _lfilter is None:
+            from scipy.signal import lfilter
+
+            _lfilter = lfilter
+        return _lfilter
+
+
+def steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter_zi`` for equal-length ``b`` and ``a``, in numpy.
+
+    The state a unit step holds once it has settled: the solution of
+    ``zi = A zi + B`` with ``A`` the transposed companion matrix of ``a``, by
+    the same ``solve`` on the same matrix, so the bits are scipy's.
+    """
+    b, a = b / a[0], a / a[0]
+    n = len(a) - 1
+    companion = np.eye(n, n, k=-1)
+    companion[0] = -a[1:]
+    return np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
+
+
 def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     """Filter forward and backward with odd-reflection edge padding.
 
@@ -95,28 +164,27 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     buffer that the backward pass overwrites from its end: neither the
     padded signal nor a second full-length output is ever built.
     """
-    # imported here: scipy.signal takes about a second to import, and most
-    # floss commands never filter
-    from scipy.signal import lfilter, lfilter_zi
-
     x = np.asarray(x, dtype=np.float64)
     pad = 3 * max(len(cascade.a), len(cascade.b))
     if x.ndim != 1 or len(x) <= pad:
         raise SignalTooShort(f"need more than {pad} samples, got {x.shape}")
     b, a = cascade.b, cascade.a
-    zi = lfilter_zi(b, a)
+    # scipy's compiled recursion without importing scipy.signal, which takes
+    # about a second and brings in scipy.stats and scipy.interpolate
+    lfilter = _get_lfilter()
+    zi = steady_state(b, a)
 
     head = 2.0 * x[0] - x[pad:0:-1]
-    _, z = lfilter(b, a, head, zi=zi * head[0])
+    _, z = lfilter(b, a, head, -1, zi * head[0])
     y = np.empty_like(x)
     for start in range(0, len(x), _CHUNK):
-        y[start : start + _CHUNK], z = lfilter(b, a, x[start : start + _CHUNK], zi=z)
-    tail, _ = lfilter(b, a, 2.0 * x[-1] - x[-2 : -pad - 2 : -1], zi=z)
+        y[start : start + _CHUNK], z = lfilter(b, a, x[start : start + _CHUNK], -1, z)
+    tail, _ = lfilter(b, a, 2.0 * x[-1] - x[-2 : -pad - 2 : -1], -1, z)
 
     # backward: the padding first, then y's chunks from the end, each
     # filtered and written back reversed over itself
-    _, z = lfilter(b, a, tail[::-1], zi=zi * tail[-1])
+    _, z = lfilter(b, a, tail[::-1], -1, zi * tail[-1])
     for stop in range(len(x), 0, -_CHUNK):
         chunk = y[max(stop - _CHUNK, 0) : stop]
-        chunk[::-1], z = lfilter(b, a, chunk[::-1], zi=z)
+        chunk[::-1], z = lfilter(b, a, chunk[::-1], -1, z)
     return y

@@ -228,6 +228,20 @@ class TestDespike:
         assert result.exit_code == 0, result.output
         assert out.read_text().startswith("t_s,")
 
+    def test_csv_night_keeps_its_time_column(self, runner, tmp_path, small_night):
+        rec = small_night[0]
+        rec = Recording(channels=rec.channels, acc=rec.acc, fs=rec.fs, t0_s=100.0)
+        write_csv(rec, tmp_path / "night.csv")
+        out = tmp_path / "clean.csv"
+        result = runner.invoke(
+            main, ["despike", "--input", str(tmp_path / "night.csv"), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == [
+            line.split(",")[0] for line in (tmp_path / "night.csv").read_text().splitlines()
+        ]
+        assert out.read_text().splitlines()[1].startswith("100.0,")
+
     def test_unwritable_edf_is_one_coded_error_line(
         self, runner, tmp_path, write_half_second_record_edf
     ):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from floss import features, gbt, report
+from floss import features, gbt, report, spiky
 from floss.cli import main
 from floss.errors import FileUnreadable
 from floss.report import (
@@ -19,7 +19,7 @@ from floss.report import (
     parse_config_file,
     run_pipeline,
 )
-from floss.signal_io import ChannelSignal, Recording, write_edf
+from floss.signal_io import ChannelSignal, Recording, read_csv, write_csv, write_edf
 from floss.spiky import apply_zero_phase, design_cascade
 from floss.synth import gen_night
 from floss.epoching import write_annotations
@@ -362,6 +362,49 @@ def _write_square_wave_night(out: Path, stem: str) -> None:
     wave = np.where(t % 1.0 < 0.5, 3200.0, -3200.0)
     channels = [ChannelSignal("C3", wave.copy()), ChannelSignal("C4", wave.copy())]
     write_edf(Recording(channels=channels, acc=None, fs=fs), out / f"{stem}.edf")
+
+
+@pytest.fixture(scope="module")
+def despike_batch(tmp_path_factory):
+    """Three short nights: two EDF, and one CSV whose ``t_s`` starts at 100 s."""
+    root = tmp_path_factory.mktemp("despike-batch")
+    _write_night(root, "s00", subject=0)
+    _write_night(root, "s01", subject=1)
+    rec, spans, sleep_scores, _ = gen_night(subject_index=2, n_epochs=N_EPOCHS, seed=3)
+    write_csv(dataclasses.replace(rec, t0_s=100.0), root / "s02.csv")
+    write_annotations(spans, root / "s02_labels.csv")
+    (root / "s02_sleep.txt").write_text("\n".join(str(v) for v in sleep_scores) + "\n")
+    return root
+
+
+def _report_despike(batch: Path, out: Path, models, workers: int) -> dict[str, bytes]:
+    args = ["report", "--input", str(batch), "--out", str(out), "--model", str(models[0]),
+            "--mobility-model", str(models[1]), "--despike", "--workers", str(workers)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_despike_report_is_byte_identical_at_one_and_two_workers(
+    despike_batch, models, tmp_path, monkeypatch
+):
+    serial = _report_despike(despike_batch, tmp_path / "w1", models, 1)
+    # two nights reach the filter's first use at once
+    monkeypatch.setattr(spiky, "_lfilter", None)
+    parallel = _report_despike(despike_batch, tmp_path / "w2", models, 2)
+    assert [n for n in serial if n.endswith("_despiked.edf") or n.endswith("_despiked.csv")] == [
+        "s00_despiked.edf", "s01_despiked.edf", "s02_despiked.csv"
+    ]
+    assert serial == parallel
+
+
+def test_despiked_csv_night_keeps_its_time_column(despike_batch, models, tmp_path):
+    _report_despike(despike_batch, tmp_path, models, 1)
+    assert read_csv(tmp_path / "s02_despiked.csv").t0_s == 100.0
+    times = [line.split(",")[0] for line in (tmp_path / "s02_despiked.csv").read_text().splitlines()]
+    assert times == [
+        line.split(",")[0] for line in (despike_batch / "s02.csv").read_text().splitlines()
+    ]
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

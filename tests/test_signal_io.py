@@ -267,6 +267,17 @@ def test_csv_round_trip(tmp_path, rng):
         np.testing.assert_allclose(b, a, rtol=0, atol=0)
 
 
+def test_csv_round_trip_keeps_the_first_time(tmp_path, rng):
+    rec = _digital_recording(rng, n_channels=1, seconds=2, fs=64)
+    rec.t0_s = 100.0
+    write_csv(rec, tmp_path / "a.csv")
+    back = read_csv(tmp_path / "a.csv")
+    assert back.t0_s == 100.0
+    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+    times = [float(row.split(",")[0]) for row in rows]
+    assert times == list(100.0 + np.arange(128) / 64.0)
+
+
 _CELL_FORMATS = {
     "repr": repr,
     "17 digits": "{:.17g}".format,

@@ -1,11 +1,13 @@
 """Spike-removal filter: response contract, stability, and a kernel oracle."""
 from __future__ import annotations
 
+import threading
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from floss import spiky
@@ -18,6 +20,7 @@ from floss.spiky import (
     design_cascade,
     design_notch,
     freq_response,
+    steady_state,
 )
 
 FS = 256.0
@@ -206,9 +209,31 @@ def _two_pass_filter(cascade, x):
 
 
 class TestChunkedFilter:
-    """apply_zero_phase filters in chunks with the bits of two whole passes."""
+    """apply_zero_phase filters in chunks with the bits of two whole passes,
+    through scipy's compiled kernel where it is found."""
 
-    @settings(max_examples=300, deadline=None)
+    forced_fallback = False
+
+    @pytest.fixture(autouse=True)
+    def _recursion(self, monkeypatch):
+        """The recursion, resolved afresh for each test."""
+        from scipy.signal import lfilter
+
+        if self.forced_fallback:
+            monkeypatch.setattr(spiky, "_compiled_lfilter", lambda: None)
+        monkeypatch.setattr(spiky, "_lfilter", None)
+        fallback = self.forced_fallback or spiky._compiled_lfilter() is None
+        assert (spiky._get_lfilter() is lfilter) == fallback
+
+    # the fixture only patches the module, and the subclass reruns the
+    # method with the fallback
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.function_scoped_fixture, HealthCheck.differing_executors
+        ],
+    )
     @given(
         x=arrays(
             np.float64, st.integers(34, 300), elements=st.floats(-1e4, 1e4, allow_nan=False)
@@ -226,3 +251,41 @@ class TestChunkedFilter:
         cascade = design_cascade(FS)
         x = rng.standard_normal(spiky._CHUNK + extra) * 40.0
         np.testing.assert_array_equal(apply_zero_phase(cascade, x), _two_pass_filter(cascade, x))
+
+
+class TestChunkedFilterFallback(TestChunkedFilter):
+    """The same bits through ``scipy.signal.lfilter``, which a scipy without
+    the compiled kernel gets."""
+
+    forced_fallback = True
+
+
+class TestRecursion:
+    @pytest.mark.parametrize("fs", [128.0, 200.0, 256.0, 512.0])
+    def test_steady_state_has_the_bits_of_lfilter_zi(self, fs):
+        from scipy.signal import lfilter_zi
+
+        cascade = design_cascade(fs)
+        got = steady_state(cascade.b, cascade.a)
+        assert got.tobytes() == lfilter_zi(cascade.b, cascade.a).tobytes()
+
+    def test_resolved_once_when_threads_race(self, monkeypatch):
+        calls = []
+
+        def slow_kernel():
+            calls.append(None)
+            time.sleep(0.05)
+            return object()
+
+        monkeypatch.setattr(spiky, "_lfilter", None)
+        monkeypatch.setattr(spiky, "_compiled_lfilter", slow_kernel)
+        got = []
+        threads = [
+            threading.Thread(target=lambda: got.append(spiky._get_lfilter())) for _ in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(calls) == 1
+        assert len(got) == 4 and all(g is got[0] for g in got)
