@@ -21,14 +21,15 @@ values: in any other column the sorted values strictly increase.  Every
 gain takes the operations of one whole-node formula in the same order, so
 the trees do not depend on the block size.
 
-A tree is parallel node arrays (``Tree``: feature, threshold, left, right,
-value; node 0 is the root) through growth; model JSON writes it as nested
-dicts and reading builds the arrays back.  Prediction walks a ``Forest``:
-every tree of a model packed into one set of node arrays, built once per
-model (``Model.forest``).  Rows move down all trees one level at a time,
-and each row's margins add the trees' values in iteration order, so the
+A tree is a ``Forest`` of one: node arrays in which node i's children are
+``children[2 * i]`` and ``children[2 * i + 1]`` and a leaf's children are
+itself.  Growth writes these arrays directly, model JSON writes them as
+nested dicts, and reading builds them back in preorder.  Prediction walks
+every tree of a model joined into one forest, built once per model
+(``Model.forest``).  Rows move down all trees one level at a time, and
+each row's margins add the trees' values in iteration order, so the
 margins are those of one tree after another.  Fit walks each new tree the
-same way, as a forest of one.
+same way, as the forest of one it is.
 """
 from __future__ import annotations
 
@@ -72,28 +73,6 @@ class TrainConfig:
     data_resample_period: int = 10
     class_weights: tuple[float, ...] | None = None
     seed: int = 0
-
-
-@dataclass
-class Tree:
-    """One regression tree as parallel node arrays; node 0 is the root.
-
-    An internal node sends a row left when ``X[row, feature] <= threshold``
-    and right otherwise; a leaf has ``feature == -1`` and carries ``value``.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.feature = np.asarray(self.feature, dtype=np.int32)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int32)
-        self.right = np.asarray(self.right, dtype=np.int32)
-        self.value = np.asarray(self.value, dtype=np.float64)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -251,6 +230,57 @@ def _leaf_value(S: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: TrainConfig) -
     return float(-cfg.eta * G / (H + cfg.reg_lambda))
 
 
+@dataclass
+class Forest:
+    """Regression trees as one set of node arrays; a tree is a forest of one.
+
+    Tree t's root is node ``roots[t]``.  Node i's children are nodes
+    ``children[2 * i]`` (X <= threshold) and ``children[2 * i + 1]``
+    (X > threshold); a leaf has feature 0 and both children itself, so a
+    row that reaches it stays there however many levels remain.  ``depth``
+    is the level of the deepest leaf, a root's level being 0.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    def __post_init__(self) -> None:
+        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.children = np.asarray(self.children, dtype=np.intp)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        self.roots = np.asarray(self.roots, dtype=np.intp)
+
+    @classmethod
+    def join(cls, forests: list["Forest"]) -> "Forest":
+        """The trees of ``forests``, in order, as one forest.
+
+        A NaN threshold becomes -inf: no X <= NaN, so the file format sends
+        every row right of it, and X > -inf does so for every finite X.
+        """
+        sizes = np.array([len(f.feature) for f in forests], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        n_roots = np.array([len(f.roots) for f in forests], dtype=np.intp)
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(f, name) for f in forests] or [np.empty(0)])
+
+        threshold = joined("threshold")
+        threshold[np.isnan(threshold)] = -np.inf
+        return cls(
+            feature=joined("feature"),
+            threshold=threshold,
+            children=joined("children").astype(np.intp) + np.repeat(starts, 2 * sizes),
+            value=joined("value"),
+            roots=joined("roots").astype(np.intp) + np.repeat(starts, n_roots),
+            depth=max((f.depth for f in forests), default=0),
+        )
+
+
 def _grow_tree(
     X: np.ndarray,
     g: np.ndarray,
@@ -259,9 +289,10 @@ def _grow_tree(
     cols: np.ndarray,
     tied: np.ndarray,
     cfg: TrainConfig,
-) -> Tree:
+) -> Forest:
     """Leaf-wise growth: always expand the pending leaf with the best gain."""
-    feature, threshold, left, right, value = [-1], [0.0], [-1], [-1], [0.0]
+    # a new node is a leaf, its children itself, until it splits
+    feature, threshold, children, value, level = [0], [0.0], [0, 0], [0.0], [0]
     # entries carry the node index, which breaks gain ties in creation order
     heap: list[tuple[float, int, np.ndarray, tuple[float, int, int, float]]] = []
 
@@ -279,26 +310,27 @@ def _grow_tree(
     settle(0, S_root)
     while heap and n_leaves < cfg.max_leaves:
         _, node, S, (gain, j, i, thr) = heapq.heappop(heap)
+        left, right = len(feature), len(feature) + 1
         feature[node] = int(cols[j])
         threshold[node] = thr
-        left[node], right[node] = len(feature), len(feature) + 1
-        feature += [-1, -1]
+        children[2 * node : 2 * node + 2] = left, right
+        feature += [0, 0]
         threshold += [0.0, 0.0]
-        left += [-1, -1]
-        right += [-1, -1]
+        children += [left, left, right, right]
         value += [0.0, 0.0]
+        level += [level[node] + 1] * 2
         n_leaves += 1
 
         member_left = np.zeros(X.shape[0], dtype=bool)
         member_left[S[j, : i + 1]] = True
         # flat compress keeps each feature's order and beats 2-D boolean indexing
         mask = np.take(member_left, S).ravel()
-        settle(left[node], np.compress(mask, S).reshape(S.shape[0], i + 1))
-        settle(right[node], np.compress(~mask, S).reshape(S.shape[0], S.shape[1] - i - 1))
+        settle(left, np.compress(mask, S).reshape(S.shape[0], i + 1))
+        settle(right, np.compress(~mask, S).reshape(S.shape[0], S.shape[1] - i - 1))
 
     for _, node, S, _ in heap:  # leaves cut off by the budget
         value[node] = _leaf_value(S, g, h, cfg)
-    return Tree(feature, threshold, left, right, value)
+    return Forest(feature, threshold, children, value, [0], max(level))
 
 
 def _grown(
@@ -309,62 +341,10 @@ def _grown(
     cols: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
-) -> tuple[Tree, np.ndarray]:
+) -> tuple[Forest, np.ndarray]:
     """One class's tree, grown on columns ``cols``, and its value at every row of X."""
     tree = _grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
-    return tree, _leaf_values(Forest.pack([tree]), X)[:, 0]
-
-
-@dataclass(frozen=True)
-class Forest:
-    """Trees packed into one set of node arrays, the form prediction walks.
-
-    Tree t's root is node ``roots[t]``.  Node i's children are nodes
-    ``children[2 * i]`` (X <= threshold) and ``children[2 * i + 1]``
-    (X > threshold); a leaf has feature 0 and both children itself, so a
-    row that reaches it stays there however many levels remain.  ``depth``
-    is the number of levels of the deepest tree.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    children: np.ndarray
-    value: np.ndarray
-    roots: np.ndarray
-    depth: int
-
-    @classmethod
-    def pack(cls, trees: list[Tree]) -> "Forest":
-        sizes = [len(t.feature) for t in trees]
-        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)[: len(trees)]
-        offset = np.repeat(roots, sizes)
-
-        def joined(name: str) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in trees] or [np.empty(0)])
-
-        feature = joined("feature").astype(np.intp)
-        leaf = feature < 0
-        node = np.arange(len(feature))
-        left = np.where(leaf, node, joined("left").astype(np.intp) + offset)
-        right = np.where(leaf, node, joined("right").astype(np.intp) + offset)
-        # as X <= NaN, X > -inf sends every finite X right
-        threshold = joined("threshold")
-        threshold[np.isnan(threshold)] = -np.inf
-        feature[leaf] = 0
-
-        depth, level = 0, roots[~leaf[roots]]
-        while level.size:  # the split nodes of one level of every tree
-            depth += 1
-            level = np.concatenate([left[level], right[level]])
-            level = level[~leaf[level]]
-        return cls(
-            feature=feature,
-            threshold=threshold,
-            children=np.stack([left, right], axis=1).ravel(),
-            value=joined("value"),
-            roots=roots,
-            depth=depth,
-        )
+    return tree, _leaf_values(tree, X)[:, 0]
 
 
 def _leaf_values(forest: Forest, X: np.ndarray) -> np.ndarray:
@@ -385,7 +365,7 @@ def _leaf_values(forest: Forest, X: np.ndarray) -> np.ndarray:
 class Model:
     """A fitted booster: trees[iteration][class] plus the log-prior offset."""
 
-    trees: list[list[Tree]]
+    trees: list[list[Forest]]
     base_score: np.ndarray
     num_classes: int
     feature_count: int
@@ -396,8 +376,8 @@ class Model:
 
     @functools.cached_property
     def forest(self) -> Forest:
-        """Every tree, iteration by iteration and class by class, packed once."""
-        return Forest.pack([tree for row in self.trees for tree in row])
+        """Every tree, iteration by iteration and class by class, joined once."""
+        return Forest.join([tree for row in self.trees for tree in row])
 
 
 def _validate_matrix(X: np.ndarray) -> np.ndarray:
@@ -456,7 +436,7 @@ def fit(
     n_cols_sub = max(1, int(np.ceil(config.feature_subsample * n_features)))
 
     order_sub_t = order_t
-    trees: list[list[Tree]] = []
+    trees: list[list[Forest]] = []
     train_loss: list[float] = []
     for t in range(config.n_iterations):
         if config.data_subsample < 1.0 and t % config.data_resample_period == 0:
@@ -474,7 +454,7 @@ def fit(
         else:
             col_sets = [np.arange(n_features)] * k
         grow = functools.partial(_grown, X, order_sub_t, tied, config)
-        row: list[Tree] = []
+        row: list[Forest] = []
         for cls, (tree, update) in enumerate(pool.map(grow, col_sets, g.T, h.T)):
             margins[:, cls] += update
             row.append(tree)
@@ -496,7 +476,7 @@ def fit(
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
     """Class probabilities, rows summing to 1.
 
-    Rows go through the packed forest a block at a time on the kept CPU
+    Rows go through the joined forest a block at a time on the kept CPU
     pool; each row's margin adds its trees' values in iteration order.
     """
     X = _validate_matrix(X)
@@ -521,42 +501,46 @@ def predict_label(model: Model, X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_proba(model, X), axis=1)
 
 
-def _tree_to_dict(tree: Tree, node: int = 0) -> dict:
+def _tree_to_dict(tree: Forest, node: int = 0) -> dict:
     """The subtree under ``node`` as the nested dicts of the JSON format."""
-    if tree.feature[node] < 0:
+    left, right = tree.children[2 * node], tree.children[2 * node + 1]
+    if left == node:
         return {"value": float(tree.value[node])}
     return {
         "feature": int(tree.feature[node]),
         "threshold": float(tree.threshold[node]),
-        "left": _tree_to_dict(tree, tree.left[node]),
-        "right": _tree_to_dict(tree, tree.right[node]),
+        "left": _tree_to_dict(tree, left),
+        "right": _tree_to_dict(tree, right),
     }
 
 
-def _tree_from_dict(root: dict, feature_count: int) -> Tree:
-    """Nested dicts to node arrays in preorder; a split's feature must be in range."""
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add(d: dict) -> int:
+def _tree_from_dict(root: dict, feature_count: int) -> Forest:
+    """Nested dicts to a tree's node arrays in preorder; a split's feature must be in range."""
+    feature, threshold, children, value, depth = [], [], [], [], 0
+    # (subtree, the slot of children that names its root, its root's level);
+    # the root names itself, as a leaf does
+    pending = [(root, 0, 0)]
+    while pending:
+        d, slot, level = pending.pop()
         node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
+        children += (node, node)
+        children[slot] = node
         if "value" in d:
-            value[node] = float(d["value"])
-            return node
-        feature[node] = int(d["feature"])
-        if not 0 <= feature[node] < feature_count:
-            raise ModelIncompatible(f"split on feature {feature[node]} of {feature_count}")
-        threshold[node] = float(d["threshold"])
-        left[node] = add(d["left"])
-        right[node] = add(d["right"])
-        return node
-
-    add(root)
-    return Tree(feature, threshold, left, right, value)
+            feature.append(0)
+            threshold.append(0.0)
+            value.append(float(d["value"]))
+            if level > depth:
+                depth = level
+            continue
+        f = int(d["feature"])
+        if not 0 <= f < feature_count:
+            raise ModelIncompatible(f"split on feature {f} of {feature_count}")
+        feature.append(f)
+        threshold.append(float(d["threshold"]))
+        value.append(0.0)
+        pending.append((d["right"], 2 * node + 1, level + 1))
+        pending.append((d["left"], 2 * node, level + 1))
+    return Forest(feature, threshold, children, value, [0], depth)
 
 
 def model_to_json(model: Model) -> str:

@@ -383,35 +383,36 @@ def _edf_signals(header: EdfHeader) -> _EdfSignals:
     return _EdfSignals(_check_rate(rates.pop()) if rates else 1.0, eeg, acc, calibrations)
 
 
-def _payload_samples(header: EdfHeader, file_bytes: int) -> int:
-    """The 16-bit samples the header declares; the file must hold them all."""
-    start = HEADER_BYTES + SIGNAL_HEADER_BYTES * header.n_signals
+def _read_edf_header(handle: IO[bytes]) -> tuple[EdfHeader, _EdfSignals, int]:
+    """Read and check the EDF header at the start of ``handle``, leaving the
+    handle at the payload.
+
+    Returns the header, its signals' roles and the number of 16-bit samples
+    of the payload, which the file must hold whole.
+    """
+    raw = handle.read(HEADER_BYTES)
+    try:  # the signal count is the fixed header's last field
+        n_signals = max(int(raw[HEADER_BYTES - 4 :]), 0)
+    except ValueError:
+        n_signals = 0  # parse_edf_header names the fault
+    raw += handle.read(SIGNAL_HEADER_BYTES * n_signals)
+    header = parse_edf_header(raw)
+    signals = _edf_signals(header)
     count = header.n_records * sum(header.samples_per_record)
-    if file_bytes - start < 2 * count:
-        raise TruncatedFile(
-            f"data payload holds {file_bytes - start} bytes, header declares {2 * count}"
-        )
-    return count
+    payload = os.fstat(handle.fileno()).st_size - len(raw)
+    if payload < 2 * count:
+        raise TruncatedFile(f"data payload holds {payload} bytes, header declares {2 * count}")
+    return header, signals, count
 
 
 def read_edf_layout(path: str | Path) -> RecordingLayout:
     """An EDF night's layout from its header alone; no sample is read.
 
-    The rates, signal roles, calibrations and payload length are checked as
-    ``read_edf`` checks them, so a night it lays out reads whole unless its
-    samples themselves are at fault.
+    The header is checked as ``read_edf`` checks it, so a night it lays out
+    reads whole unless its samples themselves are at fault.
     """
     with open_input(path, "rb") as handle:
-        raw = handle.read(HEADER_BYTES)
-        try:  # the signal count is the fixed header's last field
-            n_signals = max(int(raw[HEADER_BYTES - 4 :]), 0)
-        except ValueError:
-            n_signals = 0  # parse_edf_header names the fault
-        raw += handle.read(SIGNAL_HEADER_BYTES * n_signals)
-        file_bytes = os.fstat(handle.fileno()).st_size
-    header = parse_edf_header(raw)
-    signals = _edf_signals(header)
-    _payload_samples(header, file_bytes)
+        header, signals, _ = _read_edf_header(handle)
     n_samples = header.n_records * header.samples_per_record[0] if header.n_signals else 0
     labels = tuple(header.labels[i] for i in signals.eeg)
     return RecordingLayout(labels, n_samples, signals.fs, bool(signals.acc))
@@ -426,18 +427,10 @@ def read_edf(path: str | Path) -> Recording:
     units take no part in analysis.
     """
     with open_input(path, "rb") as handle:
-        raw = handle.read()
-    header = parse_edf_header(raw)
-
-    ns = header.n_signals
-    if ns == 0:
-        return Recording([], None, 1.0, header.start, header.recording_id)
-
-    signals = _edf_signals(header)
-    rec_len = sum(header.samples_per_record)
-    count = _payload_samples(header, len(raw))
-    start = HEADER_BYTES + SIGNAL_HEADER_BYTES * ns
-    data = np.frombuffer(raw, "<i2", count, start).reshape(header.n_records, rec_len)
+        header, signals, count = _read_edf_header(handle)
+        payload = handle.read(2 * count)
+    shape = (header.n_records, sum(header.samples_per_record))
+    data = np.frombuffer(payload, "<i2", count).reshape(shape)
     offsets = np.cumsum([0] + header.samples_per_record)
 
     def physical(i: int) -> np.ndarray:
@@ -557,7 +550,10 @@ def read_csv(path: str | Path) -> Recording:
 
     t = table[:, 0]
     dt = np.diff(t)
-    if dt.min() <= 0 or (dt.max() - dt.min()) > 1e-6 * dt.mean():
+    # t_s values round to floats at most an ulp of the largest |t| apart,
+    # which moves one dt by up to that ulp against another; allow two
+    slack = 1e-6 * dt.mean() + 2 * np.spacing(np.abs(t).max())
+    if dt.min() <= 0 or (dt.max() - dt.min()) > slack:
         raise SamplingRateMismatch("t_s column does not advance at one uniform rate")
     fs = (len(t) - 1) / (t[-1] - t[0])
     if abs(fs - round(fs)) < 1e-6 * fs:

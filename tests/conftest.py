@@ -1,6 +1,8 @@
 """Shared fixtures: small synthetic recordings and quickly trained models."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,22 +51,29 @@ def rng():
 
 @pytest.fixture(scope="session")
 def per_tree_proba():
-    """The per-tree predict formula, as an oracle of the packed forest.
+    """The per-tree predict formula over the model file, as an oracle of the joined forest.
 
-    Each tree walks the rows on its own, only the rows not yet at a leaf
-    each step, and the margins add one tree's values after another.
+    Each tree is walked in the nested dicts of the model's JSON document,
+    its rows split at every node, and the margins add one tree's values
+    after another.
     """
 
+    def leaf_values(node: dict, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        if "value" in node:
+            out[rows] = node["value"]
+            return
+        left = X[rows, node["feature"]] <= node["threshold"]
+        leaf_values(node["left"], X, rows[left], out)
+        leaf_values(node["right"], X, rows[~left], out)
+
     def proba(model: gbt.Model, X: np.ndarray) -> np.ndarray:
-        margins = np.tile(model.base_score, (len(X), 1))
-        for row in model.trees:
-            for cls, tree in enumerate(row):
-                node = np.zeros(len(X), dtype=np.intp)
-                while (active := np.flatnonzero(tree.feature[node] >= 0)).size:
-                    at = node[active]
-                    go_left = X[active, tree.feature[at]] <= tree.threshold[at]
-                    node[active] = np.where(go_left, tree.left[at], tree.right[at])
-                margins[:, cls] += tree.value[node]
+        doc = json.loads(gbt.model_to_json(model))
+        margins = np.tile(np.asarray(doc["base_score"]), (len(X), 1))
+        values = np.empty(len(X))
+        for row in doc["trees"]:
+            for cls, root in enumerate(row):
+                leaf_values(root, X, np.arange(len(X)), values)
+                margins[:, cls] += values
         return gbt.softmax(margins)
 
     return proba

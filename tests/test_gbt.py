@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 from pathlib import Path
 
@@ -265,17 +266,28 @@ def _blobs(rng, n_per=30, k=3):
     return X, y
 
 
+def _is_leaf(tree):
+    return tree.children[::2] == np.arange(len(tree.feature))
+
+
 def _assert_well_formed(tree, max_leaves, cols):
     n = len(tree.feature)
-    internal = tree.feature >= 0
-    children = np.concatenate([tree.left[internal], tree.right[internal]])
-    # node 0 is the root and every other node has exactly one parent
-    assert sorted(children.tolist()) == list(range(1, n))
-    assert (tree.left[internal] > np.flatnonzero(internal)).all()
-    assert (tree.right[internal] > np.flatnonzero(internal)).all()
-    assert (tree.feature[~internal] == -1).all()
-    assert (~internal).sum() <= max_leaves
-    assert np.isin(tree.feature[internal], cols).all()
+    node = np.arange(n)
+    left, right = tree.children[::2], tree.children[1::2]
+    leaf = _is_leaf(tree)
+    split = node[~leaf]
+    assert tree.roots.tolist() == [0]
+    # a leaf's children are itself; every node but the root has exactly
+    # one parent, a split made before it
+    assert (right[leaf] == node[leaf]).all()
+    assert sorted(np.concatenate([left[split], right[split]]).tolist()) == list(range(1, n))
+    assert (left[split] > split).all() and (right[split] > split).all()
+    level = np.zeros(n, dtype=int)
+    for i in split:
+        level[[left[i], right[i]]] = level[i] + 1
+    assert tree.depth == level[leaf].max()
+    assert leaf.sum() <= max_leaves
+    assert np.isin(tree.feature[split], cols).all()
 
 
 class TestFitPredict:
@@ -313,12 +325,9 @@ class TestFitPredict:
         )
         model = gbt.fit(X, y, cfg)
 
-        def count_leaves(tree):
-            return int((tree.feature < 0).sum())
-
         for row in model.trees:
             for tree in row:
-                assert count_leaves(tree) <= 4
+                assert _is_leaf(tree).sum() <= 4
 
     def test_same_seed_same_model_different_seed_differs(self, rng):
         X, y = _blobs(rng)
@@ -376,7 +385,7 @@ class TestFitPredict:
             assert len(cols) == 3
             for t in (tree, reread):
                 _assert_well_formed(t, cfg.max_leaves, cols)
-        assert any((t.feature >= 0).any() for t in fitted)
+        assert any(t.depth > 0 for t in fitted)
 
     def test_class_weights_shape_checked(self, rng):
         X = rng.standard_normal((20, 2))
@@ -404,7 +413,7 @@ class TestFitPredict:
         monkeypatch.setattr(gbt, "_best_split", counted)
         cfg = gbt.TrainConfig(max_leaves=max_leaves, min_samples_leaf=2)
         tree = gbt._grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
-        assert (tree.feature < 0).sum() == max_leaves
+        assert _is_leaf(tree).sum() == max_leaves
         assert len(searched) == 2 * max_leaves - 3
 
 
@@ -634,7 +643,7 @@ class _TreeFault(Exception):
 
 
 class TestPackedForest:
-    """predict_proba walks one packed forest with the per-tree formula's bits."""
+    """predict_proba walks one joined forest with the per-tree formula's bits."""
 
     def test_pinned_fit_model(self, rng, per_tree_proba):
         model = gbt.load_model(PINNED_FIT)
@@ -643,40 +652,90 @@ class TestPackedForest:
         np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
 
     def test_trees_of_unequal_depth(self, rng, per_tree_proba):
-        leaf = gbt.Tree([-1], [0.0], [-1], [-1], [0.7])
-        stump = gbt.Tree([1, -1, -1], [0.25, 0, 0], [1, -1, -1], [2, -1, -1], [0, -0.5, 0.5])
-        # four levels; the nodes are numbered out of level order
-        chain = gbt.Tree(
-            feature=[0, -1, 2, -1, 1, -1, 0, -1, -1],
-            threshold=[0.0, 0, -0.3, 0, 0.5, 0, 1.0, 0, 0],
-            left=[1, -1, 3, -1, 5, -1, 7, -1, -1],
-            right=[4, -1, 6, -1, 2, -1, 8, -1, -1],
-            value=[0, -0.2, 0, 0.9, 0, 0.1, 0, -0.6, 0.3],
-        )
-        model = gbt.Model(
-            trees=[[chain, leaf], [stump, chain], [leaf, stump]],
-            base_score=np.log([0.4, 0.6]),
-            num_classes=2,
-            feature_count=3,
-            config=gbt.TrainConfig(),
-        )
+        leaf = {"value": 0.7}
+        stump = {"feature": 1, "threshold": 0.25, "left": {"value": -0.5}, "right": {"value": 0.5}}
+        # four levels, each split but the root's on the right
+        chain = {
+            "feature": 0, "threshold": 0.0, "left": {"value": -0.2}, "right": {
+                "feature": 1, "threshold": 0.5, "left": {"value": 0.1}, "right": {
+                    "feature": 2, "threshold": -0.3, "left": {"value": 0.9}, "right": {
+                        "feature": 0, "threshold": 1.0,
+                        "left": {"value": -0.6}, "right": {"value": 0.3},
+                    },
+                },
+            },
+        }
+        model = _hand_built([[chain, leaf], [stump, chain], [leaf, stump]], [0.4, 0.6], 3)
         X = rng.standard_normal((200, 3))
         X[:4] = [[0.0, 0.5, -0.3], [1.0, 0.25, 0.0], [2.0, 0.6, -0.3], [0.5, 0.25, -0.2]]
         assert model.forest.depth == 4
         np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
 
     def test_single_leaf_trees(self, rng, per_tree_proba):
-        leaves = [gbt.Tree([-1], [0.0], [-1], [-1], [v]) for v in (0.3, -0.1, 0.05)]
-        model = gbt.Model(
-            trees=[leaves, leaves[::-1]],
-            base_score=np.log([0.2, 0.3, 0.5]),
-            num_classes=3,
-            feature_count=4,
-            config=gbt.TrainConfig(),
-        )
+        leaves = [{"value": v} for v in (0.3, -0.1, 0.05)]
+        model = _hand_built([leaves, leaves[::-1]], [0.2, 0.3, 0.5], 4)
         X = rng.standard_normal((7, 4))
         assert model.forest.depth == 0
         np.testing.assert_array_equal(gbt.predict_proba(model, X), per_tree_proba(model, X))
+
+    def test_nan_threshold_sends_rows_right(self, rng, per_tree_proba):
+        # no X <= NaN, so the file format sends every row right of a NaN threshold
+        stump = {
+            "feature": 0, "threshold": math.nan, "left": {"value": -1.0}, "right": {"value": 1.0}
+        }
+        model = _hand_built([[stump, {"value": 0.0}]], [0.5, 0.5], 1)
+        X = rng.standard_normal((9, 1))
+        want = gbt.softmax(np.tile([1.0, 0.0] + np.log(0.5), (9, 1)))
+        np.testing.assert_array_equal(gbt.predict_proba(model, X), want)
+        np.testing.assert_array_equal(per_tree_proba(model, X), want)
+        assert gbt.model_to_json(model).count('"threshold":NaN') == 1
+
+
+def _hand_built(rows, priors, feature_count):
+    """A model of nested-dict trees, read as the model file's reader reads them."""
+    return gbt.Model(
+        trees=[[gbt._tree_from_dict(tree, feature_count) for tree in row] for row in rows],
+        base_score=np.log(priors),
+        num_classes=len(priors),
+        feature_count=feature_count,
+        config=gbt.TrainConfig(),
+    )
+
+
+@st.composite
+def _small_fits(draw):
+    """A small fit at 2, 4 or 31 leaves; a leaf-size floor of n rows leaves every tree a leaf."""
+    n = draw(st.integers(8, 40))
+    width = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    X = np.array(draw(st.lists(st.integers(-20, 20), min_size=n * width, max_size=n * width)))
+    y = np.arange(n) % k  # every class holds at least 2 rows
+    cfg = gbt.TrainConfig(
+        n_iterations=draw(st.integers(1, 3)),
+        eta=0.5,
+        max_leaves=draw(st.sampled_from([2, 4, 31])),
+        min_samples_leaf=draw(st.integers(1, 3) | st.just(n)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return X.reshape(n, width) / 2.0, y, cfg
+
+
+class TestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_small_fits())
+    def test_save_load_save_keeps_bytes_and_predictions(self, case):
+        X, y, cfg = case
+        model = gbt.fit(X, y, cfg)
+        text = gbt.model_to_json(model)
+        loaded = gbt.model_from_json(text)
+        assert gbt.model_to_json(loaded) == text
+        for fitted, reread in zip(
+            (t for row in model.trees for t in row), (t for row in loaded.trees for t in row)
+        ):
+            _assert_well_formed(reread, cfg.max_leaves, np.arange(X.shape[1]))
+            assert reread.depth == fitted.depth
+        Z = np.concatenate([X, X + 0.25])
+        np.testing.assert_array_equal(gbt.predict_proba(loaded, Z), gbt.predict_proba(model, Z))
 
 
 class TestCpuCount:

@@ -268,14 +268,19 @@ def test_csv_round_trip(tmp_path, rng):
 
 
 def test_csv_round_trip_keeps_the_first_time(tmp_path, rng):
-    rec = _digital_recording(rng, n_channels=1, seconds=2, fs=64)
-    rec.t0_s = 100.0
-    write_csv(rec, tmp_path / "a.csv")
-    back = read_csv(tmp_path / "a.csv")
-    assert back.t0_s == 100.0
-    rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
-    times = [float(row.split(",")[0]) for row in rows]
-    assert times == list(100.0 + np.arange(128) / 64.0)
+    # at 1e8 s and beyond, Unix times, the spacing of t_s floats exceeds
+    # 1e-6 of the 5-ms sampling period
+    rec = _digital_recording(rng, n_channels=1, seconds=2, fs=200)
+    for t0 in (100.0, 1e8, 1.7e9):
+        rec.t0_s = t0
+        write_csv(rec, tmp_path / "a.csv")
+        back = read_csv(tmp_path / "a.csv")
+        assert (back.fs, back.t0_s) == (200.0, t0)
+        np.testing.assert_array_equal(back.channels[0].samples, rec.channels[0].samples)
+        np.testing.assert_array_equal(back.acc.axes, rec.acc.axes)
+        rows = (tmp_path / "a.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert times == list(t0 + np.arange(400) / 200.0)
 
 
 _CELL_FORMATS = {
@@ -332,9 +337,14 @@ def test_csv_rejects_nan_and_empty(tmp_path):
         read_csv(path)
 
 
-def test_csv_rejects_uneven_time_grid(tmp_path):
+def test_csv_rejects_uneven_time_grid(tmp_path, rng):
     path = tmp_path / "a.csv"
     path.write_text("t_s,EEG\n0.0,1.0\n0.5,1.0\n1.7,1.0\n")
+    with pytest.raises(SamplingRateMismatch):
+        read_csv(path)
+    # a 1 % jitter of the period stays refused at Unix times
+    t = 1.7e9 + (np.arange(400) + rng.uniform(-0.01, 0.01, 400)) / 200.0
+    path.write_text("t_s,EEG\n" + "".join(f"{v!r},1.0\n" for v in t.tolist()))
     with pytest.raises(SamplingRateMismatch):
         read_csv(path)
 
