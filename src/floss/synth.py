@@ -2,7 +2,9 @@
 
 Every epoch draws from a generator seeded by (master seed, domain, epoch
 key), so a given epoch is bit-identical no matter how the surrounding batch
-is sliced or parallelized.
+is sliced or parallelized.  A labelled dataset (``gen_labeled_dataset``)
+therefore holds each epoch's key, not its samples, and draws the samples
+where they are read.
 """
 from __future__ import annotations
 
@@ -73,8 +75,31 @@ def gen_artifact_epoch(
 
     Amplitude conventions (microvolts): Usable and M-shaped stay within
     +/-100, NoData is a constant within +/-50, HighNoise peaks at 400 or
-    more, Spiky rides 8/16/24 Hz tones on a faint background.
+    more, Spiky rides 8/16/24 Hz tones on a faint background.  The EEG and
+    the accelerometer draw from generators of their own, so either can be
+    drawn without the other.
     """
+    eeg = _artifact_eeg(label, fs, epoch_len_s, seed, key, subject_scale)
+    return eeg, _artifact_acc(label, fs, epoch_len_s, seed, key)
+
+
+def _artifact_acc(
+    label: ArtifactClass, fs: float, epoch_len_s: float, seed: int, key: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The accelerometer axes of ``gen_artifact_epoch``."""
+    n = int(round(fs * epoch_len_s))
+    return _still_acc(epoch_rng(seed, _DOMAIN_ACC, int(label), *key), n)
+
+
+def _artifact_eeg(
+    label: ArtifactClass,
+    fs: float,
+    epoch_len_s: float,
+    seed: int,
+    key: tuple[int, ...],
+    subject_scale: float,
+) -> np.ndarray:
+    """The EEG of ``gen_artifact_epoch``."""
     n = int(round(fs * epoch_len_s))
     rng = epoch_rng(seed, _DOMAIN_EEG, int(label), *key)
 
@@ -113,10 +138,7 @@ def gen_artifact_epoch(
         x *= min(1.0, 98.0 / np.abs(x).max())
     else:
         raise ValueError(f"unknown artifact class {label}")
-
-    acc_rng = epoch_rng(seed, _DOMAIN_ACC, int(label), *key)
-    axes = _still_acc(acc_rng, n)
-    return x, axes
+    return x
 
 
 def _still_acc(
@@ -193,10 +215,36 @@ def subject_amplitude_scale(seed: int, subject_index: int) -> float:
 
 @dataclass(frozen=True, slots=True)
 class SynthEpoch(EpochSample):
-    """A generated labelled epoch, which carries its EEG and accelerometer norm."""
+    """A generated labelled epoch, which holds the key it is drawn from.
 
-    eeg: np.ndarray
-    acc_norm: np.ndarray
+    It holds no samples: ``eeg`` and ``acc_norm`` draw them on each read,
+    from the generators of (``seed``, subject ``subject_index``, epoch
+    ``epoch_number``, ``label``), as ``gen_artifact_epoch`` does.  A
+    training set of them thus holds only the epochs being turned into
+    features at the time.
+    """
+
+    subject_index: int
+    epoch_number: int
+    subject_scale: float
+    fs: float
+    epoch_len_s: float
+    seed: int
+
+    @property
+    def eeg(self) -> np.ndarray:
+        return _artifact_eeg(
+            self.label, self.fs, self.epoch_len_s, self.seed, self._key, self.subject_scale
+        )
+
+    @property
+    def acc_norm(self) -> np.ndarray:
+        axes = _artifact_acc(self.label, self.fs, self.epoch_len_s, self.seed, self._key)
+        return acc_norm(*axes)
+
+    @property
+    def _key(self) -> tuple[int, int]:
+        return self.subject_index, self.epoch_number
 
 
 def gen_labeled_dataset(
@@ -206,26 +254,29 @@ def gen_labeled_dataset(
     epoch_len_s: float = 10.0,
     seed: int = 0,
 ) -> list[SynthEpoch]:
-    """Balanced multi-subject artifact dataset of labeled epochs."""
+    """Balanced multi-subject artifact dataset of labeled epochs, drawn on request."""
     samples: list[SynthEpoch] = []
     for subj in range(n_subjects):
         scale = subject_amplitude_scale(seed, subj)
+        subject_id = f"s{subj:02d}"
+        night_id = f"{subject_id}n0"
         index = 0
         for k in range(epochs_per_class_per_subject):
             for label in ArtifactClass:
-                eeg, axes = gen_artifact_epoch(
-                    label, fs, epoch_len_s, seed, key=(subj, k), subject_scale=scale
-                )
                 samples.append(
                     SynthEpoch(
-                        subject_id=f"s{subj:02d}",
-                        night_id=f"s{subj:02d}n0",
+                        subject_id=subject_id,
+                        night_id=night_id,
                         channel="EEG",
                         epoch_index=index,
                         label=label,
                         has_acc=True,
-                        eeg=eeg,
-                        acc_norm=acc_norm(*axes),
+                        subject_index=subj,
+                        epoch_number=k,
+                        subject_scale=scale,
+                        fs=fs,
+                        epoch_len_s=epoch_len_s,
+                        seed=seed,
                     )
                 )
                 index += 1

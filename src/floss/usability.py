@@ -7,7 +7,8 @@ raises the two-humped-artifact class weight.
 
 Training builds its feature matrix in place, in blocks of rows on the kept
 CPU pool: the epochs of labelled nights are read night by night, each
-night once, so a training set costs its matrix plus one recording.
+night once, so a training set costs its matrix plus one recording;
+synthetic epochs are drawn block by block, in the task that uses them.
 """
 from __future__ import annotations
 
@@ -127,7 +128,11 @@ def _in_blocks(rows: np.ndarray) -> list[slice]:
 
 
 def _carried_blocks(samples: Sequence) -> list[_RowBlock]:
-    """Row blocks of samples that carry their epochs (``synth.SynthEpoch``)."""
+    """Row blocks of samples that draw their own epochs (``synth.SynthEpoch``).
+
+    A block's epochs are drawn in the task that computes its rows, so only
+    the blocks in flight hold samples.
+    """
 
     def epochs(part: Sequence) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([s.eeg for s in part]), np.stack([s.acc_norm for s in part])
@@ -205,7 +210,9 @@ def train_usability(
     (``build_epochs``) come from ``read_night(night_id)``, called once per
     night in the order the nights first appear; a night's recording is
     dropped before the next is read and before the fit.  Without
-    ``read_night``, the samples carry their epochs (``synth.SynthEpoch``).
+    ``read_night``, the samples draw their own epochs (``synth.SynthEpoch``),
+    a block of rows at a time in the task that computes those rows, so no
+    more epochs are held than the tasks in flight use.
     When any sample's night has an accelerometer, epochs of a night without
     one get the features of an all-zero norm; when none has, the
     accelerometer blocks are zero.

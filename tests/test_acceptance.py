@@ -60,9 +60,17 @@ def _verdict(tag: str, ok: bool, detail: str) -> None:
     assert ok, f"{tag} failed: {detail}"
 
 
+def _drawn(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The EEG epochs and accelerometer norms of generated samples, each drawn once."""
+    win = int(round(FS * EPOCH_LEN_S))
+    eeg, acc = np.empty((len(samples), win)), np.empty((len(samples), win))
+    for i, s in enumerate(samples):
+        eeg[i], acc[i] = s.eeg, s.acc_norm
+    return eeg, acc
+
+
 def _feature_matrix(samples, include_stats: bool) -> np.ndarray:
-    eeg = np.stack([s.eeg for s in samples])
-    acc = np.stack([s.acc_norm for s in samples])
+    eeg, acc = _drawn(samples)
     X, _ = epoch_feature_matrix(
         eeg, acc, SpectrogramConfig(fs=FS), include_stats=include_stats
     )

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import importlib.metadata
 import json
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +32,13 @@ from floss.errors import FlossError
 from floss.features import SpectrogramConfig, acc_norm, epoch_feature_matrix
 from floss.signal_io import ChannelSignal, Recording, TriAxialAcc, read_edf, write_csv, write_edf
 from floss.synth import gen_night
+
+
+# the model of a small synthetic `floss train`, written before synthetic
+# epochs were drawn on request and before row ids were held in 16 bits
+PINNED_TRAIN = Path(__file__).parent / "data" / "synth_train_pinned.json"
+PINNED_TRAIN_ARGS = ["--subjects", "2", "--epochs-per-class", "6", "--iterations", "3",
+                     "--seed", "7"]
 
 
 def _installed_version() -> str | None:
@@ -350,6 +360,20 @@ class TestTrain:
         assert model.meta["variant"] == "lite"
         assert len(model.trees) == 2
         assert "2838 features" in result.output
+
+    @pytest.mark.parametrize("one_cpu", [True, False], ids=["one CPU", "every CPU"])
+    def test_synthetic_model_keeps_its_pinned_bytes(self, tmp_path, one_cpu):
+        cpus = sorted(os.sched_getaffinity(0))
+        pin = (lambda: os.sched_setaffinity(0, cpus[:1])) if one_cpu else None
+        src = str(Path(floss.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "model.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "floss.cli", "train", "--out", str(out), *PINNED_TRAIN_ARGS],
+            env=env, preexec_fn=pin, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == PINNED_TRAIN.read_bytes()
 
     def test_mobility_model(self, runner, tmp_path):
         out = tmp_path / "model.json"

@@ -105,13 +105,16 @@ class TestGradients:
         assert gbt.ce_loss(hard, np.array([1])) == pytest.approx(-np.log(1e-15))
 
 
-def _sorted_rows(X, cols, rows=None):
-    """Node row-id matrix as the trainer builds it: one sorted row per feature."""
+def _sorted_rows(X, cols, rows=None, row_id=np.uint16):
+    """Node row-id matrix as the trainer builds it: one sorted row per feature.
+
+    The trainer's row ids are uint16 up to 65,536 rows and int32 above.
+    """
     if rows is None:
         rows = np.arange(X.shape[0])
     return np.stack(
         [rows[np.argsort(X[rows, f], kind="stable")] for f in cols]
-    ).astype(np.int32)
+    ).astype(row_id)
 
 
 def _tie_flags(X, cols):
@@ -239,14 +242,14 @@ class TestSplitSearch:
         ) is None
 
     @settings(max_examples=250, deadline=None)
-    @given(node=_tied_nodes())
-    def test_agrees_with_one_by_one_scan_under_ties(self, node):
+    @given(node=_tied_nodes(), row_id=st.sampled_from([np.uint16, np.int32]))
+    def test_agrees_with_one_by_one_scan_under_ties(self, node, row_id):
         X, g, h, msl, block = node
         cols = np.arange(X.shape[1])
         want = _brute_split(X, g, h, cols, 1.0, msl)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gbt, "_SPLIT_BLOCK", block)
-            S = _sorted_rows(X, cols)
+            S = _sorted_rows(X, cols, row_id=row_id)
             got = gbt._best_split(S, X, g, h, cols, _tie_flags(X, cols), 1.0, msl)
         if not want[0] > 0:
             assert got is None
@@ -629,6 +632,30 @@ class TestPinnedFit:
         path = tmp_path / "model.json"
         gbt.save_model(gbt.fit(X, y, PINNED_FIT_CONFIG), path)
         assert path.read_bytes() == PINNED_FIT.read_bytes()
+
+
+class TestRowIds:
+    """Sort orders hold uint16 row ids up to 65,536 rows and int32 above."""
+
+    @pytest.mark.parametrize("n, row_id", [(65_536, np.uint16), (65_537, np.int32)])
+    def test_type_follows_the_row_count(self, rng, n, row_id):
+        # two columns of few values, so nearly every row ties, and one without ties
+        X = np.column_stack(
+            [rng.integers(0, 3, n), rng.integers(0, 500, n), rng.permutation(n)]
+        ).astype(np.float64)
+        order_t, tied = gbt._sorted_columns(X, features.cpu_pool())
+        assert order_t.dtype == row_id
+        assert tied.tolist() == [True, True, False]
+        want = np.argsort(X, axis=0, kind="stable").T
+        assert np.array_equal(order_t.astype(np.int64), want)
+
+    def test_fit_above_the_uint16_rows_runs_and_predicts(self, rng):
+        n = gbt._MAX_UINT16_ROWS + 1
+        X = rng.standard_normal((n, 2))
+        y = (X[:, 1] > 0.25).astype(np.int64)
+        model = gbt.fit(X, y, gbt.TrainConfig(n_iterations=1, eta=0.5, max_leaves=2))
+        assert [[int(t.feature[0]) for t in row] for row in model.trees] == [[1, 1]]
+        assert (gbt.predict_label(model, X) == y).mean() > 0.99
 
 
 def _mobility_data():

@@ -1,6 +1,9 @@
 """Synthetic data generators: per-class invariants and seed determinism."""
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from floss.synth import (
     gen_labeled_dataset,
     gen_mobility_sequence,
     gen_night,
+    subject_amplitude_scale,
 )
 
 FS = 256.0
@@ -116,6 +120,35 @@ class TestDatasetAndNight:
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.eeg, t.eeg)
         assert {s.subject_id for s in a} == {"s00", "s01"}
+
+    def test_labeled_epochs_hold_no_samples(self):
+        for s in gen_labeled_dataset(n_subjects=2, epochs_per_class_per_subject=2, seed=4):
+            for field in dataclasses.fields(s):
+                assert not isinstance(getattr(s, field.name), np.ndarray), field.name
+
+    @pytest.mark.parametrize("fs, epoch_len_s", [(FS, 10.0), (128.0, 4.0)])
+    def test_labeled_epochs_draw_the_epoch_of_their_key(self, fs, epoch_len_s):
+        samples = gen_labeled_dataset(3, 2, fs, epoch_len_s, seed=9)
+        for s in samples:
+            subject = int(s.subject_id[1:])
+            k, label = divmod(s.epoch_index, len(ArtifactClass))
+            assert int(s.label) == label
+            eeg, axes = gen_artifact_epoch(
+                s.label, fs, epoch_len_s, 9, key=(subject, k),
+                subject_scale=subject_amplitude_scale(9, subject),
+            )
+            assert s.eeg.tobytes() == eeg.tobytes()
+            assert s.acc_norm.tobytes() == acc_norm(*axes).tobytes()
+
+    def test_labeled_dataset_holds_no_epoch_arrays(self):
+        # drawn whole, 800 epochs of 2560 samples would take 33 MB
+        tracemalloc.start()
+        try:
+            gen_labeled_dataset(4, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_night_pieces_are_consistent(self, small_night):
         rec, spans, sleep_scores, mobility = small_night
