@@ -13,8 +13,11 @@ column, one column per EEG channel, and optional ``accX,accY,accZ`` columns.
 from __future__ import annotations
 
 import csv
+import io
 import os
-from collections.abc import Iterator
+from collections import deque
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -36,6 +39,7 @@ from .errors import (
     SamplingRateMismatch,
     TruncatedFile,
 )
+from .features import available_cpus, cpu_pool, on_pool_thread
 
 #: (field, width) of the fixed header, in file order
 _HEADER_FIELDS = (
@@ -59,7 +63,10 @@ DEFAULT_ACC_CALIBRATION = (-8.0, 8.0, -32768, 32767)
 
 ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 
-#: rows ``write_csv`` formats at a time, so its text stays a few MB
+#: rows ``write_csv`` formats at a time, in one task on the kept pool: a
+#: numpy kernel (``_csv_rows``) writes each cell as repr does from its
+#: shortest round-trip digits, and repr itself writes the few cells the
+#: kernel does not certify; a block's text and temporaries stay a few MB
 _CSV_BLOCK_ROWS = 8192
 #: one-second records ``write_edf`` converts to digital values at a time
 _EDF_BLOCK_RECORDS = 256
@@ -578,16 +585,221 @@ def read_csv(path: str | Path) -> Recording:
 
 
 def write_csv(rec: Recording, path: str | Path) -> None:
-    """Write a recording in the CSV fallback format."""
+    """Write a recording in the CSV fallback format.
+
+    The header is written as ``csv.writer`` writes it, so a label that
+    holds a comma or a quote reads back.  Every sample is written as
+    ``repr`` writes it: blocks of ``_CSV_BLOCK_ROWS`` rows are formatted by
+    ``_csv_rows`` as tasks on the kept pool, at most one per CPU plus one in
+    flight, and written in order.
+    """
     names = ["t_s"] + [ch.label for ch in rec.channels]
-    columns = [rec.t0_s + np.arange(rec.n_samples) / rec.fs] + [ch.samples for ch in rec.channels]
+    columns = [ch.samples for ch in rec.channels]
     if rec.acc is not None:
         names += ["accX", "accY", "accZ"]
         columns += list(rec.acc.axes)
 
-    table = np.column_stack(columns).astype(np.float64, copy=False)
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(",".join(names) + "\n")
-        for i in range(0, len(table), _CSV_BLOCK_ROWS):
-            rows = table[i : i + _CSV_BLOCK_ROWS].tolist()
-            out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    def block(start: int) -> bytes:
+        stop = min(start + _CSV_BLOCK_ROWS, rec.n_samples)
+        table = np.empty((stop - start, 1 + len(columns)))
+        table[:, 0] = rec.t0_s + np.arange(start, stop) / rec.fs
+        for j, column in enumerate(columns, start=1):
+            table[:, j] = column[start:stop]
+        return _csv_rows(table)
+
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(names)
+    with open(path, "wb") as out:
+        out.write(header.getvalue().encode("utf-8"))
+        for text in _in_order(block, range(0, rec.n_samples, _CSV_BLOCK_ROWS)):
+            out.write(text)
+
+
+def _in_order(fn: Callable[[int], bytes], items: range) -> Iterator[bytes]:
+    """``fn`` of every item, in order, as tasks on the kept pool, with at
+    most one task per CPU plus one in flight.
+
+    Called from a task on the pool, which may not wait on it, the calls run
+    on the calling thread.
+    """
+    if on_pool_thread():
+        yield from map(fn, items)
+        return
+    pool, ahead = cpu_pool(), available_cpus() + 1
+    pending: deque[Future[bytes]] = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+#: 10**0 .. 10**22, each exact in float64
+_POW10 = 10.0 ** np.arange(23)
+#: half-width, in units of the 17th significant digit, of the band around a
+#: rounding tie or an edge of a value's rounding interval that ``_shortest``
+#: does not certify; its own arithmetic errs by under 1e-13 there
+_MARGIN = 1e-6
+#: bytes of a formatted cell: repr of a float takes at most 24, then ``,``
+_CELL = 25
+
+
+def _digit_pairs() -> np.ndarray:
+    """ASCII of 00 to 99 as little-endian uint16, then of the same pairs as
+    trailing zeros of a number, where each zero digit is NUL instead."""
+    pairs = [f"{i:02d}" for i in range(100)]
+    trailing = [f"{i // 10}\0" if i % 10 == 0 else f"{i:02d}" for i in range(100)]
+    trailing[0] = "\0\0"
+    return np.frombuffer("".join(pairs + trailing).encode(), dtype="<u2")
+
+
+_DIGIT_PAIRS = _digit_pairs()
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi and lo with hi + lo == a * b exactly (Dekker's product, split by
+    Veltkamp's 2**27 + 1)."""
+    hi = a * b
+    t = a * 134217729.0
+    ah = t - (t - a)
+    al = a - ah
+    t = b * 134217729.0
+    bh = t - (t - b)
+    bl = b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _near(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return np.abs(np.abs(d) - h) < _MARGIN
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each value: the shortest that read back to it.
+
+    Returns them as a 17-digit integer padded with zeros, the position of
+    the decimal point (``0.d1d2... * 10**decpt``), and whether the value is
+    certified.  The candidates are x rounded to nearest at 15, 16 and 17
+    digits, all derived from x * 10**s held exactly as hi + lo; the
+    shortest that lies inside x's rounding interval is repr's (at most one
+    15-digit number lies inside it, and where two 16- or 17-digit numbers
+    do, repr takes the nearer).  A value is not certified outside repr's
+    fixed notation (1e-4 <= |x| < 1e16), at zero, a subnormal or a power of
+    two (whose interval is lopsided), near a tie, where repr rounds half to
+    even, near an interval edge, or where rounding carries into another
+    digit.
+    """
+    bits = x.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+    ok = (biased >= 1023 - 14) & (biased <= 1023 + 53) & ((bits << np.uint64(12)) != 0)
+    biased[~ok] = 1023
+    ax = np.abs(x)
+    ax[~ok] = 1.5
+    # x * 10**s in [1e16, 1e17); floor(e2 * log10(2)) is at most one under
+    s = 16 - (((biased - 1023) * 78913) >> 18)
+    p10 = _POW10[s]
+    over = ax * p10 >= 1e17
+    s -= over
+    np.divide(p10, 10.0, out=p10, where=over)
+    hi, lo = _two_product(ax, p10)
+    ok &= ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (hi < 1e17) & (s >= 1) & (s <= 20)
+    # x * 10**s == n17 + r, |r| <= 1/2, and x's rounding interval is that +- h
+    k = np.rint(lo)
+    r = lo - k
+    n17 = hi.astype(np.int64) + k.astype(np.int64)
+    h = ((biased - 53) << 52).view(np.float64) * p10
+    q16 = n17 // 10
+    m16 = n17 - q16 * 10
+    t16 = (m16 - 5) + r
+    up16 = t16 > 0
+    d16 = (up16 * 10 - m16) - r
+    q15 = q16 // 10
+    m15 = n17 - q15 * 100
+    up15 = (m15 - 50) + r > 0
+    d15 = (up15 * 100 - m15) - r
+    ok &= ~(_near(d15, h) | _near(d16, h) | (np.abs(t16) < _MARGIN) | (np.abs(r) > 0.5 - _MARGIN))
+    digits = np.where(
+        np.abs(d15) < h, (q15 + up15) * 100, np.where(np.abs(d16) < h, (q16 + up16) * 10, n17)
+    )
+    ok &= digits < 10**17
+    return digits, 17 - s, ok
+
+
+def _csv_rows(table: np.ndarray) -> bytes:
+    """The rows of a float64 table as CSV text, each cell as ``repr`` writes it.
+
+    ``_shortest`` gives the digits, and each cell is laid out in a
+    NUL-padded ``_CELL``-byte slot: cells are sorted by layout (sign and
+    decimal point position, zero, or not certified) so that one slice
+    assignment lays out a group.  ``repr`` writes the cells that are not
+    certified.  The text is the slots in row order with the NULs removed.
+    """
+    x = np.ascontiguousarray(table, dtype=np.float64).reshape(-1)
+    n = len(x)
+    digits, decpt, ok = _shortest(x)
+    neg = np.signbit(x)
+    # layout groups: (decpt + 3) * 2 + sign for certified cells (decpt -3 to
+    # 16), 40 + sign for zeros, 42 for the cells repr writes
+    key = np.where(ok, (decpt + 3) * 2 + neg, np.where(x == 0, 40 + neg, 42)).astype(np.int8)
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=43)
+    chars = _digit_chars(digits[order])
+
+    text = np.zeros((n, _CELL), dtype=np.uint8)
+    start = 0
+    for group, count in enumerate(counts[:42]):
+        rows = slice(start, start + count)
+        start += count
+        if not count:
+            continue
+        sign = group % 2
+        if sign:
+            text[rows, 0] = ord("-")
+        if group >= 40:
+            text[rows, sign : sign + 3] = np.frombuffer(b"0.0", dtype=np.uint8)
+            continue
+        dp = group // 2 - 3
+        if dp > 0:
+            # zeros of the integer part are digits, not trailing NULs
+            np.maximum(chars[rows, 3 : 3 + dp], ord("0"), out=text[rows, sign : sign + dp])
+            dot = sign + dp
+        else:
+            text[rows, sign] = ord("0")
+            dot = sign + 1
+        text[rows, dot] = ord(".")
+        # the fraction, leading zeros first where dp < 0; it keeps one digit
+        text[rows, dot + 1 : dot + 18 - dp] = chars[rows, 3 + dp :]
+        np.maximum(text[rows, dot + 1], ord("0"), out=text[rows, dot + 1])
+    if start < n:
+        cells = np.array([repr(v) for v in x[order[start:]].tolist()], dtype=f"S{_CELL - 1}")
+        text[start:, : _CELL - 1] = cells.view(np.uint8).reshape(-1, _CELL - 1)
+
+    slots = np.empty_like(text)
+    slots.view(f"V{_CELL}")[order] = text.view(f"V{_CELL}")
+    slots[:, -1] = ord(",")
+    slots.reshape(table.shape[0], table.shape[1] * _CELL)[:, -1] = ord("\n")
+    flat = slots.reshape(-1)
+    return flat[flat != 0].tobytes()
+
+
+def _digit_chars(digits: np.ndarray) -> np.ndarray:
+    """(n, 20) ASCII of 17-digit integers, each after "000", with the
+    trailing zeros of each NUL."""
+    pairs = np.empty((len(digits), 10), dtype="<u2")
+    pairs[:, 0] = _DIGIT_PAIRS[0]
+    top = digits // 10**8
+    halves = np.stack([digits - top * 10**8, top]).astype(np.uint32)
+    trailing = np.full(len(digits), 100, dtype=np.uint32)
+    col = 9
+    # from the last pair: a pair is trailing (read from the table's second
+    # half) until one that is not 00
+    for v in halves:
+        for _ in range(4):
+            q = v // 100
+            p = v - q * 100 + trailing
+            pairs[:, col] = _DIGIT_PAIRS.take(p)
+            trailing[p != 100] = 0
+            v = q
+            col -= 1
+    pairs[:, 1] = _DIGIT_PAIRS.take(v + trailing)
+    return pairs.view(np.uint8)

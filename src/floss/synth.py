@@ -337,10 +337,10 @@ def gen_night(
                 label = ArtifactClass.USABLE
             else:
                 label = artifact_classes[int(night_rng.integers(0, len(artifact_classes)))]
-            eeg, _ = gen_artifact_epoch(
-                label, fs, epoch_len_s, seed, key=(subject_index, ch_idx, i), subject_scale=scale
+            # the EEG of gen_artifact_epoch, without drawing its accelerometer
+            pieces.append(
+                _artifact_eeg(label, fs, epoch_len_s, seed, (subject_index, ch_idx, i), scale)
             )
-            pieces.append(eeg)
             if label != ArtifactClass.USABLE:
                 start = Fraction(i) * Fraction(repr(epoch_len_s))
                 spans.append(

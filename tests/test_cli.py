@@ -30,7 +30,9 @@ from floss.epoching import (
 )
 from floss.errors import FlossError
 from floss.features import SpectrogramConfig, acc_norm, epoch_feature_matrix
-from floss.signal_io import ChannelSignal, Recording, TriAxialAcc, read_edf, write_csv, write_edf
+from floss.signal_io import (
+    ChannelSignal, Recording, TriAxialAcc, read_csv, read_edf, write_csv, write_edf,
+)
 from floss.synth import gen_night
 
 
@@ -251,6 +253,26 @@ class TestDespike:
             line.split(",")[0] for line in (tmp_path / "night.csv").read_text().splitlines()
         ]
         assert out.read_text().splitlines()[1].startswith("100.0,")
+
+    @pytest.mark.parametrize(
+        "header, labels",
+        [
+            ('t_s,"EEG L,R",EEG2', ["EEG L,R", "EEG2"]),
+            ('t_s,"say ""hi""","a,""b"""', ['say "hi"', 'a,"b"']),
+            ("t_s,EEG L,EEG R", ["EEG L", "EEG R"]),
+        ],
+    )
+    def test_csv_labels_read_back_after_despiking(self, runner, tmp_path, header, labels):
+        rows = "".join(f"{i / 256!r},{i % 7 - 3.5!r},{i % 5 * 0.25!r}\n" for i in range(2560))
+        (tmp_path / "night.csv").write_text(header + "\n" + rows)
+        out = tmp_path / "clean.csv"
+        result = runner.invoke(
+            main, ["despike", "--input", str(tmp_path / "night.csv"), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert [ch.label for ch in read_csv(out).channels] == labels
+        # the header keeps its bytes: quoted only where a label needs it
+        assert out.read_text().splitlines()[0] == header
 
     def test_unwritable_edf_is_one_coded_error_line(
         self, runner, tmp_path, write_half_second_record_edf

@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+import tracemalloc
 from contextlib import contextmanager
 from datetime import datetime
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from floss import signal_io
+from floss.features import available_cpus, cpu_pool
 from floss.errors import (
     AmplitudeOutOfDeclaredRange,
     ChannelMissing,
@@ -325,6 +332,142 @@ def test_write_csv_writes_the_bytes_of_repr_per_sample(tmp_path, n):
     t = np.arange(n) / 7.0
     lines = ["t_s,EEG"] + [f"{float(t[i])!r},{float(x[i])!r}" for i in range(n)]
     assert (tmp_path / "a.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def _repr_rows(table) -> bytes:
+    """The reference text of a table: repr of each cell, row by row."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in table.tolist()).encode()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 8)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+    block_rows=st.integers(1, 16),
+)
+def test_write_csv_is_repr_per_cell(tmp_path_factory, values, block_rows):
+    """Finite values, ±0.0 and subnormals included, in blocks that split the rows."""
+    rec = Recording([ChannelSignal(f"EEG {j}", values[:, j]) for j in range(values.shape[1])],
+                    None, fs=4.0)
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    with mock.patch.object(signal_io, "_CSV_BLOCK_ROWS", block_rows):
+        write_csv(rec, path)
+    table = np.column_stack([np.arange(len(values)) / 4.0, values])
+    head = ",".join(["t_s"] + [f"EEG {j}" for j in range(values.shape[1])]) + "\n"
+    assert path.read_bytes() == head.encode() + _repr_rows(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 8))))
+def test_csv_rows_is_repr_per_cell_at_every_float(values):
+    """NaN and ±inf, which no recording holds, go through repr as well."""
+    assert signal_io._csv_rows(values) == _repr_rows(values)
+
+
+def _dyadic_ties(rng, digits: int, n: int) -> np.ndarray:
+    """Floats whose exact decimal expansion has digits + 1 significant digits,
+    the last a 5: ties between two numbers of ``digits`` digits."""
+    out = []
+    while len(out) < n:
+        j = int(rng.integers(1, 60))  # m / 2**j == m * 5**j / 10**j
+        lo = -(-10 ** digits // 5**j)
+        hi = min((10 ** (digits + 1) - 1) // 5**j, 2**53 - 1)
+        if lo > hi:
+            continue
+        m = int(rng.integers(lo, hi + 1)) | 1
+        if m <= hi:
+            out.append(m / 2**j)
+    return np.array(out)
+
+
+def test_write_csv_is_repr_on_a_sweep_of_hard_values(tmp_path):
+    """10**6 values where a shortest-digits formatter goes wrong first."""
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    ties = [_dyadic_ties(rng, digits, 25_000) for digits in (15, 16, 17)]
+    powers = 10.0 ** np.arange(-323, 309)
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    edges = np.array([1e-4, 1e16, tiny, big, 5e-324, np.nextafter(tiny, 0), 2.0**53])
+    near = []
+    with np.errstate(over="ignore"):
+        for v in (powers, edges, *ties):  # 1 to 3 ulps either side
+            up = down = v
+            for _ in range(3):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+                near += [up, down]
+    values = np.concatenate([bits, powers, edges, *ties, *near, rng.standard_normal(200_000) * 50])
+    values = values[np.isfinite(values)]
+    values *= rng.choice([-1.0, 1.0], len(values))
+    values = np.concatenate([values, np.zeros(-len(values) % 8)]).reshape(-1, 8)
+    assert values.size >= 1_000_000
+    rec = Recording([ChannelSignal(f"c{j}", values[:, j]) for j in range(8)], None, fs=1.0)
+    write_csv(rec, tmp_path / "a.csv")
+    table = np.column_stack([np.arange(len(values)) / 1.0, values])
+    head = ",".join(["t_s"] + [f"c{j}" for j in range(8)]) + "\n"
+    assert (tmp_path / "a.csv").read_bytes() == head.encode() + _repr_rows(table)
+
+
+_WRITE_PINNED = """
+import os, sys
+from pathlib import Path
+if sys.argv[2] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from floss.features import available_cpus
+from floss.signal_io import ChannelSignal, Recording, write_csv
+rng = np.random.default_rng(5)
+x = rng.standard_normal((40_000, 3)) * 10.0 ** rng.integers(-6, 18, (40_000, 3))
+rec = Recording([ChannelSignal(f"c{j}", x[:, j]) for j in range(3)], None, fs=256.0)
+write_csv(rec, Path(sys.argv[1]))
+print(available_cpus())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_write_csv_bytes_at_one_cpu_and_at_every_cpu(tmp_path):
+    src = str(Path(signal_io.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cpus = {}
+    for which in ("one", "all"):
+        done = subprocess.run(
+            [sys.executable, "-c", _WRITE_PINNED, str(tmp_path / f"{which}.csv"), which],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        cpus[which] = int(done.stdout.split()[-1])
+    assert cpus["one"] == 1
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+
+
+def test_write_csv_memory_does_not_grow_with_the_night(tmp_path):
+    """No whole-night table: one block at a time, as on a pool thread, sets
+    the peak, not the night's length."""
+    peaks = []
+    for hours in (1, 4):
+        x = np.random.default_rng(hours).standard_normal(hours * 3600 * 32)
+        rec = Recording([ChannelSignal("EEG", x), ChannelSignal("EEG 2", -x)], None, fs=32.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cpu_pool().submit(write_csv, rec, tmp_path / f"{hours}.csv").result()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
+
+
+def test_write_csv_blocks_in_flight_are_one_per_cpu_plus_one():
+    started = []
+
+    def block(i: int) -> bytes:
+        started.append(i)
+        return b"%d" % i
+
+    ahead = available_cpus() + 1
+    for i, text in enumerate(signal_io._in_order(block, range(40))):
+        assert text == b"%d" % i
+        assert len(started) <= i + ahead
+    assert sorted(started) == list(range(40))
 
 
 def test_csv_rejects_nan_and_empty(tmp_path):

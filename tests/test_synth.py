@@ -150,6 +150,20 @@ class TestDatasetAndNight:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_night_channels_are_the_eeg_of_their_epochs(self, small_night):
+        rec, spans, _, _ = small_night  # subject 0 of seed 11, 60 epochs
+        scale = subject_amplitude_scale(11, 0)
+        for c, ch in enumerate(rec.channels):
+            labels = [ArtifactClass.USABLE] * 60
+            for span in spans:
+                if span.channel == ch.label:
+                    labels[int(span.start_s) // 10] = span.label
+            want = [
+                gen_artifact_epoch(label, FS, 10.0, 11, key=(0, c, i), subject_scale=scale)[0]
+                for i, label in enumerate(labels)
+            ]
+            assert ch.samples.tobytes() == np.concatenate(want).tobytes()
+
     def test_night_pieces_are_consistent(self, small_night):
         rec, spans, sleep_scores, mobility = small_night
         n_epochs = 60
