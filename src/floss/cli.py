@@ -171,7 +171,7 @@ def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path) -> None:
 def despike(input_path, out_path) -> None:
     """Remove 8/16/24 Hz spike artifacts with the zero-phase cascade."""
     rec = report_mod.read_recording(input_path)
-    report_mod.write_recording(report_mod.despiked(rec), out_path)
+    report_mod.write_despiked(rec, out_path)
     click.echo(f"wrote {out_path}")
 
 

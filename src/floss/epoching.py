@@ -141,7 +141,13 @@ def assign_epoch_label(
     raise AssertionError("unreachable: PRECEDENCE covers all classes")
 
 
-def _epoch_grid(n: int, fs: float, epoch_len_s: float) -> tuple[int, int]:
+#: epochs a task of whole-night scoring and mobility features takes at a
+#: time, converting only their samples; a task's arrays then stay a few MB
+#: however long the night
+BLOCK_EPOCHS = 128
+
+
+def epoch_grid(n: int, fs: float, epoch_len_s: float) -> tuple[int, int]:
     """(whole epochs, samples per epoch) of ``n`` samples at ``fs`` Hz.
 
     An epoch is ``round(epoch_len_s * fs)`` samples and the partial tail is
@@ -155,10 +161,10 @@ def _epoch_grid(n: int, fs: float, epoch_len_s: float) -> tuple[int, int]:
 
 
 def epoch_view(x: np.ndarray, fs: float, epoch_len_s: float) -> np.ndarray:
-    """The last axis of ``x`` cut into whole epochs (``_epoch_grid``):
+    """The last axis of ``x`` cut into whole epochs (``epoch_grid``):
     (..., n_epochs, win).  For a contiguous ``x`` the result is a view."""
     x = np.asarray(x)
-    n_epochs, win = _epoch_grid(x.shape[-1], fs, epoch_len_s)
+    n_epochs, win = epoch_grid(x.shape[-1], fs, epoch_len_s)
     return x[..., : n_epochs * win].reshape(x.shape[:-1] + (n_epochs, win))
 
 
@@ -183,7 +189,7 @@ def build_epochs(
         raise HeaderFieldUnparsable(
             f"channel labels {list(layout.channels)} repeat; spans name a channel by its label"
         )
-    n_epochs, win = _epoch_grid(layout.n_samples, layout.fs, window_s)
+    n_epochs, win = epoch_grid(layout.n_samples, layout.fs, window_s)
     epoch_len = Fraction(win) / _to_fraction(layout.fs)
     for channel in layout.channels:
         in_epoch: list[list[AnnotationSpan]] = [[] for _ in range(n_epochs)]

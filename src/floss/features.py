@@ -179,6 +179,25 @@ def pool_map(fn, items) -> list:
     return list(cpu_pool().map(fn, items))
 
 
+def pool_map_with_buffer(fn, items, shape: tuple[int, ...]) -> list:
+    """``pool_map`` of ``fn(item, buffer)``, where ``buffer`` is the calling
+    thread's float64 array of ``shape``, made on its first item and reused
+    for the next ones.
+
+    A block-sized array made anew for every block goes back to the system
+    when freed, and its pages are faulted in again for the next block.
+    """
+    buffers: dict[int, np.ndarray] = {}
+
+    def run(item):
+        buffer = buffers.get(threading.get_ident())
+        if buffer is None:
+            buffer = buffers[threading.get_ident()] = np.empty(shape)
+        return fn(item, buffer)
+
+    return pool_map(run, items)
+
+
 def cpu_pool() -> ThreadPoolExecutor:
     """The kept thread pool, one worker per available CPU.
 

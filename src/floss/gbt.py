@@ -28,10 +28,12 @@ A tree is a ``Forest`` of one: node arrays in which node i's children are
 itself.  Growth writes these arrays directly, model JSON writes them as
 nested dicts, and reading builds them back in preorder.  Prediction walks
 every tree of a model joined into one forest, built once per model
-(``Model.forest``).  Rows move down all trees one level at a time, and
-each row's margins add the trees' values in iteration order, so the
-margins are those of one tree after another.  Fit walks each new tree the
-same way, as the forest of one it is.
+(``Model.forest``).  Rows move down the trees one level at a time, and at
+each level only through the trees still deeper than it: the forest keeps
+its trees ordered deepest first, so those are a prefix.  The leaf values
+go back in iteration order, and each row's margins add them in that
+order, so the margins are those of one tree after another.  Fit walks
+each new tree the same way, as the forest of one it is.
 """
 from __future__ import annotations
 
@@ -245,8 +247,9 @@ class Forest:
     Tree t's root is node ``roots[t]``.  Node i's children are nodes
     ``children[2 * i]`` (X <= threshold) and ``children[2 * i + 1]``
     (X > threshold); a leaf has feature 0 and both children itself, so a
-    row that reaches it stays there however many levels remain.  ``depth``
-    is the level of the deepest leaf, a root's level being 0.
+    row that reaches it stays there however many levels remain.  Tree t's
+    depth, ``depths[t]``, is the level of its deepest leaf, a root's level
+    being 0.
     """
 
     feature: np.ndarray
@@ -254,7 +257,7 @@ class Forest:
     children: np.ndarray
     value: np.ndarray
     roots: np.ndarray
-    depth: int
+    depths: np.ndarray
 
     def __post_init__(self) -> None:
         self.feature = np.asarray(self.feature, dtype=np.intp)
@@ -262,6 +265,20 @@ class Forest:
         self.children = np.asarray(self.children, dtype=np.intp)
         self.value = np.asarray(self.value, dtype=np.float64)
         self.roots = np.asarray(self.roots, dtype=np.intp)
+        self.depths = np.asarray(self.depths, dtype=np.intp)
+
+    @property
+    def depth(self) -> int:
+        """The deepest tree's depth; 0 for a forest without trees."""
+        return int(self.depths.max(initial=0))
+
+    @functools.cached_property
+    def deepest_first(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trees ordered by depth, deepest first (ties in iteration
+        order), and how many of them are deeper than each level."""
+        order = np.argsort(-self.depths, kind="stable")
+        live = (self.depths[:, None] > np.arange(self.depth)).sum(axis=0)
+        return order, live
 
     @classmethod
     def join(cls, forests: list["Forest"]) -> "Forest":
@@ -285,7 +302,7 @@ class Forest:
             children=joined("children").astype(np.intp) + np.repeat(starts, 2 * sizes),
             value=joined("value"),
             roots=joined("roots").astype(np.intp) + np.repeat(starts, n_roots),
-            depth=max((f.depth for f in forests), default=0),
+            depths=joined("depths"),
         )
 
 
@@ -338,7 +355,7 @@ def _grow_tree(
 
     for _, node, S, _ in heap:  # leaves cut off by the budget
         value[node] = _leaf_value(S, g, h, cfg)
-    return Forest(feature, threshold, children, value, [0], max(level))
+    return Forest(feature, threshold, children, value, [0], [max(level)])
 
 
 def _grown(
@@ -358,15 +375,20 @@ def _grown(
 def _leaf_values(forest: Forest, X: np.ndarray) -> np.ndarray:
     """(rows, trees): the value of the leaf each row of X reaches in each tree.
 
-    Every row moves down every tree one level at a time, ``depth`` times.
+    Every row moves down the trees one level at a time, at each level only
+    through the trees deeper than it; in the others it has reached its leaf.
     """
     n, n_features = X.shape
-    node = np.tile(forest.roots, (n, 1))
+    order, live = forest.deepest_first
+    node = np.tile(forest.roots[order], (n, 1))
     row_start = np.arange(0, n * n_features, n_features)[:, None]
-    for _ in range(forest.depth):
-        x = X.take(row_start + forest.feature.take(node))
-        node = forest.children.take(2 * node + (x > forest.threshold.take(node)))
-    return forest.value.take(node)
+    for trees in live:
+        at = node[:, :trees]
+        x = X.take(row_start + forest.feature.take(at))
+        node[:, :trees] = forest.children.take(2 * at + (x > forest.threshold.take(at)))
+    values = np.empty(node.shape)
+    values[:, order] = forest.value.take(node)
+    return values
 
 
 @dataclass
@@ -548,7 +570,7 @@ def _tree_from_dict(root: dict, feature_count: int) -> Forest:
         value.append(0.0)
         pending.append((d["right"], 2 * node + 1, level + 1))
         pending.append((d["left"], 2 * node, level + 1))
-    return Forest(feature, threshold, children, value, [0], depth)
+    return Forest(feature, threshold, children, value, [0], [depth])
 
 
 def model_to_json(model: Model) -> str:

@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gbt
-from .epoching import epoch_view
+from .epoching import BLOCK_EPOCHS, epoch_grid
 from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
-from .features import stat_features
+from .features import N_STAT_FEATURES, pool_map_with_buffer, stat_features
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
@@ -40,10 +40,27 @@ class TimeInBed:
 def mobility_feature_matrix(
     acc: TriAxialAcc, fs: float, epoch_len_s: float = 10.0
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
-    """Per-epoch feature rows: the 24-value summary of each raw axis, concatenated."""
-    blocks = [stat_features(epoch_view(axis, fs, epoch_len_s), fs) for axis in acc.axes]
-    layout = tuple((f"stats_acc_{name}", block.shape[1]) for name, block in zip("xyz", blocks))
-    return np.concatenate(blocks, axis=1), layout
+    """Per-epoch feature rows: the 24-value summary of each raw axis, concatenated.
+
+    The rows are built BLOCK_EPOCHS epochs at a time, a task each on the
+    kept CPU pool, from the physical samples of those epochs alone; a row
+    does not depend on its neighbours, so the bits are those of the whole
+    night at once.
+    """
+    n_epochs, win = epoch_grid(len(acc), fs, epoch_len_s)
+    layout = tuple((f"stats_acc_{name}", N_STAT_FEATURES) for name in "xyz")
+    X = np.empty((n_epochs, 3 * N_STAT_FEATURES))
+
+    def block(start: int, buffer: np.ndarray) -> None:
+        stop = min(start + BLOCK_EPOCHS, n_epochs)
+        axes = acc.physical(start * win, stop * win, out=buffer[:, : (stop - start) * win])
+        axes = [axis.reshape(stop - start, win) for axis in axes]
+        # (axis, epoch, feature) -> (epoch, axis * feature)
+        X[start:stop] = stat_features(axes, fs).transpose(1, 0, 2).reshape(stop - start, -1)
+
+    # a digital block is converted into its thread's buffer
+    pool_map_with_buffer(block, range(0, n_epochs, BLOCK_EPOCHS), (3, BLOCK_EPOCHS * win))
+    return X, layout
 
 
 def fit_mobility(

@@ -32,10 +32,12 @@ from .signal_io import (
     ChannelSignal,
     Recording,
     RecordingLayout,
+    is_digital,
     open_input,
     read_csv,
     read_edf,
     read_edf_layout,
+    to_held_digital,
     write_csv,
     write_edf,
 )
@@ -137,18 +139,34 @@ def write_recording(rec: Recording, path: str | Path) -> None:
         write_csv(rec, path)
 
 
-def despiked(rec: Recording) -> Recording:
+def despiked(rec: Recording, digital: bool = False) -> Recording:
     """The recording with every EEG channel through the zero-phase cascade.
 
-    The channels are filtered on the kept CPU pool, a task each.
+    The channels are filtered on the kept CPU pool, a task each, reading a
+    digital channel a chunk at a time.  With ``digital``, a filtered channel
+    is held in the digital form of its calibration, converted a chunk at a
+    time in its task: a sample out of the declared range raises
+    ``AmplitudeOutOfDeclaredRange`` here, before any writer opens a file.
     """
     cascade = design_cascade(rec.fs)
-    filtered = list(cpu_pool().map(lambda ch: apply_zero_phase(cascade, ch.samples), rec.channels))
+
+    def filter_channel(ch: ChannelSignal) -> np.ndarray:
+        calibration = ch.calibration if is_digital(ch.held) else None
+        samples = apply_zero_phase(cascade, ch.held, calibration)
+        return to_held_digital(samples, ch.calibration) if digital else samples
+
+    filtered = list(cpu_pool().map(filter_channel, rec.channels))
     channels = [
         ChannelSignal(ch.label, samples, unit=ch.unit, calibration=ch.calibration)
         for ch, samples in zip(rec.channels, filtered)
     ]
     return replace(rec, channels=channels)
+
+
+def write_despiked(rec: Recording, path: str | Path) -> None:
+    """Write the despiked recording as ``write_recording`` writes: an EDF
+    file from filtered channels held in the digital form."""
+    write_recording(despiked(rec, digital=_is_edf(path)), path)
 
 
 @contextmanager
@@ -176,7 +194,7 @@ def _write_night(
     rec = read_recording(path)
     if config.despike:
         # the models were fit on unfiltered epochs: only the copy is despiked
-        write_recording(despiked(rec), stage / f"{night_id}_despiked{path.suffix.lower()}")
+        write_despiked(rec, stage / f"{night_id}_despiked{path.suffix.lower()}")
 
     scores = score_recording(rec, model)
     binary = bool(model.meta.get("binary", False))

@@ -9,6 +9,15 @@ through the per-signal affine calibration
 
 The CSV fallback stores one row per sample with a leading ``t_s`` time
 column, one column per EEG channel, and optional ``accX,accY,accZ`` columns.
+
+A channel or accelerometer axis holds its samples in one of two forms:
+physical float64 values (CSV and synthetic nights), or the int16 digital
+values of the EDF file it was read from, which its calibration maps to
+physical ones.  Consumers ask for the physical samples of the range they
+work on (``ChannelSignal.physical``, ``TriAxialAcc.physical``), so an EDF
+night stays 2 bytes a sample in memory; the map is elementwise, so a range
+converted alone has the bits of the whole signal converted at once.
+``write_edf`` copies digital samples into its records unconverted.
 """
 from __future__ import annotations
 
@@ -68,8 +77,13 @@ ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 #: shortest round-trip digits, and repr itself writes the few cells the
 #: kernel does not certify; a block's text and temporaries stay a few MB
 _CSV_BLOCK_ROWS = 8192
-#: one-second records ``write_edf`` converts to digital values at a time
+#: rows in flight across those tasks, one block per CPU plus one; above
+#: two CPUs the blocks shrink, so the text in flight does not grow
+_CSV_ROWS_IN_FLIGHT = 3 * _CSV_BLOCK_ROWS
+#: one-second records ``write_edf`` interleaves at a time
 _EDF_BLOCK_RECORDS = 256
+#: physical samples ``to_held_digital`` converts at a time
+_DIGITAL_CHUNK = 1 << 16
 
 
 @contextmanager
@@ -108,9 +122,13 @@ class Calibration:
                 f"physical range [{self.phys_min}, {self.phys_max}] is not increasing"
             )
 
-    def to_physical(self, digital: np.ndarray) -> np.ndarray:
+    def to_physical(self, digital: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         scale = (self.phys_max - self.phys_min) / (self.dig_max - self.dig_min)
-        return self.phys_min + (digital.astype(np.float64) - self.dig_min) * scale
+        # into one array, the steps of phys_min + (digital - dig_min) * scale
+        p = np.subtract(digital, self.dig_min, out=out, dtype=np.float64)
+        p *= scale
+        p += self.phys_min
+        return p
 
     def to_digital(self, physical: np.ndarray) -> np.ndarray:
         scale = (self.dig_max - self.dig_min) / (self.phys_max - self.phys_min)
@@ -126,21 +144,65 @@ class Calibration:
         return d.astype(np.int16)
 
 
+def is_digital(held: np.ndarray) -> bool:
+    """Whether held samples are in the digital form: int16 values of an EDF file."""
+    return held.dtype == np.int16
+
+
+def held_physical(
+    held: np.ndarray, calibration: Calibration, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Held samples, of any shape, in physical units: digital ones through
+    ``calibration``, into ``out`` when given, physical ones as they are."""
+    return calibration.to_physical(held, out) if is_digital(held) else held
+
+
+def to_held_digital(samples: np.ndarray, calibration: Calibration) -> np.ndarray:
+    """Physical samples in the digital form, converted _DIGITAL_CHUNK at a
+    time; out-of-range samples raise ``AmplitudeOutOfDeclaredRange``."""
+    out = np.empty(len(samples), dtype=np.int16)
+    for start in range(0, len(samples), _DIGITAL_CHUNK):
+        stop = start + _DIGITAL_CHUNK
+        out[start:stop] = calibration.to_digital(samples[start:stop])
+    return out
+
+
 @dataclass
 class ChannelSignal:
-    """One EEG channel in physical units (microvolts)."""
+    """One EEG channel in microvolts.
+
+    ``held`` is its physical samples, or the int16 digital samples of the
+    EDF file it was read from, which ``calibration`` maps to microvolts.
+    """
 
     label: str
-    samples: np.ndarray
+    held: np.ndarray
     unit: str = "uV"
     calibration: Calibration = field(
         default_factory=lambda: Calibration(*DEFAULT_EEG_CALIBRATION)
     )
 
+    def physical(
+        self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The physical samples [start, stop); digital ones are converted
+        into ``out`` when it is given."""
+        return held_physical(self.held[start:stop], self.calibration, out)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole channel in physical units; the digital form converts it
+        anew on each call."""
+        return self.physical()
+
 
 @dataclass
 class TriAxialAcc:
-    """Accelerometer axes in g, sampled at the recording rate."""
+    """Accelerometer axes in g, sampled at the recording rate.
+
+    ``x``, ``y`` and ``z`` are held as ``ChannelSignal.held`` is, each with
+    its calibration.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -154,8 +216,26 @@ class TriAxialAcc:
     )
 
     @property
-    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def held(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.x, self.y, self.z)
+
+    def physical(
+        self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The physical samples [start, stop) of each axis; digital ones are
+        converted into the rows of ``out``, (3, stop - start), when given."""
+        rows = [None] * 3 if out is None else out
+        x, y, z = (
+            held_physical(axis[start:stop], cal, row)
+            for axis, cal, row in zip(self.held, self.calibrations, rows)
+        )
+        return x, y, z
+
+    @property
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The whole axes in physical units; the digital form converts them
+        anew on each call."""
+        return self.physical()
 
     def __len__(self) -> int:
         return len(self.x)
@@ -193,7 +273,7 @@ class Recording:
 
     def __post_init__(self) -> None:
         _check_rate(self.fs)
-        lengths = {len(ch.samples) for ch in self.channels}
+        lengths = {len(ch.held) for ch in self.channels}
         if len(lengths) > 1:
             raise LengthMismatchEegAcc(f"channel lengths differ: {sorted(lengths)}")
         if self.acc is not None:
@@ -203,18 +283,19 @@ class Recording:
                 raise LengthMismatchEegAcc(
                     f"accelerometer length {len(self.acc)} != EEG length {lengths.pop()}"
                 )
+        # digital samples are integers, always finite
         for ch in self.channels:
-            if not np.all(np.isfinite(ch.samples)):
+            if not is_digital(ch.held) and not np.all(np.isfinite(ch.held)):
                 raise NonFiniteSamples(f"channel {ch.label!r} contains non-finite samples")
         if self.acc is not None:
-            for axis in self.acc.axes:
-                if not np.all(np.isfinite(axis)):
+            for axis in self.acc.held:
+                if not is_digital(axis) and not np.all(np.isfinite(axis)):
                     raise NonFiniteSamples("accelerometer contains non-finite samples")
 
     @property
     def n_samples(self) -> int:
         if self.channels:
-            return len(self.channels[0].samples)
+            return len(self.channels[0].held)
         if self.acc is not None:
             return len(self.acc)
         return 0
@@ -426,7 +507,7 @@ def read_edf_layout(path: str | Path) -> RecordingLayout:
 
 
 def read_edf(path: str | Path) -> Recording:
-    """Read an EDF file into physical units.
+    """Read an EDF file, each signal held as its digital samples.
 
     EEG channels are the signals declared in microvolts; signals declared
     in g with labels ending in X/Y/Z populate the accelerometer, which needs
@@ -440,19 +521,18 @@ def read_edf(path: str | Path) -> Recording:
     data = np.frombuffer(payload, "<i2", count).reshape(shape)
     offsets = np.cumsum([0] + header.samples_per_record)
 
-    def physical(i: int) -> np.ndarray:
-        digital = data[:, offsets[i] : offsets[i + 1]].reshape(-1)
-        return signals.calibrations[i].to_physical(digital)
+    def digital(i: int) -> np.ndarray:
+        return np.ascontiguousarray(data[:, offsets[i] : offsets[i + 1]], np.int16).reshape(-1)
 
     channels = [
-        ChannelSignal(header.labels[i], physical(i), header.units[i], signals.calibrations[i])
+        ChannelSignal(header.labels[i], digital(i), header.units[i], signals.calibrations[i])
         for i in signals.eeg
     ]
     acc: TriAxialAcc | None = None
     if signals.acc:
         axes = [signals.acc[a] for a in ("X", "Y", "Z")]
         acc = TriAxialAcc(
-            *(physical(i) for i in axes),
+            *(digital(i) for i in axes),
             calibrations=tuple(signals.calibrations[i] for i in axes),
         )
 
@@ -463,7 +543,8 @@ def write_edf(rec: Recording, path: str | Path) -> None:
     """Write a recording as plain EDF with one-second data records.
 
     The sample count must span whole seconds and the rate must be an
-    integer; out-of-range samples raise rather than clip.
+    integer; out-of-range samples raise rather than clip.  Digital samples
+    are copied into the records; physical ones are converted.
     """
     fs = rec.fs
     if fs != int(fs):
@@ -476,9 +557,9 @@ def write_edf(rec: Recording, path: str | Path) -> None:
 
     signals: list[tuple[str, str, Calibration, np.ndarray]] = []
     for ch in rec.channels:
-        signals.append((ch.label, ch.unit, ch.calibration, ch.samples))
+        signals.append((ch.label, ch.unit, ch.calibration, ch.held))
     if rec.acc is not None:
-        for label, cal, axis in zip(ACC_AXIS_LABELS, rec.acc.calibrations, rec.acc.axes):
+        for label, cal, axis in zip(ACC_AXIS_LABELS, rec.acc.calibrations, rec.acc.held):
             signals.append((label, "g", cal, axis))
     ns = len(signals)
 
@@ -506,19 +587,23 @@ def write_edf(rec: Recording, path: str | Path) -> None:
         for label, unit, cal, _ in signals
     ]
     header = _pack(_HEADER_FIELDS, [head]) + _pack(_SIGNAL_FIELDS, sigs)
-    # the file opens once every sample fits; to_digital is monotone, so a
-    # signal's extremes go out of range wherever any of its samples does
-    for _, _, cal, samples in signals:
-        if len(samples):
-            cal.to_digital(np.array([np.min(samples), np.max(samples)]))
+    # the file opens once every sample fits; to_physical and to_digital are
+    # monotone, so a signal's extremes go out of range wherever any of its
+    # samples does, and a digital one's wherever its round trip would
+    for _, _, cal, held in signals:
+        if len(held):
+            cal.to_digital(held_physical(np.array([held.min(), held.max()]), cal))
     with open(path, "wb") as out:
         out.write(header)
         # a block of records at a time, so no whole-signal copy exists
         for start in range(0, n_records, _EDF_BLOCK_RECORDS):
             stop = min(start + _EDF_BLOCK_RECORDS, n_records)
             record = np.empty((stop - start, ns, fs), dtype="<i2")
-            for i, (_, _, cal, samples) in enumerate(signals):
-                record[:, i] = cal.to_digital(samples[start * fs : stop * fs]).reshape(-1, fs)
+            for i, (_, _, cal, held) in enumerate(signals):
+                part = held[start * fs : stop * fs]
+                if not is_digital(part):
+                    part = cal.to_digital(part)
+                record[:, i] = part.reshape(-1, fs)
             out.write(record)
 
 
@@ -589,29 +674,32 @@ def write_csv(rec: Recording, path: str | Path) -> None:
 
     The header is written as ``csv.writer`` writes it, so a label that
     holds a comma or a quote reads back.  Every sample is written as
-    ``repr`` writes it: blocks of ``_CSV_BLOCK_ROWS`` rows are formatted by
-    ``_csv_rows`` as tasks on the kept pool, at most one per CPU plus one in
-    flight, and written in order.
+    ``repr`` writes it: blocks of at most ``_CSV_BLOCK_ROWS`` rows are
+    formatted by ``_csv_rows`` as tasks on the kept pool, at most one per
+    CPU plus one and ``_CSV_ROWS_IN_FLIGHT`` rows in flight, and written in
+    order.
     """
     names = ["t_s"] + [ch.label for ch in rec.channels]
-    columns = [ch.samples for ch in rec.channels]
+    columns = [(ch.held, ch.calibration) for ch in rec.channels]
     if rec.acc is not None:
         names += ["accX", "accY", "accZ"]
-        columns += list(rec.acc.axes)
+        columns += list(zip(rec.acc.held, rec.acc.calibrations))
+    # _in_order keeps one block per CPU plus one in flight
+    block_rows = max(1, min(_CSV_BLOCK_ROWS, _CSV_ROWS_IN_FLIGHT // (available_cpus() + 1)))
 
     def block(start: int) -> bytes:
-        stop = min(start + _CSV_BLOCK_ROWS, rec.n_samples)
+        stop = min(start + block_rows, rec.n_samples)
         table = np.empty((stop - start, 1 + len(columns)))
         table[:, 0] = rec.t0_s + np.arange(start, stop) / rec.fs
-        for j, column in enumerate(columns, start=1):
-            table[:, j] = column[start:stop]
+        for j, (held, cal) in enumerate(columns, start=1):
+            table[:, j] = held_physical(held[start:stop], cal)
         return _csv_rows(table)
 
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(names)
     with open(path, "wb") as out:
         out.write(header.getvalue().encode("utf-8"))
-        for text in _in_order(block, range(0, rec.n_samples, _CSV_BLOCK_ROWS)):
+        for text in _in_order(block, range(0, rec.n_samples, block_rows)):
             out.write(text)
 
 

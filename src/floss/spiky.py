@@ -153,7 +153,7 @@ def steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(n) - companion.T, b[1:] - a[1:] * b[0])
 
 
-def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
+def apply_zero_phase(cascade: FilterCascade, x: np.ndarray, calibration=None) -> np.ndarray:
     """Filter forward and backward with odd-reflection edge padding.
 
     The output has zero sample lag and the squared magnitude response of
@@ -163,8 +163,17 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     _CHUNK samples at a time, carrying the filter state, through one
     buffer that the backward pass overwrites from its end: neither the
     padded signal nor a second full-length output is ever built.
+
+    With a ``calibration`` (``signal_io.Calibration``), x holds digital
+    samples, and each chunk is mapped to physical ones as it is read, so
+    no physical copy of x is built either.
     """
-    x = np.asarray(x, dtype=np.float64)
+    if calibration is None:
+        x = np.asarray(x, dtype=np.float64)
+        physical = np.asarray
+    else:
+        x = np.asarray(x)
+        physical = calibration.to_physical
     pad = 3 * max(len(cascade.a), len(cascade.b))
     if x.ndim != 1 or len(x) <= pad:
         raise SignalTooShort(f"need more than {pad} samples, got {x.shape}")
@@ -174,12 +183,12 @@ def apply_zero_phase(cascade: FilterCascade, x: np.ndarray) -> np.ndarray:
     lfilter = _get_lfilter()
     zi = steady_state(b, a)
 
-    head = 2.0 * x[0] - x[pad:0:-1]
+    head = 2.0 * physical(x[:1]) - physical(x[pad:0:-1])
     _, z = lfilter(b, a, head, -1, zi * head[0])
-    y = np.empty_like(x)
+    y = np.empty(len(x))
     for start in range(0, len(x), _CHUNK):
-        y[start : start + _CHUNK], z = lfilter(b, a, x[start : start + _CHUNK], -1, z)
-    tail, _ = lfilter(b, a, 2.0 * x[-1] - x[-2 : -pad - 2 : -1], -1, z)
+        y[start : start + _CHUNK], z = lfilter(b, a, physical(x[start : start + _CHUNK]), -1, z)
+    tail, _ = lfilter(b, a, 2.0 * physical(x[-1:]) - physical(x[-2 : -pad - 2 : -1]), -1, z)
 
     # backward: the padding first, then y's chunks from the end, each
     # filtered and written back reversed over itself

@@ -192,10 +192,7 @@ def render_usability_graph(
         edges = np.linspace(0, len(rec.acc), buckets + 1).astype(int)
         # the norm of one bucket at a time, not of the whole night
         means = np.array(
-            [
-                acc_norm(*(axis[a:b] for axis in rec.acc.axes)).mean()
-                for a, b in zip(edges, edges[1:])
-            ]
+            [acc_norm(*rec.acc.physical(a, b)).mean() for a, b in zip(edges, edges[1:])]
         )
         lo, hi = means.min(), means.max()
         span = hi - lo if hi > lo else 1.0

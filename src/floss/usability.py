@@ -9,6 +9,11 @@ Training builds its feature matrix in place, in blocks of rows on the kept
 CPU pool: the epochs of labelled nights are read night by night, each
 night once, so a training set costs its matrix plus one recording;
 synthetic epochs are drawn block by block, in the task that uses them.
+
+Scoring and training read a recording as it is held (``signal_io``): a
+task converts to physical units only the epochs it works on, so a night
+read from EDF stays in its 16-bit digital form, and the amplitude check
+takes its percentile from a count of the digital values.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbt
-from .epoching import ArtifactClass, EpochSample, epoch_view
+from .epoching import BLOCK_EPOCHS, ArtifactClass, EpochSample, epoch_grid, epoch_view
 from .errors import ChannelMissing, DegenerateData, EmptyRecording
 from .features import (
     SpectrogramConfig,
@@ -29,19 +34,15 @@ from .features import (
     epoch_feature_matrix,
     feature_layout,
     pool_map,
+    pool_map_with_buffer,
 )
-from .signal_io import Recording
+from .signal_io import Calibration, ChannelSignal, Recording, held_physical, is_digital
 
 #: class weight applied to the two-humped artifact class by weighted-m
 M_CLASS_WEIGHT = 3.0
 
 #: 99.9th-percentile amplitude above this suggests non-standard scaling
 AMPLITUDE_WARN_UV = 2000.0
-
-#: epochs one ``score_recording`` task takes, for every channel at once,
-#: through features, trees and spectra; a task's arrays then stay a few MB
-#: however long the night
-_BLOCK_EPOCHS = 128
 
 #: feature rows one ``train_usability`` task builds; a row of one channel
 #: carries its own accelerometer blocks, so blocks are smaller than
@@ -153,30 +154,39 @@ def _write_night(
     """Write the feature rows of one night's kept epochs into X.
 
     ``kept`` maps a channel to its kept epoch indices and their rows of X.
-    A block gathers its epochs by index from the night's epoch views, and
-    takes its accelerometer norm from the axes' epochs alike; a night
-    without an accelerometer gives zero norms when ``zero_norms``.
+    A block gathers its epochs by index from the night's epoch views of the
+    held samples and converts only those to physical units; it takes its
+    accelerometer norm from the axes' epochs alike.  A night without an
+    accelerometer gives zero norms when ``zero_norms``.
     """
-    axes = None if rec.acc is None else [epoch_view(a, rec.fs, epoch_len_s) for a in rec.acc.axes]
+    axes = None
+    if rec.acc is not None:
+        axes = [
+            (epoch_view(axis, rec.fs, epoch_len_s), cal)
+            for axis, cal in zip(rec.acc.held, rec.acc.calibrations)
+        ]
 
-    def epochs(view: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def epochs(
+        view: np.ndarray, cal: Calibration, index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         if axes is not None:
-            norm = acc_norm(*(a[index] for a in axes))
+            norm = acc_norm(*(held_physical(a[index], c) for a, c in axes))
         else:
             norm = np.zeros((len(index), view.shape[1])) if zero_norms else None
-        return view[index], norm
+        return held_physical(view[index], cal), norm
 
     # the night was labelled from its layout; a file changed since fails here
-    channels = {ch.label: ch.samples for ch in rec.channels}
+    channels = {ch.label: ch for ch in rec.channels}
     blocks: list[_RowBlock] = []
     for channel, (index, rows) in kept.items():
         if channel not in channels:
             raise ChannelMissing(f"labelled channel {channel!r} is not in the recording")
-        view = epoch_view(channels[channel], rec.fs, epoch_len_s)
+        ch = channels[channel]
+        view = epoch_view(ch.held, rec.fs, epoch_len_s)
         if index.max() >= len(view):
             raise EmptyRecording(f"channel {channel!r} holds no epoch {index.max()}")
         for sel in _in_blocks(rows):
-            blocks.append((rows[sel], functools.partial(epochs, view, index[sel])))
+            blocks.append((rows[sel], functools.partial(epochs, view, ch.calibration, index[sel])))
     _write_rows(X, blocks, cfg, include_stats)
 
 
@@ -269,32 +279,64 @@ def _percentile_of(x: np.ndarray, q: float) -> float:
     x.partition(k)
     if np.isnan(x[k:]).any():  # NaN sorts last
         return np.nan
-    below, above = x[:k].max(), x[k]
-    t = virtual - (k - 1)
+    return _lerp(virtual, x[:k].max(), x[k])
+
+
+def _lerp(virtual: float, below: float, above: float) -> float:
+    """The value at index ``virtual`` between the order statistics around
+    it, by the formula of numpy's _lerp."""
+    t = virtual - int(virtual)
     diff = above - below
     return above - diff * (1 - t) if t >= 0.5 else below + diff * t
+
+
+def _abs_percentile(ch: ChannelSignal, q: float) -> float:
+    """np.percentile(np.abs(ch.samples), q), without a whole-channel copy
+    where the channel is digital.
+
+    A digital channel's order statistics come from a count of its 65,536
+    possible values, each mapped once through the calibration, and blend
+    as ``_percentile_of``'s do, so the value has the same bits.
+    """
+    if not is_digital(ch.held):
+        return _percentile_of(np.abs(ch.held), q)
+    counts = np.bincount(ch.held.view(np.uint16), minlength=1 << 16)
+    # the absolute physical value of every code, counted by its uint16 bits
+    codes = np.arange(1 << 16, dtype=np.uint16).view(np.int16)
+    magnitude = np.abs(ch.calibration.to_physical(codes))
+    order = np.argsort(magnitude, kind="stable")
+    ends = np.cumsum(counts[order])  # samples at or below each sorted value
+
+    def ranked(k: int) -> float:  # the k-th smallest, 0-based
+        return magnitude[order[np.searchsorted(ends, k, side="right")]]
+
+    n = ch.held.size
+    virtual = (n - 1) * np.true_divide(q, 100)
+    if virtual >= n - 1:
+        return ranked(n - 1)
+    k = int(virtual) + 1
+    return _lerp(virtual, ranked(k - 1), ranked(k))
 
 
 def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     """Label every channel epoch of a recording with the model's classes.
 
-    The night is scored _BLOCK_EPOCHS epochs at a time, a task each on the
-    kept CPU pool: a task computes its epochs' feature rows, predicts them
-    and writes their labels and spectra.  A row's features, label and
-    spectrum do not depend on its neighbours, so the blocks and the CPU
-    count leave every bit as one whole-night feature matrix would.
+    The night is scored BLOCK_EPOCHS epochs at a time, a task each on the
+    kept CPU pool: a task converts its epochs' samples to physical units,
+    computes their feature rows, predicts them and writes their labels and
+    spectra.  A row's features, label and spectrum do not depend on its
+    neighbours, so the blocks and the CPU count leave every bit as one
+    whole-night feature matrix would.
     """
     epoch_len_s = gbt.input_epoch_len(model, "usability", rec.fs)
     if not rec.channels:
         raise ChannelMissing("recording has no EEG channels")
     include_stats = bool(model.meta.get("include_stats", True))
-
-    # one view per channel: epoch_feature_matrix reads them without a stack
-    eeg_epochs = [epoch_view(ch.samples, rec.fs, epoch_len_s) for ch in rec.channels]
-    n_channels, n_epochs = len(eeg_epochs), len(eeg_epochs[0])
+    n_channels = len(rec.channels)
+    n_epochs, win = epoch_grid(rec.n_samples, rec.fs, epoch_len_s)
 
     for ch in rec.channels:
-        if _percentile_of(np.abs(ch.samples), 99.9) > AMPLITUDE_WARN_UV:
+        if _abs_percentile(ch, 99.9) > AMPLITUDE_WARN_UV:
             warnings.warn(
                 f"channel {ch.label!r} amplitudes exceed {AMPLITUDE_WARN_UV} uV; "
                 "data may need normalization to the expected microvolt scale",
@@ -302,25 +344,31 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
             )
 
     cfg = SpectrogramConfig(fs=rec.fs)
-    win = eeg_epochs[0].shape[1]
     layout = feature_layout(win, cfg, include_stats)
     gbt.check_layout(model, layout)
     labels = np.empty((n_channels, n_epochs), dtype=np.intp)
     spectra = np.empty((n_channels, n_epochs, cfg.bin_count))
 
-    def score_block(start: int) -> None:
-        stop = min(start + _BLOCK_EPOCHS, n_epochs)
+    def score_block(start: int, buffer: np.ndarray) -> None:
+        stop = min(start + BLOCK_EPOCHS, n_epochs)
+        span, n = (start * win, stop * win), (stop - start) * win
         norm = None
         if rec.acc is not None:
-            axes = (axis[start * win : stop * win] for axis in rec.acc.axes)
+            axes = rec.acc.physical(*span, out=buffer[n_channels:, :n])
             norm = acc_norm(*axes).reshape(stop - start, win)
-        X, _ = epoch_feature_matrix([e[start:stop] for e in eeg_epochs], norm, cfg, include_stats)
+        eeg = [
+            ch.physical(*span, out=row[:n]).reshape(stop - start, win)
+            for ch, row in zip(rec.channels, buffer)
+        ]
+        X, _ = epoch_feature_matrix(eeg, norm, cfg, include_stats)
         labels[:, start:stop] = gbt.predict_label(model, X).reshape(n_channels, -1)
         # every row opens with its EEG spectrogram, frames x bins
         frames = X[:, : layout[0][1]].reshape(n_channels, stop - start, -1, cfg.bin_count)
         spectra[:, start:stop] = frames.mean(axis=2)
 
-    pool_map(score_block, range(0, n_epochs, _BLOCK_EPOCHS))
+    # a digital block is converted into its thread's buffer
+    rows = n_channels + (3 if rec.acc is not None else 0)
+    pool_map_with_buffer(score_block, range(0, n_epochs, BLOCK_EPOCHS), (rows, BLOCK_EPOCHS * win))
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
         labels=list(labels),

@@ -818,3 +818,40 @@ class TestCpuCount:
         future = features.cpu_pool().submit(gbt.fit, X, y, gbt.TrainConfig(n_iterations=1))
         with pytest.raises(RuntimeError, match="kept CPU pool"):
             future.result(timeout=60)
+
+
+_SPLIT_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])
+_TREES = st.recursive(
+    st.builds(lambda v: {"value": v}, st.floats(-1.0, 1.0, allow_nan=False)),
+    lambda below: st.builds(
+        lambda f, t, left, right: {"feature": f, "threshold": t, "left": left, "right": right},
+        st.integers(0, 2), _SPLIT_VALUES, below, below,
+    ),
+    max_leaves=10,
+)
+
+
+def _walk(node: dict, x: np.ndarray) -> float:
+    while "value" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    data=st.data(),
+    X=st.lists(st.lists(_SPLIT_VALUES | st.floats(-2.0, 2.0, allow_nan=False), min_size=3,
+                        max_size=3), min_size=1, max_size=20).map(np.array),
+)
+def test_depth_ordered_walk_equals_one_tree_at_a_time(k, data, X):
+    """The joined forest steps only the trees still deeper than each level,
+    deepest first, and gives each leaf value in iteration order."""
+    rows = data.draw(st.lists(st.lists(_TREES, min_size=k, max_size=k), min_size=1, max_size=6))
+    model = _hand_built(rows, [1.0 / k] * k, 3)
+    want = np.array([[_walk(tree, x) for row in rows for tree in row] for x in X])
+    np.testing.assert_array_equal(gbt._leaf_values(model.forest, X), want)
+    order, live = model.forest.deepest_first
+    depths = model.forest.depths[order]
+    assert (np.diff(depths) <= 0).all()
+    assert list(live) == [int((depths > level).sum()) for level in range(model.forest.depth)]

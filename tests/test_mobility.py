@@ -102,6 +102,23 @@ class TestFeaturesAndModel:
         assert X.shape == (6, 72)
         assert [n for n, _ in layout] == ["stats_acc_x", "stats_acc_y", "stats_acc_z"]
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_blocks_of_a_digital_night_equal_the_whole_night(self, monkeypatch, cpus):
+        """Epoch blocks converted into reused buffers, the last one partial,
+        give the bits of each axis converted and summarised whole."""
+        from floss import features
+        from floss.epoching import BLOCK_EPOCHS, epoch_view
+        from floss.features import stat_features
+        from floss.signal_io import Calibration
+
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        axes, _ = gen_mobility_sequence([(L, BLOCK_EPOCHS), (M, BLOCK_EPOCHS + 3)], FS, 10.0, seed=5)
+        cal = Calibration(-8.0, 8.0)
+        held = [cal.to_digital(axis) for axis in axes]
+        X, _ = mobility_feature_matrix(TriAxialAcc(*held, calibrations=(cal,) * 3), FS, 10.0)
+        whole = [stat_features(epoch_view(cal.to_physical(h), FS, 10.0), FS) for h in held]
+        assert X.tobytes() == np.concatenate(whole, axis=1).tobytes()
+
     def test_model_classifies_held_out_blocks(self, tiny_mobility_model):
         axes, states = gen_mobility_sequence(
             [(M, 4), (L, 14), (I, 4), (S, 4)], FS, 10.0, seed=77

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from floss import signal_io
@@ -530,3 +530,192 @@ def test_out_of_range_sample_in_the_last_record_block_leaves_no_file(
     with pytest.raises(AmplitudeOutOfDeclaredRange):
         write_edf(rec, tmp_path / "a.edf")
     assert not (tmp_path / "a.edf").exists()
+
+
+def test_write_csv_text_in_flight_does_not_grow_with_the_cpu_count(tmp_path):
+    """At 64 CPUs the blocks shrink: the rows in flight stay those of 2 CPUs.
+
+    Only the count ``write_csv`` reads is patched; the pool keeps its size,
+    so the blocks it runs at once are its own.
+    """
+    x = np.random.default_rng(3).standard_normal(600_000)
+    rec = Recording([ChannelSignal("EEG", x), ChannelSignal("EEG 2", -x)], None, fs=256.0)
+    peaks, blocks = {}, {}
+    format_rows = signal_io._csv_rows
+    for cpus in (2, 64):
+        sizes = []
+        spy = lambda table: sizes.append(len(table)) or format_rows(table)  # noqa: E731
+        with mock.patch.object(signal_io, "available_cpus", lambda: cpus), \
+                mock.patch.object(signal_io, "_csv_rows", spy):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                write_csv(rec, tmp_path / f"{cpus}.csv")
+                peaks[cpus] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        blocks[cpus] = max(sizes)
+    assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "64.csv").read_bytes()
+    assert blocks[2] == signal_io._CSV_BLOCK_ROWS
+    # one block per CPU plus one in flight
+    assert blocks[64] * 65 <= 3 * blocks[2]
+    assert peaks[64] < 1.25 * peaks[2], peaks
+
+
+_DIGITAL = st.integers(-32768, 32767)
+
+
+@st.composite
+def _calibrations(draw, digital=_DIGITAL):
+    """Calibrations with any increasing physical range, including asymmetric
+    and all-negative ones, and any digital range, reversed ones too."""
+    phys = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    lo, hi = draw(phys), draw(phys)
+    assume(lo < hi)
+    d0, d1 = draw(digital), draw(digital)
+    assume(d0 != d1)
+    return Calibration(lo, hi, d0, d1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cal=_calibrations(),
+    held=arrays(np.int16, st.integers(1, 300)),
+    cut=st.tuples(st.integers(-310, 310), st.integers(-310, 310)),
+)
+def test_a_range_converted_alone_has_the_bits_of_the_whole_signal(cal, held, cut):
+    whole = cal.to_physical(held)
+    start, stop = cut
+    ch = ChannelSignal("EEG", held, calibration=cal)
+    assert ch.physical(start, stop).tobytes() == whole[start:stop].tobytes()
+    acc = TriAxialAcc(held, held[::-1].copy(), held, calibrations=(cal,) * 3)
+    assert [a.tobytes() for a in acc.physical(start, stop)] == [
+        whole[start:stop].tobytes(), cal.to_physical(held[::-1])[start:stop].tobytes(),
+        whole[start:stop].tobytes(),
+    ]
+    assert ch.samples.tobytes() == whole.tobytes()
+
+
+def test_read_edf_holds_two_bytes_a_sample(tmp_path, rng):
+    """The read's peak is its payload buffer and the int16 signals it keeps."""
+    rec = _digital_recording(rng, n_channels=2, seconds=3600, fs=128)
+    rec.channels.append(ChannelSignal("Temp", np.zeros(rec.n_samples), unit="degC"))
+    path = tmp_path / "a.edf"
+    write_edf(rec, path)
+    header = HEADER_BYTES + 6 * SIGNAL_HEADER_BYTES
+    payload = path.stat().st_size - header
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_edf(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = [ch.held for ch in back.channels] + list(back.acc.held)
+    assert [h.dtype for h in held] == [np.dtype(np.int16)] * 5
+    # the two EEG channels and three axes are kept; the other signal is not
+    assert peak <= payload + 2 * 5 * rec.n_samples + header + (64 << 10), peak
+    for ch, want in zip(back.channels, rec.channels):
+        assert ch.samples.tobytes() == want.samples.tobytes()
+
+
+_HEADER_NUMBER = st.from_regex(r"-?[0-9]{1,8}(\.[0-9]{1,6})?", fullmatch=True).filter(
+    lambda text: len(text) <= 8
+)
+
+
+@st.composite
+def _header_calibrations(draw):
+    """Calibrations as the 8-byte fields of an EDF header can declare them,
+    and whose fields write_edf can format in 8 bytes."""
+    lo, hi = float(draw(_HEADER_NUMBER)), float(draw(_HEADER_NUMBER))
+    assume(lo < hi and all(len(f"{v:g}") <= 8 for v in (lo, hi)))
+    d0, d1 = draw(st.integers(-9_999_999, 99_999_999)), draw(st.integers(-9_999_999, 99_999_999))
+    assume(d0 != d1 and max(d0, d1) >= -32768 and min(d0, d1) <= 32767)
+    return Calibration(lo, hi, d0, d1)
+
+
+def _finer_than_float64(cal: Calibration) -> bool:
+    """Whether the physical step is under four float64 spacings at the
+    physical range's ends, where to_physical maps neighbouring digital
+    values onto one float and a round trip moves them."""
+    step = (cal.phys_max - cal.phys_min) / abs(cal.dig_max - cal.dig_min)
+    return 4 * np.spacing(max(abs(cal.phys_min), abs(cal.phys_max))) > step
+
+
+def _edf_bytes(rec: Recording, path: Path) -> bytes | type:
+    path.unlink(missing_ok=True)
+    try:
+        write_edf(rec, path)
+    except AmplitudeOutOfDeclaredRange as exc:
+        assert not path.exists()
+        return type(exc)
+    return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cal=_header_calibrations(), data=st.data())
+def test_write_edf_copies_digital_records_as_the_round_trip_wrote_them(
+    tmp_path_factory, cal, data
+):
+    """A digital signal's records are its samples.  A physical copy of it is
+    written as before the digital form existed, through to_digital; the two
+    give the same bytes, or the same error, except for calibrations finer
+    than float64, where the round trip moves samples and the copy does not."""
+    lo, hi = max(min(cal.dig_min, cal.dig_max), -32768), min(max(cal.dig_min, cal.dig_max), 32767)
+    length = st.integers(1, 6).map(lambda seconds: 4 * seconds)
+    held = data.draw(arrays(np.int16, length, elements=st.integers(lo, hi)))
+    digital = Recording([ChannelSignal("EEG", held, calibration=cal)], None, fs=4.0)
+    as_physical = ChannelSignal("EEG", cal.to_physical(held), calibration=cal)
+    physical = Recording([as_physical], None, fs=4.0)
+    root = tmp_path_factory.getbasetemp()
+    got = _edf_bytes(digital, root / "digital.edf")
+    want = _edf_bytes(physical, root / "physical.edf")
+    if got != want:
+        assert _finer_than_float64(cal), cal
+        assert got[HEADER_BYTES + SIGNAL_HEADER_BYTES :] == held.astype("<i2").tobytes()
+
+
+def test_a_calibration_finer_than_float64_is_copied_not_moved(tmp_path):
+    """99999998 to 99999999 over 1.1e8 digital steps is 9e-9 a step, under
+    the 1.5e-8 float64 spacing near 1e8: a round trip through physical units
+    moves over a third of the samples, and the copy keeps the file's."""
+    cal = Calibration(99999998.0, 99999999.0, -9999999, 99999999)
+    assert _finer_than_float64(cal)
+    held = np.arange(-32768, 32768, dtype=np.int16)
+    digital = Recording([ChannelSignal("EEG", held, calibration=cal)], None, fs=256.0)
+    as_physical = ChannelSignal("EEG", cal.to_physical(held), calibration=cal)
+    physical = Recording([as_physical], None, fs=256.0)
+    payload = HEADER_BYTES + SIGNAL_HEADER_BYTES
+    assert _edf_bytes(digital, tmp_path / "a.edf")[payload:] == held.astype("<i2").tobytes()
+    moved = np.frombuffer(_edf_bytes(physical, tmp_path / "b.edf")[payload:], "<i2")
+    assert (moved != held).mean() > 1 / 3
+
+
+@pytest.mark.parametrize("signal", [0, 1, 3])
+def test_an_out_of_declared_range_digital_night_leaves_no_file(tmp_path, rng, signal):
+    """A file whose samples leave its declared digital range reads, and every
+    writer of it raises before any output file exists."""
+    from floss.report import write_despiked
+
+    cal = Calibration(-100.0, 100.0, -1000, 1000)
+    fs, seconds, n_signals = 128, 4, 5
+    held = [rng.integers(-1000, 1001, fs * seconds).astype(np.int16) for _ in range(n_signals)]
+    rec = Recording(
+        [ChannelSignal(f"EEG {i}", held[i], calibration=cal) for i in range(2)],
+        TriAxialAcc(*held[2:], calibrations=(cal,) * 3),
+        fs=float(fs),
+    )
+    path = tmp_path / "in.edf"
+    write_edf(rec, path)
+    raw = bytearray(path.read_bytes())
+    # the signal's last sample, in the last record, becomes 2000
+    at = HEADER_BYTES + n_signals * SIGNAL_HEADER_BYTES
+    at += 2 * ((seconds - 1) * n_signals * fs + (signal + 1) * fs - 1)
+    raw[at : at + 2] = np.int16(2000).tobytes()
+    path.write_bytes(bytes(raw))
+    night = read_edf(path)
+    for write in (write_edf, write_despiked):
+        with pytest.raises(AmplitudeOutOfDeclaredRange):
+            write(night, tmp_path / "out.edf")
+        assert not (tmp_path / "out.edf").exists()

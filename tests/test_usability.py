@@ -8,20 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floss import features, gbt, usability
-from floss.epoching import ArtifactClass
+from floss import features, gbt
+from floss.epoching import BLOCK_EPOCHS, ArtifactClass
 from floss.errors import (
     ChannelMissing,
     DegenerateData,
     EmptyRecording,
     ModelIncompatible,
 )
-from floss.signal_io import ChannelSignal, Recording, TriAxialAcc
+from floss.signal_io import Calibration, ChannelSignal, Recording, TriAxialAcc
 from floss.synth import gen_night
 from floss.usability import (
     M_CLASS_WEIGHT,
     VARIANTS,
     UsabilityScores,
+    _abs_percentile,
     _percentile_of,
     score_recording,
     train_usability,
@@ -257,7 +258,7 @@ class TestScoreRecording:
             np.testing.assert_array_equal(got, expect)
 
 
-_B = usability._BLOCK_EPOCHS
+_B = BLOCK_EPOCHS
 
 
 class TestBlockedScoring:
@@ -320,6 +321,30 @@ class TestBlockedScoring:
         np.testing.assert_array_equal(scores.spectra, want_spectra)
 
     @pytest.mark.parametrize("cpus", [1, 3])
+    def test_digital_night_scores_as_its_physical_samples(
+        self, night, default_model, monkeypatch, cpus
+    ):
+        """Blocks converted into reused buffers, the last one partial, give
+        the bits of the night converted whole."""
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        eeg_cal, acc_cal = Calibration(-3276.8, 3276.7), Calibration(-8.0, 8.0)
+        eeg = [eeg_cal.to_digital(ch.samples) for ch in night.channels]
+        axes = [acc_cal.to_digital(axis) for axis in night.acc.axes]
+        digital = Recording(
+            [ChannelSignal(ch.label, d, calibration=eeg_cal) for ch, d in zip(night.channels, eeg)],
+            TriAxialAcc(*axes, calibrations=(acc_cal,) * 3),
+            fs=night.fs,
+        )
+        physical = Recording(
+            [ChannelSignal(ch.label, eeg_cal.to_physical(d)) for ch, d in zip(night.channels, eeg)],
+            TriAxialAcc(*(acc_cal.to_physical(a) for a in axes)),
+            fs=night.fs,
+        )
+        got, want = score_recording(digital, default_model), score_recording(physical, default_model)
+        np.testing.assert_array_equal(np.stack(got.labels), np.stack(want.labels))
+        assert got.spectra.tobytes() == want.spectra.tobytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
     def test_amplitude_warning_reaches_the_caller(self, night, tiny_model, monkeypatch, cpus):
         monkeypatch.setattr(features, "available_cpus", lambda: cpus)
         rec = self._prefix(night, _B + 1)
@@ -375,3 +400,32 @@ class TestPercentile:
         x = np.abs(rng.standard_normal(5000))
         x[17] = np.nan
         assert np.isnan(_percentile_of(x, 99.9))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        held=arrays(
+            np.int16,
+            st.integers(1, 3000),
+            elements=st.integers(-32768, 32767) | st.sampled_from([-32768, -1, 0, 1, 32767]),
+        ),
+        phys=st.tuples(
+            st.floats(-5000.0, 5000.0, allow_nan=False), st.floats(-5000.0, 5000.0, allow_nan=False)
+        ).filter(lambda p: p[0] < p[1]),
+        dig=st.tuples(st.integers(-40000, 40000), st.integers(-40000, 40000)).filter(
+            lambda d: d[0] != d[1]
+        ),
+        q=st.one_of(st.just(99.9), st.floats(0.0, 100.0)),
+    )
+    def test_digital_counts_give_numpy_of_the_physical_bit_for_bit(self, held, phys, dig, q):
+        """A digital channel's percentile comes from a count of its values;
+        the ranges are drawn asymmetric, all-negative and reversed too."""
+        cal = Calibration(*phys, *dig)
+        ch = ChannelSignal("EEG", held, calibration=cal)
+        want = np.percentile(np.abs(cal.to_physical(held)), q)
+        got = _abs_percentile(ch, q)
+        assert got == want
+        assert np.signbit(got) == np.signbit(want)
+
+    def test_physical_channel_gives_the_partition_value(self, rng):
+        x = rng.standard_normal(4001) * 900
+        assert _abs_percentile(ChannelSignal("EEG", x), 99.9) == np.percentile(np.abs(x), 99.9)
