@@ -91,19 +91,6 @@ _config_option = click.option(
 )
 
 
-def _model_epoch_len(
-    model: gbt.Model, task: str, fs: float, epoch_len: float | None
-) -> float:
-    """The epoch length of a ``task`` model at ``fs`` Hz; an --epoch-len, when
-    given, must equal it."""
-    model_epoch_len = gbt.input_epoch_len(model, task, fs)
-    if epoch_len is not None and epoch_len != model_epoch_len:
-        raise ModelIncompatible(
-            f"--epoch-len {epoch_len} differs from the model's {model_epoch_len} s"
-        )
-    return model_epoch_len
-
-
 @click.group(context_settings={"show_default": True})
 @click.version_option(version=__version__, prog_name="floss")
 def main() -> None:
@@ -114,16 +101,12 @@ def main() -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None, help="usability CSV path")
-@click.option(
-    "--epoch-len", type=_POSITIVE, default=None, help="must match the model when given"
-)
 @_config_option
 @_cli_errors
-def check(input_path, model_path, out_path, epoch_len) -> None:
+def check(input_path, model_path, out_path) -> None:
     """Score one recording's per-epoch usability."""
     model = gbt.load_model(model_path)
     rec = report_mod.read_recording(input_path)
-    _model_epoch_len(model, "usability", rec.fs, epoch_len)
     scores = score_recording(rec, model)
     if out_path:
         Path(out_path).write_text(scores.to_csv())
@@ -137,19 +120,16 @@ def check(input_path, model_path, out_path, epoch_len) -> None:
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--mobility-model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--tib-run-epochs", type=_COUNT, default=DEFAULT_RUN_EPOCHS)
-@click.option(
-    "--epoch-len", type=_POSITIVE, default=None, help="must match the model when given"
-)
 @click.option("--out", "out_path", type=click.Path(), default=None, help="JSON output path")
 @_config_option
 @_cli_errors
-def tib(input_path, model_path, tib_run_epochs, epoch_len, out_path) -> None:
+def tib(input_path, model_path, tib_run_epochs, out_path) -> None:
     """Detect time in bed from a recording's accelerometer."""
     model = gbt.load_model(model_path)
     rec = report_mod.read_recording(input_path)
-    model_epoch_len = _model_epoch_len(model, "mobility", rec.fs, epoch_len)
+    epoch_len_s = gbt.input_epoch_len(model, "mobility", rec.fs)
     states = classify_mobility(rec.acc, rec.fs, model)
-    result = detect_tib(states, tib_run_epochs, model_epoch_len)
+    result = detect_tib(states, tib_run_epochs, epoch_len_s)
     payload = json.dumps(
         {
             "Lights_out_sec": result.lights_out_s,
@@ -346,7 +326,6 @@ def synth(out_dir, subjects, epochs, fs, epoch_len, sleep_epoch_len, seed) -> No
 @click.option("--despike", is_flag=True, default=_PIPELINE.despike)
 @click.option("--sleep-epoch-len", type=_POSITIVE, default=_PIPELINE.sleep_epoch_len_s)
 @click.option("--tib-run-epochs", type=_COUNT, default=_PIPELINE.tib_run_epochs)
-@click.option("--workers", type=_COUNT, default=_PIPELINE.workers)
 @_config_option
 @_cli_errors
 def report(
@@ -358,7 +337,6 @@ def report(
     despike,
     sleep_epoch_len,
     tib_run_epochs,
-    workers,
 ) -> None:
     """Process a directory of nights and write the batch summary."""
     if variant is not None:
@@ -375,7 +353,6 @@ def report(
         sleep_epoch_len_s=sleep_epoch_len,
         despike=despike,
         tib_run_epochs=tib_run_epochs,
-        workers=workers,
     )
     reports = report_mod.run_pipeline(pipeline)
     ok = sum(r.status == "ok" for r in reports)

@@ -1,14 +1,15 @@
 """Batch pipeline over directories of nights with skip-and-report semantics.
 
-Each night is processed independently: read, optionally write a despiked
-copy, score usability per channel on the recording as read, classify
-mobility and find time in bed when an accelerometer model is given, merge
-with sleep scores when a sidecar exists, and emit CSV/JSON/SVG outputs.
-Every output is written into a staging directory inside the output
-directory and moved into place only once the whole night has succeeded. A
-night failing with a taxonomy error is skipped whole and the error lands
-in the batch summary. Only configuration problems abort the run; they too
-leave no partial outputs.
+Nights run one after another on the caller's thread, and each night's heavy
+stages use every CPU through the kept pool.  Each night is processed
+independently: read, optionally write a despiked copy, score usability per
+channel on the recording as read, classify mobility and find time in bed
+when an accelerometer model is given, merge with sleep scores when a
+sidecar exists, and emit CSV/JSON/SVG outputs.  Every output is written
+into a staging directory inside the output directory and moved into place
+only once the whole night has succeeded. A night failing with a taxonomy
+error is skipped whole and the error lands in the batch summary. Only
+configuration problems abort the run; they too leave no partial outputs.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import json
 import os
 import shutil
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -58,7 +58,6 @@ class PipelineConfig:
     sleep_epoch_len_s: float = 30.0
     despike: bool = False
     tib_run_epochs: int = DEFAULT_RUN_EPOCHS
-    workers: int = 1
 
 
 @dataclass
@@ -283,17 +282,11 @@ def run_pipeline(config: PipelineConfig) -> list[NightReport]:
         if config.mobility_model_path is not None
         else None
     )
-    nights = discover_nights(config.input_dir)
-
-    # one pool serves one worker too; reports come back in the nights' order
-    pool = ThreadPoolExecutor(max_workers=config.workers)
-    try:
-        reports = list(
-            pool.map(lambda p: process_night(p, out_dir, model, mobility_model, config), nights)
-        )
-    finally:
-        # an uncoded failure aborts the batch: no queued night starts after it
-        pool.shutdown(cancel_futures=True)
+    # an uncoded failure propagates: no later night starts, no summary is written
+    reports = [
+        process_night(path, out_dir, model, mobility_model, config)
+        for path in discover_nights(config.input_dir)
+    ]
     summary = {
         "nights": [r.to_dict() for r in reports],
         "ok": sum(r.status == "ok" for r in reports),

@@ -346,11 +346,24 @@ def _pack(fields: tuple[tuple[str, int], ...], entries: list[dict]) -> bytes:
 
 def _field(value: str | float | int, width: int) -> bytes:
     if not isinstance(value, str):
-        value = str(value) if isinstance(value, int) else f"{value:g}"
+        value = str(value) if isinstance(value, int) else _float_text(value, width)
     raw = value.encode("ascii", errors="replace")
     if len(raw) > width:
         raise HeaderFieldUnparsable(f"field {value!r} does not fit in {width} bytes")
     return raw.ljust(width)
+
+
+def _float_text(value: float, width: int) -> str:
+    """``{:g}`` when it reads back as the value and fits, else the shortest
+    ``%.{p}g`` text of at most ``width`` bytes that reads back as it, else
+    the one that reads back closest."""
+    text = f"{value:g}"
+    if float(text) != value or len(text) > width:
+        # 17 significant digits read back as any float64
+        fitting = [t for t in (f"{value:.{p}g}" for p in range(1, 18)) if len(t) <= width]
+        if fitting:
+            text = min(fitting, key=lambda t: (abs(float(t) - value), len(t)))
+    return text
 
 
 def _parse_float(text: str, name: str) -> float:

@@ -125,15 +125,6 @@ class TestCheck:
         assert lines[0] == "channel,epoch_index,label"
         assert len(lines) == 1 + 72
 
-    def test_epoch_len_mismatch(self, runner, night_dir, model_paths):
-        result = runner.invoke(
-            main,
-            ["check", "--input", str(night_dir / "n0.edf"),
-             "--model", model_paths[0], "--epoch-len", "30"],
-        )
-        assert result.exit_code != 0
-        assert "[ModelIncompatible]" in result.output
-
     def test_malformed_model_is_one_coded_error_line(self, runner, night_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind":"gbt-softmax","format_version":1}')
@@ -166,14 +157,6 @@ class TestCheck:
         assert lines[0].startswith("Error: ")
         assert lines[0].endswith("[ModelIncompatible]")
 
-    def test_matching_epoch_len_accepted(self, runner, night_dir, model_paths):
-        result = runner.invoke(
-            main,
-            ["check", "--input", str(night_dir / "n0.edf"),
-             "--model", model_paths[0], "--epoch-len", "10"],
-        )
-        assert result.exit_code == 0, result.output
-
 
 class TestTib:
     def test_json_output(self, runner, night_dir, model_paths, tmp_path):
@@ -187,26 +170,6 @@ class TestTib:
         doc = json.loads(out.read_text())
         assert set(doc) == {"Lights_out_sec", "Lights_on_sec", "TIB_min"}
         assert doc["Lights_on_sec"] > doc["Lights_out_sec"]
-
-    def test_epoch_len_must_match_the_model(self, runner, night_dir, model_paths):
-        result = runner.invoke(
-            main,
-            ["tib", "--input", str(night_dir / "n0.edf"),
-             "--mobility-model", model_paths[1], "--epoch-len", "30"],
-        )
-        assert result.exit_code == 1
-        lines = result.output.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("Error: --epoch-len 30.0 differs")
-        assert lines[0].endswith("[ModelIncompatible]")
-
-    def test_matching_epoch_len_accepted(self, runner, night_dir, model_paths):
-        result = runner.invoke(
-            main,
-            ["tib", "--input", str(night_dir / "n0.edf"),
-             "--mobility-model", model_paths[1], "--epoch-len", "10"],
-        )
-        assert result.exit_code == 0, result.output
 
     def test_no_lying_run_fails_with_code(self, runner, night_dir, model_paths):
         result = runner.invoke(
@@ -707,9 +670,7 @@ class TestReport:
 #: (command, key, config value, parsed value): each key a config file sets,
 #: on each command that reads it
 HONOURED_KEYS = [
-    ("check", "epoch_len", "30", 30.0),
     ("tib", "tib_run_epochs", "3", 3),
-    ("tib", "epoch_len", "30", 30.0),
     ("stats", "sleep_epoch_len", "20", 20.0),
     ("train", "variant", "lite", "lite"),
     ("train", "subjects", "2", 2),
@@ -730,14 +691,11 @@ HONOURED_KEYS = [
     ("report", "sleep_epoch_len", "60", 60.0),
     ("report", "despike", "yes", True),
     ("report", "tib_run_epochs", "3", 3),
-    ("report", "workers", "2", 2),
 ]
 
 #: (command, option, value): every count below one and every non-positive
 #: length, rate or learning rate a command takes
 OUT_OF_RANGE = [
-    ("check", "--epoch-len", "0"),
-    ("tib", "--epoch-len", "-10"),
     ("tib", "--tib-run-epochs", "0"),
     ("stats", "--sleep-epoch-len", "0"),
     ("train", "--subjects", "0"),
@@ -753,12 +711,9 @@ OUT_OF_RANGE = [
     ("synth", "--sleep-epoch-len", "-30"),
     ("report", "--sleep-epoch-len", "0"),
     ("report", "--tib-run-epochs", "0"),
-    ("report", "--workers", "0"),
 ]
 #: every option of the shared positive-float type also refuses nan and inf
 POSITIVE_OPTIONS = [
-    ("check", "--epoch-len"),
-    ("tib", "--epoch-len"),
     ("stats", "--sleep-epoch-len"),
     ("train", "--fs"),
     ("train", "--epoch-len"),
@@ -775,7 +730,7 @@ BAD_CONFIGS = [
     ("train", "variant = bogus", "--variant"),
     ("report", "despike = maybe", "--despike"),
     ("report", "mobility_model = MISSING", "--mobility-model"),
-    ("report", "workers 4", "--config"),
+    ("report", "despike yes", "--config"),
 ]
 
 
@@ -867,6 +822,25 @@ class TestConfigFile:
         params = _params("train", required["train"] + ["--config", str(conf)])
         assert params["kind"] == "usability"
         assert params["out_path"] == required["train"][1]
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [("report", "--workers", "2"), ("check", "--epoch-len", "10"), ("tib", "--epoch-len", "10")],
+    )
+    def test_deleted_option_is_a_usage_error_and_its_key_is_ignored(
+        self, runner, required, tmp_path, command, option, value
+    ):
+        result = runner.invoke(main, [command, *required[command], option, value])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        errors = [ln for ln in result.output.splitlines() if ln.startswith("Error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("Error: No such option") and option in errors[0]
+        # a config key that names no option is ignored
+        conf = tmp_path / "floss.conf"
+        conf.write_text(f"{option[2:].replace('-', '_')} = {value}\n")
+        result = runner.invoke(main, [command, *required[command], "--config", str(conf)])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize(
         "command,line,option", BAD_CONFIGS, ids=[line for _, line, _ in BAD_CONFIGS]

@@ -118,7 +118,7 @@ class TestCodedFaults:
     def test_text_that_is_not_utf8_is_unparsable(self, kind, written, tmp_path):
         path = tmp_path / kind
         if kind == "config":
-            path.write_bytes(b"workers = 2\nout = caf\xe9\n")
+            path.write_bytes(b"despike = yes\nout = caf\xe9\n")
         else:
             path.write_bytes(written[kind][:-2] + b"\xff\n")
         with pytest.raises(HeaderFieldUnparsable, match="not UTF-8"):

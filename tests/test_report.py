@@ -177,22 +177,6 @@ class TestPipeline:
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
 
-    def test_workers_match_serial(self, pipeline_config, tmp_path):
-        run_pipeline(pipeline_config)
-        serial = {
-            p.name: p.read_bytes() for p in Path(pipeline_config.out_dir).iterdir()
-        }
-        parallel_config = PipelineConfig(
-            input_dir=pipeline_config.input_dir,
-            out_dir=tmp_path / "par",
-            model_path=pipeline_config.model_path,
-            mobility_model_path=pipeline_config.mobility_model_path,
-            workers=3,
-        )
-        run_pipeline(parallel_config)
-        parallel = {p.name: p.read_bytes() for p in Path(parallel_config.out_dir).iterdir()}
-        assert serial == parallel
-
     def test_despike_adds_cleaned_recording(self, pipeline_config):
         pipeline_config.despike = True
         reports = run_pipeline(pipeline_config)
@@ -377,21 +361,23 @@ def despike_batch(tmp_path_factory):
     return root
 
 
-def _report_despike(batch: Path, out: Path, models, workers: int) -> dict[str, bytes]:
+def _report_despike(batch: Path, out: Path, models) -> dict[str, bytes]:
     args = ["report", "--input", str(batch), "--out", str(out), "--model", str(models[0]),
-            "--mobility-model", str(models[1]), "--despike", "--workers", str(workers)]
+            "--mobility-model", str(models[1]), "--despike"]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def test_despike_report_is_byte_identical_at_one_and_two_workers(
+def test_despike_report_is_byte_identical_at_one_and_three_cpus(
     despike_batch, models, tmp_path, monkeypatch
 ):
-    serial = _report_despike(despike_batch, tmp_path / "w1", models, 1)
-    # two nights reach the filter's first use at once
+    monkeypatch.setattr(features, "available_cpus", lambda: 1)
+    serial = _report_despike(despike_batch, tmp_path / "cpu1", models)
+    monkeypatch.setattr(features, "available_cpus", lambda: 3)
+    # two channels reach the filter's first use at once
     monkeypatch.setattr(spiky, "_lfilter", None)
-    parallel = _report_despike(despike_batch, tmp_path / "w2", models, 2)
+    parallel = _report_despike(despike_batch, tmp_path / "cpu3", models)
     assert [n for n in serial if n.endswith("_despiked.edf") or n.endswith("_despiked.csv")] == [
         "s00_despiked.edf", "s01_despiked.edf", "s02_despiked.csv"
     ]
@@ -399,7 +385,7 @@ def test_despike_report_is_byte_identical_at_one_and_two_workers(
 
 
 def test_despiked_csv_night_keeps_its_time_column(despike_batch, models, tmp_path):
-    _report_despike(despike_batch, tmp_path, models, 1)
+    _report_despike(despike_batch, tmp_path, models)
     assert read_csv(tmp_path / "s02_despiked.csv").t0_s == 100.0
     times = [line.split(",")[0] for line in (tmp_path / "s02_despiked.csv").read_text().splitlines()]
     assert times == [

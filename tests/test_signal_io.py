@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from floss import signal_io
@@ -626,10 +626,9 @@ _HEADER_NUMBER = st.from_regex(r"-?[0-9]{1,8}(\.[0-9]{1,6})?", fullmatch=True).f
 
 @st.composite
 def _header_calibrations(draw):
-    """Calibrations as the 8-byte fields of an EDF header can declare them,
-    and whose fields write_edf can format in 8 bytes."""
+    """Calibrations as the 8-byte fields of an EDF header can declare them."""
     lo, hi = float(draw(_HEADER_NUMBER)), float(draw(_HEADER_NUMBER))
-    assume(lo < hi and all(len(f"{v:g}") <= 8 for v in (lo, hi)))
+    assume(lo < hi)
     d0, d1 = draw(st.integers(-9_999_999, 99_999_999)), draw(st.integers(-9_999_999, 99_999_999))
     assume(d0 != d1 and max(d0, d1) >= -32768 and min(d0, d1) <= 32767)
     return Calibration(lo, hi, d0, d1)
@@ -690,6 +689,22 @@ def test_a_calibration_finer_than_float64_is_copied_not_moved(tmp_path):
     assert _edf_bytes(digital, tmp_path / "a.edf")[payload:] == held.astype("<i2").tobytes()
     moved = np.frombuffer(_edf_bytes(physical, tmp_path / "b.edf")[payload:], "<i2")
     assert (moved != held).mean() > 1 / 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(cal=_header_calibrations())
+@example(cal=Calibration(-1.0, 1234.567))  # {:g} wrote 1234.57
+@example(cal=Calibration(99999998.0, 99999999.0))  # {:g} wrote 1e+08 for both
+@example(cal=Calibration(0.0, 1000010.0))  # {:g} wrote 1.00001e+06, past 8 bytes
+def test_write_edf_keeps_every_calibration_a_header_can_declare(tmp_path_factory, cal):
+    # write_edf's range check refuses a reversed digital range
+    cal = Calibration(cal.phys_min, cal.phys_max, *sorted((cal.dig_min, cal.dig_max)))
+    held = np.array([max(cal.dig_min, -32768), min(cal.dig_max, 32767)] * 2, dtype=np.int16)
+    path = tmp_path_factory.getbasetemp() / "cal.edf"
+    write_edf(Recording([ChannelSignal("EEG", held, calibration=cal)], None, fs=4.0), path)
+    back = read_edf(path).channels[0]
+    assert back.calibration == cal
+    assert back.held.tobytes() == held.tobytes()
 
 
 @pytest.mark.parametrize("signal", [0, 1, 3])
