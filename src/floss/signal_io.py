@@ -24,14 +24,15 @@ from __future__ import annotations
 import csv
 import io
 import os
+import threading
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import IO
+from typing import IO, TypeVar
 
 import numpy as np
 
@@ -80,6 +81,15 @@ _CSV_BLOCK_ROWS = 8192
 #: rows in flight across those tasks, one block per CPU plus one; above
 #: two CPUs the blocks shrink, so the text in flight does not grow
 _CSV_ROWS_IN_FLIGHT = 3 * _CSV_BLOCK_ROWS
+#: bytes of CSV text ``read_csv`` parses at a time, cut after a line end,
+#: in one task on the kept pool (about 2300 rows of six repr cells): a
+#: numpy kernel (``_csv_columns``) reads each cell with loadtxt's bits, and
+#: ``float`` the few cells it does not certify; a chunk's temporaries stay
+#: a few MB
+_CSV_CHUNK_BYTES = 1 << 18
+#: bytes in flight across those tasks, one chunk per CPU plus one; above
+#: two CPUs the chunks shrink, as ``write_csv``'s blocks do
+_CSV_BYTES_IN_FLIGHT = 3 * _CSV_CHUNK_BYTES
 #: one-second records ``write_edf`` interleaves at a time
 _EDF_BLOCK_RECORDS = 256
 #: physical samples ``to_held_digital`` converts at a time
@@ -137,7 +147,9 @@ class Calibration:
         d *= scale
         d += self.dig_min
         np.rint(d, out=d)
-        if d.size and (d.min() < self.dig_min or d.max() > self.dig_max):
+        # a header may declare the digital range reversed
+        low, high = sorted((self.dig_min, self.dig_max))
+        if d.size and (d.min() < low or d.max() > high):
             raise AmplitudeOutOfDeclaredRange(
                 f"samples exceed declared physical range [{self.phys_min}, {self.phys_max}]"
             )
@@ -626,34 +638,35 @@ def read_csv(path: str | Path) -> Recording:
     The first column must be ``t_s``; ``accX,accY,accZ`` columns populate
     the accelerometer and every other column becomes an EEG channel.  The
     file is UTF-8, a cell may be double-quoted, and ``#`` starts no comment.
+
+    Each cell reads as ``np.loadtxt`` reads it.  The body is read in chunks
+    cut at line ends, parsed by ``_csv_columns`` as tasks on the kept pool,
+    at most one per CPU plus one in flight; a night holding any form that
+    kernel does not take is read again, whole, by ``np.loadtxt``.
     """
-    with open_input(path) as handle:
-        line = handle.readline()
-        if not line:
+    with open_input(path, "rb") as handle:
+        # the first line as a text reader sees it: \r\n and \r end lines too
+        first = handle.readline()
+        if not first:
             raise EmptyRecording(f"{path} has no header row")
+        line, _, rest = _universal_newlines(first).partition(b"\n")
         try:
-            names = next(csv.reader([line]))
+            names = next(csv.reader([line.decode("utf-8") + "\n"]))
         except csv.Error as exc:  # a name past csv's field size limit
             raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
         if not names or names[0] != "t_s":
             raise HeaderFieldUnparsable(f"first CSV column must be t_s, got {names[:1]}")
-        # loadtxt warns on a body without rows, so look for one first
-        body = handle.tell()
-        if not any(row.strip() for row in iter(handle.readline, "")):
-            raise EmptyRecording(f"{path} holds 0 samples; need at least 2")
-        handle.seek(body)
-        try:
-            table = np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
-        except ValueError as exc:
-            raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
-    if table.shape[1] != len(names):
-        raise HeaderFieldUnparsable(f"{path}: rows hold {table.shape[1]} of {len(names)} cells")
-    if len(table) < 2:
-        raise EmptyRecording(f"{path} holds {len(table)} samples; need at least 2")
-    if not np.all(np.isfinite(table)):
+        columns = _read_columns(handle, rest, len(names))
+    if columns is None:
+        columns = list(_loadtxt_table(path).T)
+    if len(columns) != len(names):
+        raise HeaderFieldUnparsable(f"{path}: rows hold {len(columns)} of {len(names)} cells")
+    t = columns[0]
+    if len(t) < 2:
+        raise EmptyRecording(f"{path} holds {len(t)} samples; need at least 2")
+    if not all(np.all(np.isfinite(column)) for column in columns):
         raise NonFiniteSamples(f"{path} contains non-finite values")
 
-    t = table[:, 0]
     dt = np.diff(t)
     # t_s values round to floats at most an ulp of the largest |t| apart,
     # which moves one dt by up to that ulp against another; allow two
@@ -666,11 +679,11 @@ def read_csv(path: str | Path) -> Recording:
 
     channels: list[ChannelSignal] = []
     acc_cols: dict[str, np.ndarray] = {}
-    for j, name in enumerate(names[1:], start=1):
+    for name, column in zip(names[1:], columns[1:]):
         if name in ("accX", "accY", "accZ"):
-            acc_cols[name[-1].upper()] = table[:, j]
+            acc_cols[name[-1].upper()] = column
         else:
-            channels.append(ChannelSignal(name, table[:, j]))
+            channels.append(ChannelSignal(name, column))
 
     acc: TriAxialAcc | None = None
     if acc_cols:
@@ -680,6 +693,69 @@ def read_csv(path: str | Path) -> Recording:
         acc = TriAxialAcc(x=acc_cols["X"], y=acc_cols["Y"], z=acc_cols["Z"])
 
     return Recording(channels=channels, acc=acc, fs=fs, t0_s=float(t[0]))
+
+
+def _universal_newlines(text: bytes) -> bytes:
+    """``text`` with its \\r\\n and \\r line ends as \\n, as a text reader sees them."""
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return text
+
+
+def _read_columns(handle: IO[bytes], head: bytes, n_cols: int) -> list[np.ndarray] | None:
+    """The columns of a CSV body, ``head`` and then the rest of ``handle``,
+    or None where a chunk holds a form ``_csv_columns`` does not take.
+
+    Each chunk's columns are kept apart until the end, so joining a column
+    frees its parts before the next is joined.  Each thread parses its
+    chunks in its own ``_Scratch``.
+    """
+    size = min(_CSV_CHUNK_BYTES, _CSV_BYTES_IN_FLIGHT // (available_cpus() + 1))
+    parts: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
+    scratches: dict[int, _Scratch] = {}
+
+    def parse(chunk: bytes) -> list[np.ndarray] | None:
+        scratch = scratches.get(threading.get_ident())
+        if scratch is None:
+            scratch = scratches[threading.get_ident()] = _Scratch()
+        return _csv_columns(chunk, n_cols, scratch)
+
+    chunks = _in_order(parse, _line_chunks(handle, head, size))
+    for columns in chunks:
+        if columns is None:
+            chunks.close()
+            return None
+        for part, column in zip(parts, columns):
+            part.append(column)
+    out = []
+    for part in parts:
+        out.append(np.concatenate(part) if part else np.empty(0))
+        part.clear()
+    return out
+
+
+def _line_chunks(handle: IO[bytes], head: bytes, size: int) -> Iterator[bytes]:
+    """``head`` and the rest of ``handle`` in chunks of about ``size``
+    bytes, each cut after a line end (\\n or \\r), the last at the end."""
+    carry = head
+    while block := handle.read(size):
+        block = carry + block
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut:
+            yield block[:cut]
+        carry = block[cut:]
+    if carry:
+        yield carry
+
+
+def _loadtxt_table(path: str | Path) -> np.ndarray:
+    """The rows after a CSV night's header row as ``np.loadtxt`` reads them."""
+    with open_input(path) as handle:
+        handle.readline()
+        try:
+            return np.loadtxt(handle, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except ValueError as exc:
+            raise HeaderFieldUnparsable(f"{path}: {exc}") from exc
 
 
 def write_csv(rec: Recording, path: str | Path) -> None:
@@ -716,9 +792,14 @@ def write_csv(rec: Recording, path: str | Path) -> None:
             out.write(text)
 
 
-def _in_order(fn: Callable[[int], bytes], items: range) -> Iterator[bytes]:
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def _in_order(fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> Iterator[_Result]:
     """``fn`` of every item, in order, as tasks on the kept pool, with at
-    most one task per CPU plus one in flight.
+    most one task per CPU plus one in flight; items are drawn as tasks are
+    submitted.  Closing the iterator cancels the tasks not yet started.
 
     Called from a task on the pool, which may not wait on it, the calls run
     on the calling thread.
@@ -727,20 +808,25 @@ def _in_order(fn: Callable[[int], bytes], items: range) -> Iterator[bytes]:
         yield from map(fn, items)
         return
     pool, ahead = cpu_pool(), available_cpus() + 1
-    pending: deque[Future[bytes]] = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == ahead:
+    pending: deque[Future[_Result]] = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+        while pending:
             yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 #: 10**0 .. 10**22, each exact in float64
 _POW10 = 10.0 ** np.arange(23)
-#: half-width, in units of the 17th significant digit, of the band around a
-#: rounding tie or an edge of a value's rounding interval that ``_shortest``
-#: does not certify; its own arithmetic errs by under 1e-13 there
+#: half-width of the band around a rounding tie that the kernels do not
+#: certify: for ``_shortest``, in units of the 17th significant digit, also
+#: around an edge of a value's rounding interval, where its arithmetic errs
+#: by under 1e-13; for ``_decimal_cells``, in ulps
 _MARGIN = 1e-6
 #: bytes of a formatted cell: repr of a float takes at most 24, then ``,``
 _CELL = 25
@@ -758,16 +844,21 @@ def _digit_pairs() -> np.ndarray:
 _DIGIT_PAIRS = _digit_pairs()
 
 
+def _split(x: np.ndarray, high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x, by 2**27 + 1, into high + low of 26 bits
+    each, into the arrays given."""
+    np.multiply(x, 134217729.0, out=high)
+    np.subtract(high, x, out=low)
+    np.subtract(high, low, out=high)
+    np.subtract(x, high, out=low)
+    return high, low
+
+
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi and lo with hi + lo == a * b exactly (Dekker's product, split by
-    Veltkamp's 2**27 + 1)."""
+    """hi and lo with hi + lo == a * b exactly (Dekker's product)."""
     hi = a * b
-    t = a * 134217729.0
-    ah = t - (t - a)
-    al = a - ah
-    t = b * 134217729.0
-    bh = t - (t - b)
-    bl = b - bh
+    ah, al = _split(a, np.empty_like(a), np.empty_like(a))
+    bh, bl = _split(b, np.empty_like(b), np.empty_like(b))
     return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
 
 
@@ -904,3 +995,276 @@ def _digit_chars(digits: np.ndarray) -> np.ndarray:
             col -= 1
     pairs[:, 1] = _DIGIT_PAIRS.take(v + trailing)
     return pairs.view(np.uint8)
+
+
+#: bytes of a cell's mantissa ``_decimal_cells`` reads at once; repr
+#: writes at most 24 bytes a cell
+_WINDOW = 24
+#: SWAR constants: eight ASCII zeros, and the masks and multipliers that
+#: fold eight digit bytes, first digit lowest, into their 8-digit number
+_ZEROS8 = np.uint64(0x3030303030303030)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_MUL_HI = np.uint64(100 + (1000000 << 32))
+_MUL_LO = np.uint64(1 + (10000 << 32))
+#: by the column c = 0..24 of a cell's first byte in its window: the masks
+#: of the window's three words that keep the bytes from c on
+_KEEP_FROM = np.array(
+    [[~0 << 8 * min(max(c - k, 0), 8) & 2**64 - 1 for k in (0, 8, 16)] for c in range(25)],
+    dtype=np.uint64,
+)
+#: 10**0 .. 10**19, each exact in uint64
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
+
+
+class _Scratch:
+    """Arrays one thread reuses, by name, from chunk to chunk.
+
+    A chunk's arrays made anew go back to the system when freed, and their
+    pages are faulted in again for the next chunk: on a 20-min six-column
+    night read on 2 CPUs that cost about a third of the read.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype: type = np.int64) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or len(array) < n:
+            array = self._arrays[name] = np.empty(n, dtype)
+        return array[:n]
+
+
+#: 10**0 .. 10**22, each split as ``_split`` splits it
+_POW10_HIGH, _POW10_LOW = _split(_POW10, np.empty(23), np.empty(23))
+
+
+def _csv_columns(chunk: bytes, n_cols: int, scratch: _Scratch) -> list[np.ndarray] | None:
+    """The columns of a chunk of whole CSV lines, each cell with the bits
+    ``np.loadtxt`` gives it, or None where the chunk holds anything but
+    cells of the form ``-?digits[.digits][e[+-]digits]`` (either digits may
+    be absent, not both), ``n_cols`` to a line: a quote, a space, a leading
+    ``+``, non-ASCII text, a row of another cell count, an empty cell.
+
+    Blank lines are skipped, and \\r\\n or \\r end a line.  ``_decimal_cells``
+    reads the cells; ``float``, which rounds as loadtxt does, reads those
+    it does not certify.
+    """
+    chunk = _universal_newlines(chunk)
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    data = scratch("text", _WINDOW + len(chunk), np.uint8)
+    data[:_WINDOW] = ord("0")
+    data[_WINDOW:] = np.frombuffer(chunk, dtype=np.uint8)
+    mask = scratch("mask", len(data), bool)
+    # the form allows only ",\n-.+" below "0" and "e" above "9"
+    marks = np.count_nonzero(np.less(data, ord("0"), out=mask))
+    letters = np.count_nonzero(np.greater(data, ord("9"), out=mask))
+    is_end = np.less(data, ord("-"), out=mask)
+    if b"+" in chunk:
+        is_end &= data != ord("+")
+    end = np.flatnonzero(is_end)
+    line_end = data.take(end) == ord("\n")
+    commas = np.count_nonzero(np.equal(data, ord(","), out=mask))
+    if commas + np.count_nonzero(line_end) != len(end):
+        return None  # another byte below "-", such as a space or a quote
+    marks -= len(end)
+    start = scratch("start", len(end))
+    start[0] = _WINDOW
+    np.add(end[:-1], 1, out=start[1:])
+    # an empty cell ended by a line end, after a line end, is a blank line
+    blank = (start == end) & line_end
+    blank[1:] &= line_end[:-1]
+    if blank.any():
+        keep = ~blank
+        start, end, line_end = start[keep], end[keep], line_end[keep]
+    rows = len(end) // n_cols
+    if (
+        rows * n_cols != len(end)
+        or np.count_nonzero(line_end) != rows
+        or not line_end[n_cols - 1 :: n_cols].all()
+    ):
+        return None
+    if not rows:
+        return [np.empty(0) for _ in range(n_cols)]
+    cells = _decimal_cells(data, start, end, scratch, marks, letters)
+    if cells is None:
+        return None
+    values, certified = cells
+    for i in np.flatnonzero(~certified).tolist():
+        values[i] = float(data[start[i] : end[i]].tobytes())
+    table = values.reshape(rows, n_cols)
+    return [table[:, j].copy() for j in range(n_cols)]
+
+
+def _owners(marks: np.ndarray, end: np.ndarray) -> np.ndarray | slice | None:
+    """The cells of the marks (byte positions that end no cell), as an
+    index, or None where a cell holds two."""
+    if len(marks) == len(end) and (marks < end).all() and (marks[1:] > end[:-1]).all():
+        return slice(None)
+    owner = np.searchsorted(end, marks)
+    return owner if (owner[1:] > owner[:-1]).all() else None
+
+
+def _decimal_cells(
+    data: np.ndarray, start: np.ndarray, end: np.ndarray, scratch: _Scratch, marks: int,
+    letters: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The float64 value of each cell ``data[start:end]`` and whether it is
+    certified, or None where a cell is not of ``_csv_columns``' form; the
+    values are ``scratch``'s.
+
+    ``data`` begins with ``_WINDOW`` ASCII zeros; besides digits and the
+    cells' ends, it holds ``marks`` bytes below "0" and ``letters`` above
+    "9".  The form is checked by counts: a cell may hold a sign first, a
+    point and an ``e`` with a sign after it, and at least one digit before
+    the ``e`` and after it, and those must be all the marks and letters.
+
+    A cell's mantissa, read as the three uint64 words that end with it, its
+    sign and point and the bytes before it made zeros, folds by SWAR
+    multiplies into an exact integer with a zero in the point's place, from
+    which integer division drops that zero.  That integer times or over an
+    exact power of ten is rounded once, so it is exact below 2**53; above,
+    the float nearest the integer is off by an exact integer, and Dekker's
+    product gives the residual that corrects the quotient.
+
+    A cell is not certified when its mantissa is wider than the window or
+    its digits, the point's place among them, number more than 19, when
+    its exponent has more than 3 digits or its scale lies outside 10**±22,
+    when it is above 2**53 and scaled up, or when its corrected value is
+    within _MARGIN ulp of a rounding tie or is a power of two (whose ulp
+    below is half).
+    """
+    n = len(end)
+    mask = scratch("mask", len(data), bool)
+    neg = data.take(start) == ord("-")
+    minus = np.count_nonzero(neg)
+    mantissa_end, plus = end, 0
+    exponents = letters > 0
+    if exponents:
+        e_at = np.flatnonzero(np.equal(data, ord("e"), out=mask))
+        e_cell = _owners(e_at, end)
+        if e_cell is None or len(e_at) != letters:
+            return None
+        sign = data.take(e_at + 1)
+        e_minus, e_plus = sign == ord("-"), sign == ord("+")
+        digits = end[e_cell] - e_at - 1 - (e_minus | e_plus)
+        if digits.min() < 1:
+            return None
+        minus += np.count_nonzero(e_minus)
+        plus = np.count_nonzero(e_plus)
+        # the last three digits; a longer exponent is not certified
+        last = data.take(end[e_cell][:, None] - np.arange(1, 4)).astype(np.int64) - ord("0")
+        last *= (np.arange(3) < digits[:, None]) * np.array([1, 10, 100])
+        exponent = np.where(e_minus, -last.sum(axis=1), last.sum(axis=1))
+        mantissa_end = end.copy()
+        mantissa_end[e_cell] = e_at
+    dot_at = np.flatnonzero(np.equal(data, ord("."), out=mask))
+    cell = _owners(dot_at, end)
+    # the signs and points found are all the marks only if no other byte
+    # below "0" is there, and no "-" or "+" out of place
+    if cell is None or minus + len(dot_at) + plus != marks:
+        return None
+    # the digits after the point, -1 without one; a point after the e
+    # leaves fewer
+    fraction = scratch("fraction", n)
+    fraction[:] = -1
+    fraction[cell] = mantissa_end[cell] - 1 - dot_at
+    width = np.subtract(mantissa_end, start, out=scratch("width", n))
+    if fraction.min() < -1 or (width <= np.add(neg, fraction >= 0, dtype=np.int8)).any():
+        return None
+    scale = np.maximum(fraction, 0, out=scratch("scale", n))
+    np.negative(scale, out=scale)
+
+    # the mantissa's three words, its sign and point and the bytes before
+    # it read as zeros: below "0" the form allows only ",\n-.+"
+    zeros = np.maximum(data, ord("0"), out=scratch("zeros", len(data), np.uint8))
+    words = np.ndarray((len(zeros) - 7,), dtype="<u8", buffer=zeros, strides=(1,))
+    window = np.lib.stride_tricks.as_strided(words, (len(words) - 16, 3), (1, 8))
+    index = np.subtract(mantissa_end, _WINDOW, out=scratch("index", n))
+    x = window[index]
+    x -= _ZEROS8
+    np.subtract(_WINDOW, width, out=index)
+    np.maximum(index, 0, out=index)
+    t = _KEEP_FROM.take(index, axis=0, out=scratch("words", 3 * n, np.uint64).reshape(n, 3))
+    x &= t
+    # x * 10 + (x >> 8), then its pairs of pairs, in place
+    np.right_shift(x, np.uint64(8), out=t)
+    x *= np.uint64(10)
+    x += t
+    np.right_shift(x, np.uint64(16), out=t)
+    t &= _PAIRS
+    t *= _MUL_LO
+    x &= _PAIRS
+    x *= _MUL_HI
+    x += t
+    x >>= np.uint64(32)
+    mantissa = np.multiply(x[:, 0], np.uint64(10**16), out=scratch("mantissa", n, np.uint64))
+    mantissa += np.multiply(x[:, 1], np.uint64(10**8), out=t[:, 0])
+    mantissa += x[:, 2]
+    certified = (width <= _WINDOW) & (x[:, 0] < 1000)
+    if exponents:
+        scale[e_cell] += exponent
+        certified[e_cell] &= digits <= 3
+    magnitude = np.abs(scale, out=index)
+    certified &= magnitude <= 22
+    mantissa *= certified
+    # the point's zero out: d * 10**(f + 1) + r less r, over 10, plus r,
+    # where r < 10**f; without a point (f = -1, which takes 10**19), r is
+    # the whole
+    places = np.minimum(fraction, 19, out=fraction)
+    low = np.take(_POW10_U64, places, out=scratch("low", n, np.uint64))
+    np.remainder(mantissa, low, out=low)
+    mantissa -= low
+    mantissa //= np.uint64(10)
+    mantissa += low
+    big = mantissa > np.uint64(2**53)
+
+    m = scratch("m", n, np.float64)
+    m[:] = mantissa
+    np.minimum(magnitude, 22, out=magnitude)
+    p10 = np.take(_POW10, magnitude, out=scratch("p10", n, np.float64))
+    value = np.divide(m, p10, out=scratch("value", n, np.float64))
+    if exponents:
+        up = scale > 0
+        np.multiply(m, p10, out=value, where=up)
+        certified &= ~(big & up)
+        big &= ~up
+    if big.any():
+        # m + r is the mantissa, exactly
+        np.copyto(low, m, casting="unsafe")
+        np.subtract(mantissa, low, out=low)
+        r = scratch("r", n, np.float64)
+        r[:] = low.view(np.int64)
+        # hi + lo is value * p10 exactly (Dekker's product), and the exact
+        # quotient less ``value`` is delta = (m + r - hi - lo) / p10
+        hi, lo, a = (scratch(name, n, np.float64) for name in ("hi", "lo", "a"))
+        vh, vl = _split(value, scratch("vh", n, np.float64), scratch("vl", n, np.float64))
+        ph = np.take(_POW10_HIGH, magnitude, out=scratch("ph", n, np.float64))
+        pl = np.take(_POW10_LOW, magnitude, out=scratch("pl", n, np.float64))
+        np.multiply(value, p10, out=hi)
+        np.multiply(vh, ph, out=lo)
+        lo -= hi
+        for u, v in ((vh, pl), (vl, ph), (vl, pl)):
+            lo += np.multiply(u, v, out=a)
+        delta = np.subtract(m, hi, out=a)
+        delta -= lo
+        delta += r
+        delta /= p10
+        delta *= big
+        fixed = np.add(value, delta, out=hi)
+        # fixed is the nearest float unless the quotient is within _MARGIN
+        # ulp of a tie, or fixed a power of two
+        off = np.subtract(value, fixed, out=lo)
+        off += delta
+        np.abs(off, out=off)
+        limit = np.spacing(fixed, out=vh)
+        limit *= 0.5 - _MARGIN
+        certified &= off < limit
+        two = np.bitwise_and(fixed.view(np.int64), 2**52 - 1, out=index) == 0
+        certified &= ~(two & big)
+        value = fixed
+    sign = scratch("sign", n, np.uint64)
+    sign[:] = neg
+    sign <<= np.uint64(63)
+    value.view(np.uint64)[:] |= sign
+    return value, certified

@@ -19,7 +19,14 @@ from floss.report import (
     parse_config_file,
     run_pipeline,
 )
-from floss.signal_io import ChannelSignal, Recording, read_csv, write_csv, write_edf
+from floss.signal_io import (
+    ChannelSignal,
+    Recording,
+    read_csv,
+    read_edf,
+    write_csv,
+    write_edf,
+)
 from floss.spiky import apply_zero_phase, design_cascade
 from floss.synth import gen_night
 from floss.epoching import write_annotations
@@ -404,6 +411,39 @@ def test_despiked_equals_a_serial_filter_per_channel(monkeypatch, cpus):
     for ch, samples in zip(clean.channels, want):
         np.testing.assert_array_equal(ch.samples, samples)
     assert clean.acc is rec.acc
+
+
+def test_night_with_reversed_digital_ranges_despikes(models, tmp_path):
+    """A header may declare dig_min above dig_max: read_edf reads such a
+    night, and report --despike writes its despiked copy in that range."""
+    indir = tmp_path / "in"
+    indir.mkdir()
+    _write_night(indir, "r", subject=0)
+    path = indir / "r.edf"
+    data = bytearray(path.read_bytes())
+    n_signals = int(data[252:256])
+    # the dig_min fields follow label, transducer, unit, phys_min and phys_max
+    lo = 256 + n_signals * (16 + 80 + 8 + 8 + 8)
+    mid, hi = lo + 8 * n_signals, lo + 16 * n_signals
+    data[lo:mid], data[mid:hi] = data[mid:hi], data[lo:mid]
+    path.write_bytes(bytes(data))
+    rec = read_edf(path)
+    assert all(ch.calibration.dig_min > ch.calibration.dig_max for ch in rec.channels)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(
+        main,
+        ["report", "--input", str(indir), "--out", str(out), "--model", str(models[0]),
+         "--despike"],
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "report.json").read_text())
+    assert [n["status"] for n in doc["nights"]] == ["ok"]
+    clean = read_edf(out / "r_despiked.edf")
+    want = report.despiked(rec, digital=True)
+    assert [ch.calibration for ch in clean.channels] == [ch.calibration for ch in rec.channels]
+    assert [ch.held.tobytes() for ch in clean.channels] == [
+        ch.held.tobytes() for ch in want.channels
+    ]
 
 
 class TestWholeNightOrNothing:

@@ -262,6 +262,18 @@ def test_calibration_round_trip_and_degenerate():
         Calibration(7.0, -7.0)
 
 
+def test_reversed_digital_range_round_trips():
+    """A header may declare dig_min above dig_max; the range check takes
+    the two bounds in either order."""
+    cal = Calibration(-100.0, 100.0, 32767, -32768)
+    digital = np.arange(-32768, 32768, 997, dtype=np.int64)
+    np.testing.assert_array_equal(cal.to_digital(cal.to_physical(digital)), digital)
+    np.testing.assert_array_equal(cal.to_digital(np.array([0.0, 1.0])), [0, -328])
+    for outside in (-100.01, 100.01):
+        with pytest.raises(AmplitudeOutOfDeclaredRange):
+            cal.to_digital(np.array([outside]))
+
+
 def test_csv_round_trip(tmp_path, rng):
     rec = _digital_recording(rng, n_channels=2, seconds=2, fs=64)
     path = tmp_path / "a.csv"
@@ -290,36 +302,257 @@ def test_csv_round_trip_keeps_the_first_time(tmp_path, rng):
         assert times == list(t0 + np.arange(400) / 200.0)
 
 
+def _without_leading_zero(v: float) -> str:
+    """repr with the zero before the point dropped: .5, -.25."""
+    text = repr(v)
+    return text.replace("0.", ".", 1) if text.lstrip("-").startswith("0.") else text
+
+
+def _without_trailing_zero(v: float) -> str:
+    """repr with the zero after the point of a whole number dropped: 5., -2."""
+    text = repr(v)
+    return text[:-1] if text.endswith(".0") else text
+
+
 _CELL_FORMATS = {
     "repr": repr,
     "17 digits": "{:.17g}".format,
+    "17 digits, exponent": "{:.17e}".format,
     "6 digits": "{:.6e}".format,
+    "25 decimals": "{:.25f}".format,
+    "no leading zero": _without_leading_zero,
+    "no trailing zero": _without_trailing_zero,
     "quoted": lambda v: f'"{v!r}"',
     "padded": lambda v: f" {v!r} ",
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     values=arrays(np.float64, st.tuples(st.integers(2, 30), st.integers(1, 3)),
                   elements=st.floats(allow_nan=False, allow_infinity=False)),
     fmt=st.sampled_from(sorted(_CELL_FORMATS)),
     blank_every=st.integers(0, 5),
+    tiny=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
 )
-def test_read_csv_gives_the_bits_of_float_per_cell(tmp_path_factory, values, fmt, blank_every):
-    """The numpy parse equals the reference parse: csv rows, float() per cell."""
+def test_read_csv_gives_the_bits_of_float_per_cell(
+    tmp_path_factory, values, fmt, blank_every, tiny, newline
+):
+    """The numpy parse equals the reference parse: csv rows, float() per
+    cell; ``tiny`` scales the samples below 1e-4, where repr writes an
+    exponent."""
+    if tiny:
+        values = values * 1e-9
     lines = [",".join(["t_s"] + [f"EEG {j}" for j in range(values.shape[1])])]
     for i, row in enumerate(values):
         lines.append(",".join(_CELL_FORMATS[fmt](float(v)) for v in [i / 4, *row]))
         if blank_every and i % blank_every == 0:
             lines.append("")
     path = tmp_path_factory.getbasetemp() / "cells.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes((newline.join(lines) + newline).encode())
     want = np.array([[float(c) for c in row] for row in csv.reader(lines[1:]) if row])
     rec = read_csv(path)
     assert rec.fs == 4.0
     for j, ch in enumerate(rec.channels, start=1):
         assert ch.samples.tobytes() == want[:, j].tobytes()
+
+
+_ODD_CELLS = ["1 5", "1\t5", "1#5", "1/5", "1;5", "1E5", "+5", " 5", "5 ", '"5"', "1e+5", "1..5",
+              "1.5.", "-", ".", "e5", "5e", "1e5e5", "1-5", "--5", "1e--5", "1.5e5.", "\u0661",
+              "0x10", "inf", "1_0", "\x005", ""]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [f"0.5,{cell},3.0" for cell in _ODD_CELLS]
+    # a byte below "-" in place of a comma keeps the row's count of cut points
+    + [f"0.5,1.0{byte}3.0" for byte in " \t#\"'!%&()*\x00"],
+)
+def test_read_csv_reads_any_other_row_as_loadtxt_does(tmp_path, row):
+    """A row outside the kernel's form gives loadtxt's samples or error."""
+    path = tmp_path / "a.csv"
+    path.write_bytes(f"t_s,a,b\n0.0,1.0,2.0\n{row}\n1.0,4.0,5.0\n".encode())
+    try:
+        want = signal_io._loadtxt_table(path)[:, 1]
+    except HeaderFieldUnparsable:
+        with pytest.raises(HeaderFieldUnparsable):
+            read_csv(path)
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(NonFiniteSamples):
+            read_csv(path)
+        return
+    assert read_csv(path).channels[0].samples.tobytes() == want.tobytes()
+
+
+def _near_ties(rng, n: int) -> list[str]:
+    """Decimal cells of 15 to 19 significant digits within a unit of their
+    last digit of the midpoint of two neighbouring floats, where a parse
+    that rounds twice, or errs at all, goes wrong first; in fixed and in
+    exponent notation, some negative."""
+    cells = []
+    for _ in range(n):
+        e2 = int(rng.integers(-80, 80))
+        mantissa = int(rng.integers(2**52, 2**53))
+        digits = int(rng.integers(15, 20))
+        # the midpoint (2 * mantissa + 1) * 2**(e2 - 1), times 10**k, rounded
+        k = digits - 1 - int(np.floor(np.log10(mantissa * 2.0**e2)))
+        num, den = (2 * mantissa + 1) * 10 ** max(k, 0), 10 ** max(-k, 0)
+        if e2 > 0:
+            num <<= e2 - 1
+        else:
+            den <<= 1 - e2
+        whole = str((2 * num + den) // (2 * den) + int(rng.integers(-1, 2)))
+        point = len(whole) - k
+        if 0 < point < len(whole) and rng.random() < 0.5:
+            text = f"{whole[:point]}.{whole[point:]}"
+        else:
+            text = f"{whole[0]}.{whole[1:]}e{point - 1}"
+        cells.append("-" + text if rng.random() < 0.5 else text)
+    return cells
+
+
+def _ties(rng, n: int) -> list[str]:
+    """Exact decimal midpoints of two neighbouring floats, odd * 2**k, and
+    the decimals a unit of their last digit either side, some with zeros
+    and a negative exponent appended; a tenth are the midpoint below a
+    power of two, whose lower neighbour is the nearer."""
+    cells = []
+    for _ in range(n):
+        k = int(rng.integers(-3, 6))
+        odd = 2 * int(rng.integers(2**52, 2**53)) + 1 if rng.random() < 0.9 else 2**54 - 1
+        whole = str((odd << k if k >= 0 else odd * 5**-k) + int(rng.integers(-1, 2)))
+        zeros = int(rng.integers(0, 3))
+        if k < 0:
+            text = f"{whole[:k]}.{whole[k:]}"
+        elif zeros:
+            text = f"{whole}{'0' * zeros}e-{zeros}"
+        else:
+            text = whole
+        cells.append("-" + text if rng.random() < 0.5 else text)
+    return cells
+
+
+def test_read_csv_is_float_on_a_sweep_of_hard_cells(tmp_path):
+    """About 10**6 cells where a decimal parser goes wrong first: exact
+    ties and near-ties of 15 to 20 digits, every power of two and its
+    neighbours, subnormals, and repr, 17-digit and 25-decimal forms of
+    random bits."""
+    rng = np.random.default_rng(25)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    neighbours, up, down = [powers], powers, powers
+    with np.errstate(over="ignore"):
+        for _ in range(3):  # 1 to 3 ulps either side
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, 0)
+            neighbours += [up, down]
+    subnormal = rng.integers(1, 2**52, 50_000) * 5e-324
+    bits = rng.integers(0, 2**64, 340_000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([*neighbours, subnormal, bits])
+    values = values[np.isfinite(values)]
+    formats = [repr, "{:.17e}".format, "{:.17g}".format, "{:.25f}".format]
+    cells = _ties(rng, 200_000) + _near_ties(rng, 400_000) + [
+        formats[i % 4](v) for i, v in enumerate(values.tolist())
+    ]
+    cells += ["0.0"] * (-len(cells) % 8)
+    assert len(cells) >= 1_000_000
+    rows = [",".join([repr(float(i))] + cells[i * 8 : i * 8 + 8]) for i in range(len(cells) // 8)]
+    path = tmp_path / "hard.csv"
+    head = ",".join(["t_s"] + [f"c{j}" for j in range(8)])
+    path.write_text("\n".join([head] + rows) + "\n")
+    rec = read_csv(path)
+    got = np.column_stack([ch.samples for ch in rec.channels]).reshape(-1)
+    want = np.array([float(c) for c in cells])
+    assert got.tobytes() == want.tobytes()
+
+
+def _fixed_width_night(path: Path, rows: int, newline: str, last_newline: bool = True) -> None:
+    """A night of 16-byte lines (with a \\n): t_s as 8 bytes, a sample as 6."""
+    x = np.random.default_rng(rows).uniform(1, 9.99, rows)
+    lines = ["t_s,EEG"] + [f"{i / 4:08.2f},{v:.4f}" for i, v in enumerate(x)]
+    path.write_bytes((newline.join(lines) + (newline if last_newline else "")).encode())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk", [16, 31, 32, 33, 100])
+@pytest.mark.parametrize("rows", [2, 3, 7, 8, 9])
+def test_read_csv_rows_around_the_chunk_size(tmp_path, monkeypatch, newline, chunk, rows):
+    """Lines that end at a chunk's last byte, before it and after it, a
+    \\r\\n cut between two chunks, and a last line without its line end
+    read as loadtxt reads them."""
+    monkeypatch.setattr(signal_io, "_CSV_CHUNK_BYTES", chunk)
+    for last_newline in (True, False):
+        path = tmp_path / "a.csv"
+        _fixed_width_night(path, rows, newline, last_newline)
+        rec = read_csv(path)
+        want = signal_io._loadtxt_table(path)
+        assert rec.channels[0].samples.tobytes() == want[:, 1].tobytes()
+        assert rec.n_samples == rows and rec.fs == 4.0
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_read_csv_rows_around_the_real_chunk_size(tmp_path, monkeypatch, extra):
+    monkeypatch.setattr(signal_io, "available_cpus", lambda: 2)
+    rows = signal_io._CSV_CHUNK_BYTES // 16 + extra
+    path = tmp_path / "a.csv"
+    _fixed_width_night(path, rows, "\n")
+    rec = read_csv(path)
+    assert rec.channels[0].samples.tobytes() == signal_io._loadtxt_table(path)[:, 1].tobytes()
+
+
+def _repr_night(path: Path, rows: int, seed: int) -> None:
+    """A night written as the benchmark writes its CSV nights: repr per cell."""
+    rng = np.random.default_rng(seed)
+    table = np.column_stack([np.arange(rows) / 256.0, rng.standard_normal((rows, 5)) * 30])
+    table[::97, 1] *= 1e-7  # some exponents
+    path.write_text("t_s,EEG L,EEG R,accX,accY,accZ\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in table.tolist()
+    ))
+
+
+def test_read_csv_bytes_at_one_cpu_and_at_three(tmp_path, monkeypatch):
+    """The chunks shrink with the CPU count; the samples do not change."""
+    path = tmp_path / "a.csv"
+    _repr_night(path, 60_000, 1)
+    want = signal_io._loadtxt_table(path)
+    for cpus in (1, 3):
+        monkeypatch.setattr(signal_io, "available_cpus", lambda: cpus)
+        rec = read_csv(path)
+        got = [rec.channels[0].samples, rec.channels[1].samples, *rec.acc.axes]
+        assert np.column_stack(got).tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
+
+
+def test_read_csv_memory_does_not_grow_with_the_cpu_count(tmp_path):
+    """At 64 CPUs the chunks shrink: the text in flight stays that of 2.
+
+    Only the count ``read_csv`` reads is patched; the pool keeps its size.
+    """
+    path = tmp_path / "a.csv"
+    _repr_night(path, 60_000, 2)
+    peaks, chunks = {}, {}
+    split = signal_io._line_chunks
+    for cpus in (2, 64):
+        sizes = []
+
+        def spy(handle, head, size):
+            sizes.append(size)
+            return split(handle, head, size)
+
+        with mock.patch.object(signal_io, "available_cpus", lambda: cpus), \
+                mock.patch.object(signal_io, "_line_chunks", spy):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                rec = read_csv(path)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        chunks[cpus] = sizes[0]
+        del rec
+    assert chunks[2] == signal_io._CSV_CHUNK_BYTES
+    # one chunk per CPU plus one in flight
+    assert chunks[64] * 65 <= 3 * chunks[2]
+    assert peaks[64] < 1.25 * peaks[2], peaks
 
 
 @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 20_000])
@@ -696,10 +929,10 @@ def test_a_calibration_finer_than_float64_is_copied_not_moved(tmp_path):
 @example(cal=Calibration(-1.0, 1234.567))  # {:g} wrote 1234.57
 @example(cal=Calibration(99999998.0, 99999999.0))  # {:g} wrote 1e+08 for both
 @example(cal=Calibration(0.0, 1000010.0))  # {:g} wrote 1.00001e+06, past 8 bytes
+@example(cal=Calibration(-100.0, 100.0, 32767, -32768))  # the range check refused it
 def test_write_edf_keeps_every_calibration_a_header_can_declare(tmp_path_factory, cal):
-    # write_edf's range check refuses a reversed digital range
-    cal = Calibration(cal.phys_min, cal.phys_max, *sorted((cal.dig_min, cal.dig_max)))
-    held = np.array([max(cal.dig_min, -32768), min(cal.dig_max, 32767)] * 2, dtype=np.int16)
+    lo, hi = sorted((cal.dig_min, cal.dig_max))
+    held = np.array([max(lo, -32768), min(hi, 32767)] * 2, dtype=np.int16)
     path = tmp_path_factory.getbasetemp() / "cal.edf"
     write_edf(Recording([ChannelSignal("EEG", held, calibration=cal)], None, fs=4.0), path)
     back = read_edf(path).channels[0]
