@@ -11,9 +11,11 @@ import functools
 import math
 import os
 import threading
-from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,10 +31,11 @@ WELCH_STEP = 128
 #: fraction of a spectrogram frame under the cosine edges of its Tukey window
 TAPER = 0.25
 
-#: rows of a batch that spectrogram and stat_features have in flight across
-#: all their threads; their temporaries then stay a few (256, len) arrays
+#: rows of a batch that spectrogram, stat_features and tree prediction
+#: run at once, and the fewest rows of a block (``work_size``): 128-row
+#: blocks on 2 CPUs, and the temporaries stay a few (256, len) arrays
 #: however long the night and however many CPUs
-_BLOCK_ROWS = 256
+_FEATURE_ROWS = (256, 64)
 
 #: frequency bands integrated from the Welch PSD, [low, high) in Hz
 BANDS: tuple[tuple[str, float, float], ...] = (
@@ -146,65 +149,111 @@ def in_row_blocks(
 
     ``kernel`` maps a (rows, len) block to (rows, *row_shape); the result
     has shape lead + row_shape, rows in batch order.  Each block writes its
-    own rows of the result, so the bits do not depend on the thread count;
-    a block is _BLOCK_ROWS rows over the thread count, so the rows in
-    flight do not grow with it either.
+    own rows of the result, so the bits do not depend on the block size,
+    which ``work_size`` takes from ``_FEATURE_ROWS``.
     """
-    block_rows = max(1, _BLOCK_ROWS // available_cpus())
+    block_rows, window = work_size(*_FEATURE_ROWS)
     out = np.empty((math.prod(lead),) + row_shape)
-    blocks = []
-    start = 0
-    for rows in batches:
-        for a in range(0, rows.shape[0], block_rows):
-            block = rows[a : a + block_rows]
-            blocks.append((block, out[start + a : start + a + block.shape[0]]))
-        start += rows.shape[0]
 
-    def run(block: tuple[np.ndarray, np.ndarray]) -> None:
+    def blocks():
+        start = 0
+        for rows in batches:
+            for a in range(0, rows.shape[0], block_rows):
+                block = rows[a : a + block_rows]
+                yield block, out[start + a : start + a + block.shape[0]]
+            start += rows.shape[0]
+
+    def run(block: tuple[np.ndarray, np.ndarray], scratch: Scratch) -> None:
         rows, dest = block
         dest[...] = kernel(rows)
 
-    pool_map(run, blocks)
+    for _ in pool_map(run, blocks(), window):
+        pass
     return out.reshape(lead + row_shape)
 
 
-def pool_map(fn, items) -> list:
-    """``fn`` of every item, in order, as tasks on the kept pool.
+def work_size(budget: int, floor: int) -> tuple[int, int]:
+    """(piece, window) for ``pool_map``: pieces of at least ``floor`` units,
+    one per CPU, with at most ``budget`` units running at once.
 
-    The first error of a task is raised.  Called from a task on the pool,
-    which may not wait on it, the calls run on the calling thread.
+    Above the floor, fewer pieces run, not smaller ones, so neither the
+    memory in flight nor the per-piece overhead grows with the CPU count.
+    The window adds a spare only where every CPU runs a piece (a spare would
+    run at once and overrun the budget), so no CPU waits on the caller.
     """
+    cpus = available_cpus()
+    piece = max(floor, budget // cpus)
+    running = max(1, min(cpus, budget // piece))
+    return piece, running + (running == cpus)
+
+
+class Scratch:
+    """Arrays that tasks of a ``pool_map`` reuse, by name, one task at a time.
+
+    A piece's arrays made anew go back to the system when freed, and their
+    pages are faulted in again for the next piece: on a 20-min six-column
+    CSV night read on 2 CPUs that cost about a third of the read.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype: type = np.int64) -> np.ndarray:
+        array = self._arrays.get(name)
+        if array is None or len(array) < n:
+            array = self._arrays[name] = np.empty(n, dtype)
+        return array[:n]
+
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def pool_map(
+    fn: Callable[[_Item, Scratch], _Result], items: Iterable[_Item], window: int = 0
+) -> Iterator[_Result]:
+    """``fn(item, scratch)`` of every item, in item order, as tasks on the kept pool.
+
+    Items are drawn as their tasks are submitted, at most ``window`` in
+    flight (by default one per CPU plus one).  A task's error is raised when
+    its result is due; that, or closing the iterator, cancels the tasks not
+    yet started.  No two running tasks share a ``scratch``, so a call makes
+    no more of them than it runs tasks at once, however many threads the
+    pool has.  On a pool thread, which may not wait on the pool, the calls
+    run inline.
+    """
+    free: list[Scratch] = []
+
+    def run(item: _Item) -> _Result:
+        try:
+            scratch = free.pop()
+        except IndexError:
+            scratch = Scratch()
+        try:
+            return fn(item, scratch)
+        finally:
+            free.append(scratch)
+
     if on_pool_thread():
-        return [fn(item) for item in items]
-    return list(cpu_pool().map(fn, items))
-
-
-def pool_map_with_buffer(fn, items, shape: tuple[int, ...]) -> list:
-    """``pool_map`` of ``fn(item, buffer)``, where ``buffer`` is the calling
-    thread's float64 array of ``shape``, made on its first item and reused
-    for the next ones.
-
-    A block-sized array made anew for every block goes back to the system
-    when freed, and its pages are faulted in again for the next block.
-    """
-    buffers: dict[int, np.ndarray] = {}
-
-    def run(item):
-        buffer = buffers.get(threading.get_ident())
-        if buffer is None:
-            buffer = buffers[threading.get_ident()] = np.empty(shape)
-        return fn(item, buffer)
-
-    return pool_map(run, items)
+        yield from map(run, items)
+        return
+    pool, window = cpu_pool(), window or available_cpus() + 1
+    pending: deque[Future[_Result]] = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(run, item))
+            if len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def cpu_pool() -> ThreadPoolExecutor:
-    """The kept thread pool, one worker per available CPU.
-
-    Feature blocks, despike filters, tree growth and usability scoring all
-    run on it, so the process starts its threads once.  No task run on it
-    may wait on it (``on_pool_thread``).
-    """
+    """The kept thread pool, one worker per available CPU, that every
+    parallel stage runs on through ``pool_map``; no task on it may wait on it."""
     return _pool(available_cpus())
 
 

@@ -6,10 +6,10 @@ with the highest split gain is expanded until the leaf budget or the
 minimum leaf size binds.  Split search is exact over sorted feature values;
 all randomness flows from one seeded generator, so a (seed, config) pair
 reproduces the model bit for bit.  An iteration draws the column sets of
-its K class trees first, in class order, then grows the trees on the kept
-CPU pool (``features.cpu_pool``) and adds their margins in class order;
-growth draws no random numbers, so the trees do not depend on the number of
-CPUs.  ``fit`` refuses to run in a task on that pool.
+its K class trees first, in class order, then grows the trees through
+``features.pool_map`` and adds their margins in class order; growth draws
+no random numbers, so the trees do not depend on the number of CPUs, nor
+on whether ``fit`` itself runs in a task on the pool.
 
 The exact search is blocked and tie-aware, in the way of XGBoost's exact
 greedy method (Chen & Guestrin, KDD 2016, section 4).  ``fit`` sorts each
@@ -41,7 +41,6 @@ import functools
 import heapq
 import json
 import math
-from concurrent.futures import Executor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -53,7 +52,7 @@ from .errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
-from .features import cpu_pool, in_row_blocks, on_pool_thread
+from .features import Scratch, in_row_blocks, pool_map
 from .signal_io import open_input
 
 FORMAT_VERSION = 1
@@ -128,26 +127,25 @@ def _tied_columns(X: np.ndarray, order_t: np.ndarray) -> np.ndarray:
     return tied
 
 
-def _sorted_columns(X: np.ndarray, pool: Executor) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X's stable argsort, one row per column, and ``_tied_columns``.
 
     Row ids are uint16 when X has at most _MAX_UINT16_ROWS rows and int32
     above that: the same permutations, in half the memory for every order
     the fit derives from them.  Columns are sorted _SPLIT_BLOCK at a time
-    on ``pool``; each block writes its own rows of the result, so the bits
-    do not depend on the threads.
+    through ``pool_map``; each block writes its own rows of the result, so
+    the bits do not depend on the threads.
     """
     row_id = np.uint16 if X.shape[0] <= _MAX_UINT16_ROWS else np.int32
     order_t = np.empty((X.shape[1], X.shape[0]), dtype=row_id)
     tied = np.empty(X.shape[1], dtype=bool)
 
-    def sort(start: int) -> None:
+    def sort(start: int, scratch: Scratch) -> None:
         block = slice(start, start + _SPLIT_BLOCK)
         order_t[block] = np.argsort(X[:, block], axis=0, kind="stable").T
         tied[block] = _tied_columns(X[:, block], order_t[block])
 
-    # reading every result raises the first error of a block
-    for _ in pool.map(sort, range(0, X.shape[1], _SPLIT_BLOCK)):
+    for _ in pool_map(sort, range(0, X.shape[1], _SPLIT_BLOCK)):
         pass
     return order_t, tied
 
@@ -363,11 +361,11 @@ def _grown(
     order_t: np.ndarray,
     tied: np.ndarray,
     cfg: TrainConfig,
-    cols: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    task: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: Scratch,
 ) -> tuple[Forest, np.ndarray]:
-    """One class's tree, grown on columns ``cols``, and its value at every row of X."""
+    """One class's tree, grown from ``task``, (cols, g, h), and its value at every row of X."""
+    cols, g, h = task
     tree = _grow_tree(X, g, h, order_t[cols], cols, tied[cols], cfg)
     return tree, _leaf_values(tree, X)[:, 0]
 
@@ -430,11 +428,8 @@ def fit(
 
     Row subsampling redraws every ``data_resample_period`` iterations;
     feature subsampling redraws per tree.  Trees are fit on the subsample
-    but update the margins of every row.  Raises RuntimeError on a thread
-    of the kept CPU pool, which fit waits on.
+    but update the margins of every row.
     """
-    if on_pool_thread():
-        raise RuntimeError("gbt.fit cannot run in a task on the kept CPU pool: it waits on that pool")
     X = _validate_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     if len(y) != X.shape[0]:
@@ -457,8 +452,7 @@ def fit(
             raise DegenerateData(f"class_weights must have {k} entries")
 
     rng = np.random.default_rng(config.seed)
-    pool = cpu_pool()
-    order_t, tied = _sorted_columns(X, pool)  # (F, N)
+    order_t, tied = _sorted_columns(X)  # (F, N)
 
     base = np.log(counts / n)
     margins = np.tile(base, (n, 1))
@@ -485,7 +479,7 @@ def fit(
             col_sets = [np.arange(n_features)] * k
         grow = functools.partial(_grown, X, order_sub_t, tied, config)
         row: list[Forest] = []
-        for cls, (tree, update) in enumerate(pool.map(grow, col_sets, g.T, h.T)):
+        for cls, (tree, update) in enumerate(pool_map(grow, zip(col_sets, g.T, h.T))):
             margins[:, cls] += update
             row.append(tree)
         trees.append(row)

@@ -16,7 +16,7 @@ import numpy as np
 from . import gbt
 from .epoching import BLOCK_EPOCHS, epoch_grid
 from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
-from .features import N_STAT_FEATURES, pool_map_with_buffer, stat_features
+from .features import N_STAT_FEATURES, Scratch, pool_map, stat_features
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
@@ -51,15 +51,17 @@ def mobility_feature_matrix(
     layout = tuple((f"stats_acc_{name}", N_STAT_FEATURES) for name in "xyz")
     X = np.empty((n_epochs, 3 * N_STAT_FEATURES))
 
-    def block(start: int, buffer: np.ndarray) -> None:
+    def block(start: int, scratch: Scratch) -> None:
         stop = min(start + BLOCK_EPOCHS, n_epochs)
+        # a digital block is converted into its task's scratch
+        buffer = scratch("samples", 3 * BLOCK_EPOCHS * win, np.float64).reshape(3, -1)
         axes = acc.physical(start * win, stop * win, out=buffer[:, : (stop - start) * win])
         axes = [axis.reshape(stop - start, win) for axis in axes]
         # (axis, epoch, feature) -> (epoch, axis * feature)
         X[start:stop] = stat_features(axes, fs).transpose(1, 0, 2).reshape(stop - start, -1)
 
-    # a digital block is converted into its thread's buffer
-    pool_map_with_buffer(block, range(0, n_epochs, BLOCK_EPOCHS), (3, BLOCK_EPOCHS * win))
+    for _ in pool_map(block, range(0, n_epochs, BLOCK_EPOCHS)):
+        pass
     return X, layout
 
 

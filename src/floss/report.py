@@ -1,7 +1,7 @@
 """Batch pipeline over directories of nights with skip-and-report semantics.
 
 Nights run one after another on the caller's thread, and each night's heavy
-stages use every CPU through the kept pool.  Each night is processed
+stages use every CPU through ``features.pool_map``.  Each night is processed
 independently: read, optionally write a despiked copy, score usability per
 channel on the recording as read, classify mobility and find time in bed
 when an accelerometer model is given, merge with sleep scores when a
@@ -26,7 +26,7 @@ import numpy as np
 from . import gbt, svg
 from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
 from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
-from .features import cpu_pool
+from .features import Scratch, pool_map
 from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import (
     ChannelSignal,
@@ -149,12 +149,12 @@ def despiked(rec: Recording, digital: bool = False) -> Recording:
     """
     cascade = design_cascade(rec.fs)
 
-    def filter_channel(ch: ChannelSignal) -> np.ndarray:
+    def filter_channel(ch: ChannelSignal, scratch: Scratch) -> np.ndarray:
         calibration = ch.calibration if is_digital(ch.held) else None
         samples = apply_zero_phase(cascade, ch.held, calibration)
         return to_held_digital(samples, ch.calibration) if digital else samples
 
-    filtered = list(cpu_pool().map(filter_channel, rec.channels))
+    filtered = list(pool_map(filter_channel, rec.channels))
     channels = [
         ChannelSignal(ch.label, samples, unit=ch.unit, calibration=ch.calibration)
         for ch, samples in zip(rec.channels, filtered)

@@ -22,17 +22,15 @@ converted alone has the bits of the whole signal converted at once.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
-import threading
-from collections import deque
-from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import Future
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import IO, TypeVar
+from typing import IO
 
 import numpy as np
 
@@ -49,7 +47,7 @@ from .errors import (
     SamplingRateMismatch,
     TruncatedFile,
 )
-from .features import available_cpus, cpu_pool, on_pool_thread
+from .features import Scratch, pool_map, work_size
 
 #: (field, width) of the fixed header, in file order
 _HEADER_FIELDS = (
@@ -73,23 +71,18 @@ DEFAULT_ACC_CALIBRATION = (-8.0, 8.0, -32768, 32767)
 
 ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 
-#: rows ``write_csv`` formats at a time, in one task on the kept pool: a
-#: numpy kernel (``_csv_rows``) writes each cell as repr does from its
-#: shortest round-trip digits, and repr itself writes the few cells the
-#: kernel does not certify; a block's text and temporaries stay a few MB
-_CSV_BLOCK_ROWS = 8192
-#: rows in flight across those tasks, one block per CPU plus one; above
-#: two CPUs the blocks shrink, so the text in flight does not grow
-_CSV_ROWS_IN_FLIGHT = 3 * _CSV_BLOCK_ROWS
-#: bytes of CSV text ``read_csv`` parses at a time, cut after a line end,
-#: in one task on the kept pool (about 2300 rows of six repr cells): a
-#: numpy kernel (``_csv_columns``) reads each cell with loadtxt's bits, and
-#: ``float`` the few cells it does not certify; a chunk's temporaries stay
-#: a few MB
-_CSV_CHUNK_BYTES = 1 << 18
-#: bytes in flight across those tasks, one chunk per CPU plus one; above
-#: two CPUs the chunks shrink, as ``write_csv``'s blocks do
-_CSV_BYTES_IN_FLIGHT = 3 * _CSV_CHUNK_BYTES
+#: rows ``write_csv`` formats at once, and the fewest rows of a block
+#: (``features.work_size``): 8192-row blocks on 2 CPUs, each a task on the
+#: kept pool, where a numpy kernel (``_csv_rows``) writes each cell as repr
+#: does from its shortest round-trip digits, and repr itself the few cells
+#: the kernel does not certify; a block's text and temporaries stay a few MB
+_CSV_ROWS = (2 * 8192, 4096)
+#: bytes of CSV text ``read_csv`` parses at once, and the fewest bytes of a
+#: chunk, cut after a line end: 256 KB chunks on 2 CPUs (about 2300 rows of
+#: six repr cells), each a task on the kept pool, where a numpy kernel
+#: (``_csv_columns``) reads each cell with loadtxt's bits, and ``float`` the
+#: few cells it does not certify; a chunk's temporaries stay a few MB
+_CSV_BYTES = (2 << 18, 3 << 16)
 #: one-second records ``write_edf`` interleaves at a time
 _EDF_BLOCK_RECORDS = 256
 #: physical samples ``to_held_digital`` converts at a time
@@ -403,10 +396,16 @@ def _ascii(raw: bytes, what: str) -> str:
 
 
 def parse_edf_header(raw: bytes) -> EdfHeader:
-    """Parse the fixed and per-signal EDF header blocks."""
+    """Parse the fixed and per-signal EDF header blocks.
+
+    An EDF+D file, whose records are not contiguous, raises
+    ``HeaderFieldUnparsable``: its times would be read wrong.
+    """
     if len(raw) < HEADER_BYTES:
         raise TruncatedFile(f"file holds {len(raw)} bytes, EDF header needs {HEADER_BYTES}")
     head = _cut(_ascii(raw[:HEADER_BYTES], "header"), _HEADER_FIELDS, 1)[0]
+    if head["reserved"].startswith("EDF+D"):
+        raise HeaderFieldUnparsable("an EDF+D file is discontinuous; only a contiguous night reads")
     header_bytes = _parse_int(head["header_bytes"], "header bytes")
     n_records = _parse_int(head["n_records"], "record count")
     record_duration = _parse_float(head["record_duration"], "record duration")
@@ -640,9 +639,9 @@ def read_csv(path: str | Path) -> Recording:
     file is UTF-8, a cell may be double-quoted, and ``#`` starts no comment.
 
     Each cell reads as ``np.loadtxt`` reads it.  The body is read in chunks
-    cut at line ends, parsed by ``_csv_columns`` as tasks on the kept pool,
-    at most one per CPU plus one in flight; a night holding any form that
-    kernel does not take is read again, whole, by ``np.loadtxt``.
+    cut at line ends (``_CSV_BYTES``), parsed by ``_csv_columns`` through
+    ``pool_map``; a night holding any form that kernel does not take is
+    read again, whole, by ``np.loadtxt``.
     """
     with open_input(path, "rb") as handle:
         # the first line as a text reader sees it: \r\n and \r end lines too
@@ -707,20 +706,12 @@ def _read_columns(handle: IO[bytes], head: bytes, n_cols: int) -> list[np.ndarra
     or None where a chunk holds a form ``_csv_columns`` does not take.
 
     Each chunk's columns are kept apart until the end, so joining a column
-    frees its parts before the next is joined.  Each thread parses its
-    chunks in its own ``_Scratch``.
+    frees its parts before the next is joined.
     """
-    size = min(_CSV_CHUNK_BYTES, _CSV_BYTES_IN_FLIGHT // (available_cpus() + 1))
+    size, window = work_size(*_CSV_BYTES)
     parts: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
-    scratches: dict[int, _Scratch] = {}
-
-    def parse(chunk: bytes) -> list[np.ndarray] | None:
-        scratch = scratches.get(threading.get_ident())
-        if scratch is None:
-            scratch = scratches[threading.get_ident()] = _Scratch()
-        return _csv_columns(chunk, n_cols, scratch)
-
-    chunks = _in_order(parse, _line_chunks(handle, head, size))
+    parse = functools.partial(_csv_columns, n_cols=n_cols)
+    chunks = pool_map(parse, _line_chunks(handle, head, size), window)
     for columns in chunks:
         if columns is None:
             chunks.close()
@@ -763,20 +754,17 @@ def write_csv(rec: Recording, path: str | Path) -> None:
 
     The header is written as ``csv.writer`` writes it, so a label that
     holds a comma or a quote reads back.  Every sample is written as
-    ``repr`` writes it: blocks of at most ``_CSV_BLOCK_ROWS`` rows are
-    formatted by ``_csv_rows`` as tasks on the kept pool, at most one per
-    CPU plus one and ``_CSV_ROWS_IN_FLIGHT`` rows in flight, and written in
-    order.
+    ``repr`` writes it: blocks of rows (``_CSV_ROWS``) are formatted by
+    ``_csv_rows`` through ``pool_map`` and written in order.
     """
     names = ["t_s"] + [ch.label for ch in rec.channels]
     columns = [(ch.held, ch.calibration) for ch in rec.channels]
     if rec.acc is not None:
         names += ["accX", "accY", "accZ"]
         columns += list(zip(rec.acc.held, rec.acc.calibrations))
-    # _in_order keeps one block per CPU plus one in flight
-    block_rows = max(1, min(_CSV_BLOCK_ROWS, _CSV_ROWS_IN_FLIGHT // (available_cpus() + 1)))
+    block_rows, window = work_size(*_CSV_ROWS)
 
-    def block(start: int) -> bytes:
+    def block(start: int, scratch: Scratch) -> bytes:
         stop = min(start + block_rows, rec.n_samples)
         table = np.empty((stop - start, 1 + len(columns)))
         table[:, 0] = rec.t0_s + np.arange(start, stop) / rec.fs
@@ -788,37 +776,8 @@ def write_csv(rec: Recording, path: str | Path) -> None:
     csv.writer(header, lineterminator="\n").writerow(names)
     with open(path, "wb") as out:
         out.write(header.getvalue().encode("utf-8"))
-        for text in _in_order(block, range(0, rec.n_samples, block_rows)):
+        for text in pool_map(block, range(0, rec.n_samples, block_rows), window):
             out.write(text)
-
-
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-
-def _in_order(fn: Callable[[_Item], _Result], items: Iterable[_Item]) -> Iterator[_Result]:
-    """``fn`` of every item, in order, as tasks on the kept pool, with at
-    most one task per CPU plus one in flight; items are drawn as tasks are
-    submitted.  Closing the iterator cancels the tasks not yet started.
-
-    Called from a task on the pool, which may not wait on it, the calls run
-    on the calling thread.
-    """
-    if on_pool_thread():
-        yield from map(fn, items)
-        return
-    pool, ahead = cpu_pool(), available_cpus() + 1
-    pending: deque[Future[_Result]] = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 #: 10**0 .. 10**22, each exact in float64
@@ -1016,29 +975,11 @@ _KEEP_FROM = np.array(
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-class _Scratch:
-    """Arrays one thread reuses, by name, from chunk to chunk.
-
-    A chunk's arrays made anew go back to the system when freed, and their
-    pages are faulted in again for the next chunk: on a 20-min six-column
-    night read on 2 CPUs that cost about a third of the read.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, n: int, dtype: type = np.int64) -> np.ndarray:
-        array = self._arrays.get(name)
-        if array is None or len(array) < n:
-            array = self._arrays[name] = np.empty(n, dtype)
-        return array[:n]
-
-
 #: 10**0 .. 10**22, each split as ``_split`` splits it
 _POW10_HIGH, _POW10_LOW = _split(_POW10, np.empty(23), np.empty(23))
 
 
-def _csv_columns(chunk: bytes, n_cols: int, scratch: _Scratch) -> list[np.ndarray] | None:
+def _csv_columns(chunk: bytes, scratch: Scratch, n_cols: int) -> list[np.ndarray] | None:
     """The columns of a chunk of whole CSV lines, each cell with the bits
     ``np.loadtxt`` gives it, or None where the chunk holds anything but
     cells of the form ``-?digits[.digits][e[+-]digits]`` (either digits may
@@ -1106,7 +1047,7 @@ def _owners(marks: np.ndarray, end: np.ndarray) -> np.ndarray | slice | None:
 
 
 def _decimal_cells(
-    data: np.ndarray, start: np.ndarray, end: np.ndarray, scratch: _Scratch, marks: int,
+    data: np.ndarray, start: np.ndarray, end: np.ndarray, scratch: Scratch, marks: int,
     letters: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """The float64 value of each cell ``data[start:end]`` and whether it is

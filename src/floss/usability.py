@@ -29,12 +29,12 @@ from . import gbt
 from .epoching import BLOCK_EPOCHS, ArtifactClass, EpochSample, epoch_grid, epoch_view
 from .errors import ChannelMissing, DegenerateData, EmptyRecording
 from .features import (
+    Scratch,
     SpectrogramConfig,
     acc_norm,
     epoch_feature_matrix,
     feature_layout,
     pool_map,
-    pool_map_with_buffer,
 )
 from .signal_io import Calibration, ChannelSignal, Recording, held_physical, is_digital
 
@@ -116,12 +116,13 @@ def _write_rows(
     the kept pool.  A row's features do not depend on its neighbours, so X
     gets the bits of one feature matrix of every row at once."""
 
-    def write(block: _RowBlock) -> None:
+    def write(block: _RowBlock, scratch: Scratch) -> None:
         rows, epochs = block
         eeg, norm = epochs()
         X[rows] = epoch_feature_matrix(eeg, norm, cfg, include_stats)[0]
 
-    pool_map(write, blocks)
+    for _ in pool_map(write, blocks):
+        pass
 
 
 def _in_blocks(rows: np.ndarray) -> list[slice]:
@@ -349,9 +350,13 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     labels = np.empty((n_channels, n_epochs), dtype=np.intp)
     spectra = np.empty((n_channels, n_epochs, cfg.bin_count))
 
-    def score_block(start: int, buffer: np.ndarray) -> None:
+    rows = n_channels + (3 if rec.acc is not None else 0)
+
+    def score_block(start: int, scratch: Scratch) -> None:
         stop = min(start + BLOCK_EPOCHS, n_epochs)
         span, n = (start * win, stop * win), (stop - start) * win
+        # a digital block is converted into its task's scratch
+        buffer = scratch("samples", rows * BLOCK_EPOCHS * win, np.float64).reshape(rows, -1)
         norm = None
         if rec.acc is not None:
             axes = rec.acc.physical(*span, out=buffer[n_channels:, :n])
@@ -366,9 +371,8 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
         frames = X[:, : layout[0][1]].reshape(n_channels, stop - start, -1, cfg.bin_count)
         spectra[:, start:stop] = frames.mean(axis=2)
 
-    # a digital block is converted into its thread's buffer
-    rows = n_channels + (3 if rec.acc is not None else 0)
-    pool_map_with_buffer(score_block, range(0, n_epochs, BLOCK_EPOCHS), (rows, BLOCK_EPOCHS * win))
+    for _ in pool_map(score_block, range(0, n_epochs, BLOCK_EPOCHS)):
+        pass
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
         labels=list(labels),

@@ -1,6 +1,12 @@
 """Feature extraction against independent oracles (naive DFT, scipy.stats)."""
 from __future__ import annotations
 
+import gc
+import threading
+import time
+import weakref
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -361,6 +367,31 @@ def test_thread_count_does_not_change_bits(rng, monkeypatch):
         np.testing.assert_array_equal(one, three)
 
 
+def test_stat_features_blocks_keep_their_floor_at_64_cpus(rng, monkeypatch):
+    """At 64 CPUs the row blocks keep their floor and fewer are in flight:
+    the rows in flight stay within the budget, as at 2 CPUs."""
+    batch = rng.standard_normal((1000, 2560))
+    budget, floor = features._FEATURE_ROWS
+    pool_map = features.pool_map
+    results, pieces, windows = {}, {}, {}
+    for cpus in (2, 64):
+        rows = []
+
+        def spy(fn, items, window=0):
+            windows[cpus] = window
+            return pool_map(fn, (rows.append(len(item[0])) or item for item in items), window)
+
+        monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(features, "pool_map", spy)
+        results[cpus] = stat_features(batch, FS)
+        pieces[cpus] = max(rows)
+        assert sum(rows) == len(batch)
+    np.testing.assert_array_equal(results[2], results[64])
+    assert pieces[2] == budget // 2 == 128
+    assert pieces[64] >= floor
+    assert windows[64] * pieces[64] <= budget
+
+
 def test_block_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(features, "available_cpus", lambda: 3)
     with pytest.raises(SegmentTooShort):
@@ -379,6 +410,98 @@ def test_row_blocks_of_a_pool_task_run_on_its_thread(rng, monkeypatch):
     batch = rng.standard_normal((600, 2560))
     future = features.cpu_pool().submit(stat_features, batch, FS)
     np.testing.assert_array_equal(future.result(timeout=60), stat_features(batch, FS))
+
+
+class _TaskFault(Exception):
+    pass
+
+
+def _eventually(condition, seconds: float = 60.0) -> bool:
+    """Whether ``condition()`` holds within ``seconds``, polled."""
+    deadline = time.monotonic() + seconds
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 30),
+    cpus=st.integers(1, 3),
+    window=st.integers(0, 6),
+    fail=st.none() | st.integers(0, 29),
+    close=st.none() | st.integers(0, 29),
+    inline=st.booleans(),
+)
+def test_pool_map_contract(n, cpus, window, fail, close, inline):
+    """``pool_map`` yields in item order, draws at most ``window`` items
+    ahead (one per CPU plus one by default), raises the first error, runs
+    no task left unstarted when it stops early, runs inline on a pool
+    thread, and hands each task a scratch no running task holds, making no
+    more than it runs tasks at once and keeping none after the call."""
+    bound = window or cpus + 1
+    # the last item the caller sees: tasks past it wait until it stops
+    stop = min(i for i in (fail, close, n - 1) if i is not None)
+    gate, lock = threading.Event(), threading.Lock()
+    drawn, calls, done, held, clashes = [], [], [], set(), []
+
+    def items():
+        for i in range(n):
+            drawn.append(i)
+            yield i
+
+    def fn(i, scratch):
+        with lock:
+            calls.append((i, threading.get_ident(), scratch))
+            clashes.extend([i] if id(scratch) in held else [])
+            held.add(id(scratch))
+        try:
+            if i > stop:
+                gate.wait(60)
+            if i == fail:
+                raise _TaskFault(i)
+            return i * i
+        finally:
+            with lock:
+                held.discard(id(scratch))
+                done.append(i)
+
+    def consume():
+        got, error = [], None
+        results = features.pool_map(fn, items(), window)
+        try:
+            for i, result in enumerate(results):
+                assert len(drawn) <= i + bound
+                got.append(result)
+                if i == close:
+                    results.close()
+        except _TaskFault as exc:
+            error = exc.args[0]
+        return got, error, threading.get_ident()
+
+    with mock.patch.object(features, "available_cpus", lambda: cpus):
+        if inline:
+            got, error, caller = features.cpu_pool().submit(consume).result(timeout=60)
+        else:
+            got, error, caller = consume()
+        gate.set()
+        assert _eventually(lambda: len(done) == len(calls))
+    assert got == [i * i for i in range(stop + (fail != stop))]
+    assert error == (fail if fail is not None and fail <= stop else None)
+    # tasks past ``stop`` started only on the workers free when it was reached
+    assert len(calls) <= stop + 1 + (0 if inline else cpus)
+    if inline:
+        assert {thread for _, thread, _ in calls} <= {caller}
+    # no two tasks at once hold a scratch, and the call makes no more of
+    # them than it runs tasks at once, one per worker at most
+    assert clashes == []
+    assert len({id(scratch) for _, _, scratch in calls}) <= (1 if inline else min(bound, cpus))
+    # nothing keeps a scratch once the call is over
+    refs = [weakref.ref(scratch) for _, _, scratch in calls]
+    del calls[:]
+    assert _eventually(lambda: gc.collect() >= 0 and not any(ref() for ref in refs))
 
 
 _ZERO_HEAVY = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -1e-300, 1e300])

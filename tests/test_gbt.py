@@ -404,7 +404,7 @@ class TestFitPredict:
         # are searched: 2L - 3 searches
         X = rng.standard_normal((400, 6))
         g, h = rng.standard_normal(400), np.ones(400)
-        order_t, tied = gbt._sorted_columns(X, features.cpu_pool())
+        order_t, tied = gbt._sorted_columns(X)
         cols = np.arange(6)
         searched = []
         search = gbt._best_split
@@ -643,7 +643,7 @@ class TestRowIds:
         X = np.column_stack(
             [rng.integers(0, 3, n), rng.integers(0, 500, n), rng.permutation(n)]
         ).astype(np.float64)
-        order_t, tied = gbt._sorted_columns(X, features.cpu_pool())
+        order_t, tied = gbt._sorted_columns(X)
         assert order_t.dtype == row_id
         assert tied.tolist() == [True, True, False]
         want = np.argsort(X, axis=0, kind="stable").T
@@ -810,14 +810,15 @@ class TestCpuCount:
             gbt.fit(X, y, gbt.TrainConfig(n_iterations=3, eta=0.3, min_samples_leaf=2))
         assert raised_on[0].startswith("floss")
 
-    def test_fit_in_a_pool_task_raises(self, rng, monkeypatch):
+    def test_fit_in_a_pool_task_gives_the_same_model(self, rng, monkeypatch):
         # one worker: a fit that waited on the pool from its only thread
         # would wait for ever, so the timeout fails the test instead of hanging it
         monkeypatch.setattr(features, "available_cpus", lambda: 1)
         X, y = _blobs(rng)
-        future = features.cpu_pool().submit(gbt.fit, X, y, gbt.TrainConfig(n_iterations=1))
-        with pytest.raises(RuntimeError, match="kept CPU pool"):
-            future.result(timeout=60)
+        cfg = gbt.TrainConfig(n_iterations=3, eta=0.3, min_samples_leaf=2)
+        future = features.cpu_pool().submit(gbt.fit, X, y, cfg)
+        on_pool = gbt.model_to_json(future.result(timeout=60))
+        assert on_pool == gbt.model_to_json(gbt.fit(X, y, cfg))
 
 
 _SPLIT_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])

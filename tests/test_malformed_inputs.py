@@ -194,6 +194,24 @@ class TestCodedFaults:
         with pytest.raises(HeaderFieldUnparsable, match="finite"):
             read_edf(path)
 
+    def test_discontinuous_edf_plus_is_unparsable(self, written, tmp_path):
+        """EDF+C reads as plain EDF; EDF+D, whose records have gaps, is refused."""
+        data = bytearray(written["edf"])
+        nights = {}
+        for reserved in (b"", b"EDF+C", b"EDF+D"):
+            data[192:236] = reserved.ljust(44)  # the header's reserved field
+            nights[reserved] = tmp_path / f"{reserved.decode() or 'EDF'}.edf"
+            nights[reserved].write_bytes(bytes(data))
+        for reader in (read_edf, read_edf_layout):
+            with pytest.raises(HeaderFieldUnparsable, match=r"EDF\+D"):
+                reader(nights[b"EDF+D"])
+        assert read_edf_layout(nights[b"EDF+C"]) == read_edf_layout(nights[b""])
+        plain, continuous = read_edf(nights[b""]), read_edf(nights[b"EDF+C"])
+        assert continuous.start_time == plain.start_time
+        got = [ch.samples for ch in continuous.channels] + list(continuous.acc.axes)
+        want = [ch.samples for ch in plain.channels] + list(plain.acc.axes)
+        assert np.array_equal(np.stack(got), np.stack(want))
+
     def test_header_only_csv_is_empty_without_a_warning(self, tmp_path):
         path = tmp_path / "n.csv"
         for text in ("t_s,EEG\n", "t_s,EEG\n\n\n"):

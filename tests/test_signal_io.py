@@ -16,8 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floss import signal_io
-from floss.features import available_cpus, cpu_pool
+from floss import features, signal_io
+from floss.features import cpu_pool, work_size
 from floss.errors import (
     AmplitudeOutOfDeclaredRange,
     ChannelMissing,
@@ -480,7 +480,8 @@ def test_read_csv_rows_around_the_chunk_size(tmp_path, monkeypatch, newline, chu
     """Lines that end at a chunk's last byte, before it and after it, a
     \\r\\n cut between two chunks, and a last line without its line end
     read as loadtxt reads them."""
-    monkeypatch.setattr(signal_io, "_CSV_CHUNK_BYTES", chunk)
+    # a budget of one chunk: chunks of exactly ``chunk`` bytes at any CPU count
+    monkeypatch.setattr(signal_io, "_CSV_BYTES", (chunk, chunk))
     for last_newline in (True, False):
         path = tmp_path / "a.csv"
         _fixed_width_night(path, rows, newline, last_newline)
@@ -492,8 +493,8 @@ def test_read_csv_rows_around_the_chunk_size(tmp_path, monkeypatch, newline, chu
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_read_csv_rows_around_the_real_chunk_size(tmp_path, monkeypatch, extra):
-    monkeypatch.setattr(signal_io, "available_cpus", lambda: 2)
-    rows = signal_io._CSV_CHUNK_BYTES // 16 + extra
+    monkeypatch.setattr(features, "available_cpus", lambda: 2)
+    rows = work_size(*signal_io._CSV_BYTES)[0] // 16 + extra
     path = tmp_path / "a.csv"
     _fixed_width_night(path, rows, "\n")
     rec = read_csv(path)
@@ -511,35 +512,45 @@ def _repr_night(path: Path, rows: int, seed: int) -> None:
 
 
 def test_read_csv_bytes_at_one_cpu_and_at_three(tmp_path, monkeypatch):
-    """The chunks shrink with the CPU count; the samples do not change."""
+    """The chunks change with the CPU count; the samples do not."""
     path = tmp_path / "a.csv"
     _repr_night(path, 60_000, 1)
     want = signal_io._loadtxt_table(path)
     for cpus in (1, 3):
-        monkeypatch.setattr(signal_io, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
         rec = read_csv(path)
         got = [rec.channels[0].samples, rec.channels[1].samples, *rec.acc.axes]
         assert np.column_stack(got).tobytes() == np.ascontiguousarray(want[:, 1:]).tobytes()
 
 
-def test_read_csv_memory_does_not_grow_with_the_cpu_count(tmp_path):
-    """At 64 CPUs the chunks shrink: the text in flight stays that of 2.
+def _spied_pool_map(windows: list[int]):
+    """``features.pool_map``, noting the window of each call in ``windows``."""
 
-    Only the count ``read_csv`` reads is patched; the pool keeps its size.
-    """
+    def spy(fn, items, window=0):
+        windows.append(window)
+        return features.pool_map(fn, items, window)
+
+    return spy
+
+
+def test_read_csv_memory_does_not_grow_with_the_cpu_count(tmp_path):
+    """At 64 CPUs the chunks keep their floor and fewer run at once: the
+    text in flight stays within the budget, as at 2 CPUs."""
     path = tmp_path / "a.csv"
     _repr_night(path, 60_000, 2)
-    peaks, chunks = {}, {}
+    peaks, chunks, windows = {}, {}, {}
     split = signal_io._line_chunks
+    budget, floor = signal_io._CSV_BYTES
     for cpus in (2, 64):
-        sizes = []
+        sizes, maps = [], []
 
         def spy(handle, head, size):
             sizes.append(size)
             return split(handle, head, size)
 
-        with mock.patch.object(signal_io, "available_cpus", lambda: cpus), \
-                mock.patch.object(signal_io, "_line_chunks", spy):
+        with mock.patch.object(features, "available_cpus", lambda: cpus), \
+                mock.patch.object(signal_io, "_line_chunks", spy), \
+                mock.patch.object(signal_io, "pool_map", _spied_pool_map(maps)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -547,11 +558,11 @@ def test_read_csv_memory_does_not_grow_with_the_cpu_count(tmp_path):
                 peaks[cpus] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        chunks[cpus] = sizes[0]
+        chunks[cpus], windows[cpus] = sizes[0], maps[0]
         del rec
-    assert chunks[2] == signal_io._CSV_CHUNK_BYTES
-    # one chunk per CPU plus one in flight
-    assert chunks[64] * 65 <= 3 * chunks[2]
+    assert chunks[2] == budget // 2 == 1 << 18
+    assert chunks[64] >= floor
+    assert windows[64] * chunks[64] <= budget
     assert peaks[64] < 1.25 * peaks[2], peaks
 
 
@@ -583,7 +594,8 @@ def test_write_csv_is_repr_per_cell(tmp_path_factory, values, block_rows):
     rec = Recording([ChannelSignal(f"EEG {j}", values[:, j]) for j in range(values.shape[1])],
                     None, fs=4.0)
     path = tmp_path_factory.getbasetemp() / "cells.csv"
-    with mock.patch.object(signal_io, "_CSV_BLOCK_ROWS", block_rows):
+    # a budget of one block: blocks of exactly ``block_rows`` at any CPU count
+    with mock.patch.object(signal_io, "_CSV_ROWS", (block_rows, block_rows)):
         write_csv(rec, path)
     table = np.column_stack([np.arange(len(values)) / 4.0, values])
     head = ",".join(["t_s"] + [f"EEG {j}" for j in range(values.shape[1])]) + "\n"
@@ -689,20 +701,6 @@ def test_write_csv_memory_does_not_grow_with_the_night(tmp_path):
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], peaks
 
 
-def test_write_csv_blocks_in_flight_are_one_per_cpu_plus_one():
-    started = []
-
-    def block(i: int) -> bytes:
-        started.append(i)
-        return b"%d" % i
-
-    ahead = available_cpus() + 1
-    for i, text in enumerate(signal_io._in_order(block, range(40))):
-        assert text == b"%d" % i
-        assert len(started) <= i + ahead
-    assert sorted(started) == list(range(40))
-
-
 def test_csv_rejects_nan_and_empty(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("t_s,EEG\n0.0,nan\n0.5,1.0\n")
@@ -766,20 +764,19 @@ def test_out_of_range_sample_in_the_last_record_block_leaves_no_file(
 
 
 def test_write_csv_text_in_flight_does_not_grow_with_the_cpu_count(tmp_path):
-    """At 64 CPUs the blocks shrink: the rows in flight stay those of 2 CPUs.
-
-    Only the count ``write_csv`` reads is patched; the pool keeps its size,
-    so the blocks it runs at once are its own.
-    """
+    """At 64 CPUs the blocks keep their floor and fewer run at once: the
+    rows in flight stay within the budget, as at 2 CPUs."""
     x = np.random.default_rng(3).standard_normal(600_000)
     rec = Recording([ChannelSignal("EEG", x), ChannelSignal("EEG 2", -x)], None, fs=256.0)
-    peaks, blocks = {}, {}
+    peaks, blocks, windows = {}, {}, {}
     format_rows = signal_io._csv_rows
+    budget, floor = signal_io._CSV_ROWS
     for cpus in (2, 64):
-        sizes = []
+        sizes, maps = [], []
         spy = lambda table: sizes.append(len(table)) or format_rows(table)  # noqa: E731
-        with mock.patch.object(signal_io, "available_cpus", lambda: cpus), \
-                mock.patch.object(signal_io, "_csv_rows", spy):
+        with mock.patch.object(features, "available_cpus", lambda: cpus), \
+                mock.patch.object(signal_io, "_csv_rows", spy), \
+                mock.patch.object(signal_io, "pool_map", _spied_pool_map(maps)):
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -787,11 +784,11 @@ def test_write_csv_text_in_flight_does_not_grow_with_the_cpu_count(tmp_path):
                 peaks[cpus] = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        blocks[cpus] = max(sizes)
+        blocks[cpus], windows[cpus] = max(sizes), maps[0]
     assert (tmp_path / "2.csv").read_bytes() == (tmp_path / "64.csv").read_bytes()
-    assert blocks[2] == signal_io._CSV_BLOCK_ROWS
-    # one block per CPU plus one in flight
-    assert blocks[64] * 65 <= 3 * blocks[2]
+    assert blocks[2] == budget // 2 == 8192
+    assert blocks[64] >= floor
+    assert windows[64] * blocks[64] <= budget
     assert peaks[64] < 1.25 * peaks[2], peaks
 
 
