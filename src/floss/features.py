@@ -15,7 +15,6 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,8 +32,8 @@ TAPER = 0.25
 
 #: rows of a batch that spectrogram, stat_features and tree prediction
 #: run at once, and the fewest rows of a block (``work_size``): 128-row
-#: blocks on 2 CPUs, and the temporaries stay a few (256, len) arrays
-#: however long the night and however many CPUs
+#: blocks on 1 and 2 CPUs, at most four blocks at once above 4 CPUs, so the
+#: temporaries stay a few (256, len) arrays however long the night
 _FEATURE_ROWS = (256, 64)
 
 #: frequency bands integrated from the Welch PSD, [low, high) in Hz
@@ -163,32 +162,33 @@ def in_row_blocks(
                 yield block, out[start + a : start + a + block.shape[0]]
             start += rows.shape[0]
 
-    def run(block: tuple[np.ndarray, np.ndarray], scratch: Scratch) -> None:
+    def run(block: tuple[np.ndarray, np.ndarray]) -> None:
         rows, dest = block
         dest[...] = kernel(rows)
 
-    for _ in pool_map(run, blocks(), window):
-        pass
+    pool_run(run, blocks(), window)
     return out.reshape(lead + row_shape)
 
 
 def work_size(budget: int, floor: int) -> tuple[int, int]:
-    """(piece, window) for ``pool_map``: pieces of at least ``floor`` units,
-    one per CPU, with at most ``budget`` units running at once.
+    """(piece, window) for ``pool_map``: pieces of ``budget`` over the CPU
+    count, but of at least ``floor`` units, with at most ``budget`` units
+    running at once.
 
-    Above the floor, fewer pieces run, not smaller ones, so neither the
-    memory in flight nor the per-piece overhead grows with the CPU count.
-    The window adds a spare only where every CPU runs a piece (a spare would
-    run at once and overrun the budget), so no CPU waits on the caller.
+    One and two CPUs get pieces of half the budget.  Above the floor, fewer
+    pieces run, not smaller ones, so neither the memory in flight nor the
+    per-piece overhead grows with the CPU count.  The window adds a spare
+    only where every CPU runs a piece (a spare would run at once and
+    overrun the budget), so no CPU waits on the caller.
     """
     cpus = available_cpus()
-    piece = max(floor, budget // cpus)
+    piece = max(floor, budget // max(cpus, 2))
     running = max(1, min(cpus, budget // piece))
     return piece, running + (running == cpus)
 
 
 class Scratch:
-    """Arrays that tasks of a ``pool_map`` reuse, by name, one task at a time.
+    """Arrays that tasks reuse, by name, one task at a time (``with_scratch``).
 
     A piece's arrays made anew go back to the system when freed, and their
     pages are faulted in again for the next piece: on a 20-min six-column
@@ -205,26 +205,16 @@ class Scratch:
         return array[:n]
 
 
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
+def with_scratch(fn: Callable) -> Callable:
+    """``fn(item, scratch)`` as a task of one item, for ``pool_map``.
 
-
-def pool_map(
-    fn: Callable[[_Item, Scratch], _Result], items: Iterable[_Item], window: int = 0
-) -> Iterator[_Result]:
-    """``fn(item, scratch)`` of every item, in item order, as tasks on the kept pool.
-
-    Items are drawn as their tasks are submitted, at most ``window`` in
-    flight (by default one per CPU plus one).  A task's error is raised when
-    its result is due; that, or closing the iterator, cancels the tasks not
-    yet started.  No two running tasks share a ``scratch``, so a call makes
-    no more of them than it runs tasks at once, however many threads the
-    pool has.  On a pool thread, which may not wait on the pool, the calls
-    run inline.
+    No two running calls share a ``scratch``, so the calls make no more of
+    them than run at once, however many threads the pool has, and the
+    scratches go with the returned function.
     """
     free: list[Scratch] = []
 
-    def run(item: _Item) -> _Result:
+    def run(item):
         try:
             scratch = free.pop()
         except IndexError:
@@ -234,14 +224,26 @@ def pool_map(
         finally:
             free.append(scratch)
 
+    return run
+
+
+def pool_map(fn: Callable, items: Iterable, window: int = 0) -> Iterator:
+    """``fn`` of every item, in item order, as tasks on the kept pool.
+
+    Items are drawn as their tasks are submitted, at most ``window`` in
+    flight (by default one per CPU plus one).  A task's error is raised when
+    its result is due; that, or closing the iterator, cancels the tasks not
+    yet started.  On a pool thread, which may not wait on the pool, the
+    calls run inline.
+    """
     if on_pool_thread():
-        yield from map(run, items)
+        yield from map(fn, items)
         return
     pool, window = cpu_pool(), window or available_cpus() + 1
-    pending: deque[Future[_Result]] = deque()
+    pending: deque[Future] = deque()
     try:
         for item in items:
-            pending.append(pool.submit(run, item))
+            pending.append(pool.submit(fn, item))
             if len(pending) >= window:
                 yield pending.popleft().result()
         while pending:
@@ -249,6 +251,12 @@ def pool_map(
     finally:
         for future in pending:
             future.cancel()
+
+
+def pool_run(fn: Callable, items: Iterable, window: int = 0) -> None:
+    """``pool_map`` of ``fn`` for its effects, raising the first error."""
+    for _ in pool_map(fn, items, window):
+        pass
 
 
 def cpu_pool() -> ThreadPoolExecutor:

@@ -52,7 +52,7 @@ from .errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
-from .features import Scratch, in_row_blocks, pool_map
+from .features import in_row_blocks, pool_map, pool_run
 from .signal_io import open_input
 
 FORMAT_VERSION = 1
@@ -133,20 +133,19 @@ def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Row ids are uint16 when X has at most _MAX_UINT16_ROWS rows and int32
     above that: the same permutations, in half the memory for every order
     the fit derives from them.  Columns are sorted _SPLIT_BLOCK at a time
-    through ``pool_map``; each block writes its own rows of the result, so
+    through ``pool_run``; each block writes its own rows of the result, so
     the bits do not depend on the threads.
     """
     row_id = np.uint16 if X.shape[0] <= _MAX_UINT16_ROWS else np.int32
     order_t = np.empty((X.shape[1], X.shape[0]), dtype=row_id)
     tied = np.empty(X.shape[1], dtype=bool)
 
-    def sort(start: int, scratch: Scratch) -> None:
+    def sort(start: int) -> None:
         block = slice(start, start + _SPLIT_BLOCK)
         order_t[block] = np.argsort(X[:, block], axis=0, kind="stable").T
         tied[block] = _tied_columns(X[:, block], order_t[block])
 
-    for _ in pool_map(sort, range(0, X.shape[1], _SPLIT_BLOCK)):
-        pass
+    pool_run(sort, range(0, X.shape[1], _SPLIT_BLOCK))
     return order_t, tied
 
 
@@ -362,7 +361,6 @@ def _grown(
     tied: np.ndarray,
     cfg: TrainConfig,
     task: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: Scratch,
 ) -> tuple[Forest, np.ndarray]:
     """One class's tree, grown from ``task``, (cols, g, h), and its value at every row of X."""
     cols, g, h = task

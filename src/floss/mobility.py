@@ -16,7 +16,7 @@ import numpy as np
 from . import gbt
 from .epoching import BLOCK_EPOCHS, epoch_grid
 from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
-from .features import N_STAT_FEATURES, Scratch, pool_map, stat_features
+from .features import N_STAT_FEATURES, Scratch, pool_run, stat_features, with_scratch
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
@@ -60,8 +60,7 @@ def mobility_feature_matrix(
         # (axis, epoch, feature) -> (epoch, axis * feature)
         X[start:stop] = stat_features(axes, fs).transpose(1, 0, 2).reshape(stop - start, -1)
 
-    for _ in pool_map(block, range(0, n_epochs, BLOCK_EPOCHS)):
-        pass
+    pool_run(with_scratch(block), range(0, n_epochs, BLOCK_EPOCHS))
     return X, layout
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import gbt, svg
 from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
 from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
-from .features import Scratch, pool_map
+from .features import pool_map
 from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
 from .signal_io import (
     ChannelSignal,
@@ -149,7 +149,7 @@ def despiked(rec: Recording, digital: bool = False) -> Recording:
     """
     cascade = design_cascade(rec.fs)
 
-    def filter_channel(ch: ChannelSignal, scratch: Scratch) -> np.ndarray:
+    def filter_channel(ch: ChannelSignal) -> np.ndarray:
         calibration = ch.calibration if is_digital(ch.held) else None
         samples = apply_zero_phase(cascade, ch.held, calibration)
         return to_held_digital(samples, ch.calibration) if digital else samples

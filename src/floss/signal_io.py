@@ -22,7 +22,6 @@ converted alone has the bits of the whole signal converted at once.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import os
 from collections.abc import Iterator
@@ -47,7 +46,7 @@ from .errors import (
     SamplingRateMismatch,
     TruncatedFile,
 )
-from .features import Scratch, pool_map, work_size
+from .features import Scratch, pool_map, with_scratch, work_size
 
 #: (field, width) of the fixed header, in file order
 _HEADER_FIELDS = (
@@ -72,17 +71,19 @@ DEFAULT_ACC_CALIBRATION = (-8.0, 8.0, -32768, 32767)
 ACC_AXIS_LABELS = ("ACC X", "ACC Y", "ACC Z")
 
 #: rows ``write_csv`` formats at once, and the fewest rows of a block
-#: (``features.work_size``): 8192-row blocks on 2 CPUs, each a task on the
-#: kept pool, where a numpy kernel (``_csv_rows``) writes each cell as repr
-#: does from its shortest round-trip digits, and repr itself the few cells
-#: the kernel does not certify; a block's text and temporaries stay a few MB
+#: (``features.work_size``): 8192-row blocks on 1 and 2 CPUs, at most four
+#: blocks at once above 4 CPUs, each a task on the kept pool, where a numpy
+#: kernel (``_csv_rows``) writes each cell as repr does from its shortest
+#: round-trip digits, and repr itself the few cells the kernel does not
+#: certify; a block's text and temporaries stay a few MB
 _CSV_ROWS = (2 * 8192, 4096)
 #: bytes of CSV text ``read_csv`` parses at once, and the fewest bytes of a
-#: chunk, cut after a line end: 256 KB chunks on 2 CPUs (about 2300 rows of
-#: six repr cells), each a task on the kept pool, where a numpy kernel
-#: (``_csv_columns``) reads each cell with loadtxt's bits, and ``float`` the
-#: few cells it does not certify; a chunk's temporaries stay a few MB
-_CSV_BYTES = (2 << 18, 3 << 16)
+#: chunk, cut after a line end: 256 KB chunks (about 2300 rows of six repr
+#: cells) at every CPU count, at most two at once, each a task on the kept
+#: pool, where a numpy kernel (``_csv_columns``) reads each cell with
+#: loadtxt's bits, and ``float`` the few cells it does not certify; a
+#: chunk's temporaries stay a few MB
+_CSV_BYTES = (2 << 18, 1 << 18)
 #: one-second records ``write_edf`` interleaves at a time
 _EDF_BLOCK_RECORDS = 256
 #: physical samples ``to_held_digital`` converts at a time
@@ -710,7 +711,7 @@ def _read_columns(handle: IO[bytes], head: bytes, n_cols: int) -> list[np.ndarra
     """
     size, window = work_size(*_CSV_BYTES)
     parts: list[list[np.ndarray]] = [[] for _ in range(n_cols)]
-    parse = functools.partial(_csv_columns, n_cols=n_cols)
+    parse = with_scratch(lambda chunk, scratch: _csv_columns(chunk, n_cols, scratch))
     chunks = pool_map(parse, _line_chunks(handle, head, size), window)
     for columns in chunks:
         if columns is None:
@@ -764,7 +765,7 @@ def write_csv(rec: Recording, path: str | Path) -> None:
         columns += list(zip(rec.acc.held, rec.acc.calibrations))
     block_rows, window = work_size(*_CSV_ROWS)
 
-    def block(start: int, scratch: Scratch) -> bytes:
+    def block(start: int) -> bytes:
         stop = min(start + block_rows, rec.n_samples)
         table = np.empty((stop - start, 1 + len(columns)))
         table[:, 0] = rec.t0_s + np.arange(start, stop) / rec.fs
@@ -979,7 +980,7 @@ _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
 _POW10_HIGH, _POW10_LOW = _split(_POW10, np.empty(23), np.empty(23))
 
 
-def _csv_columns(chunk: bytes, scratch: Scratch, n_cols: int) -> list[np.ndarray] | None:
+def _csv_columns(chunk: bytes, n_cols: int, scratch: Scratch) -> list[np.ndarray] | None:
     """The columns of a chunk of whole CSV lines, each cell with the bits
     ``np.loadtxt`` gives it, or None where the chunk holds anything but
     cells of the form ``-?digits[.digits][e[+-]digits]`` (either digits may

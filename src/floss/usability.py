@@ -34,7 +34,8 @@ from .features import (
     acc_norm,
     epoch_feature_matrix,
     feature_layout,
-    pool_map,
+    pool_run,
+    with_scratch,
 )
 from .signal_io import Calibration, ChannelSignal, Recording, held_physical, is_digital
 
@@ -116,13 +117,12 @@ def _write_rows(
     the kept pool.  A row's features do not depend on its neighbours, so X
     gets the bits of one feature matrix of every row at once."""
 
-    def write(block: _RowBlock, scratch: Scratch) -> None:
+    def write(block: _RowBlock) -> None:
         rows, epochs = block
         eeg, norm = epochs()
         X[rows] = epoch_feature_matrix(eeg, norm, cfg, include_stats)[0]
 
-    for _ in pool_map(write, blocks):
-        pass
+    pool_run(write, blocks)
 
 
 def _in_blocks(rows: np.ndarray) -> list[slice]:
@@ -371,8 +371,7 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
         frames = X[:, : layout[0][1]].reshape(n_channels, stop - start, -1, cfg.bin_count)
         spectra[:, start:stop] = frames.mean(axis=2)
 
-    for _ in pool_map(score_block, range(0, n_epochs, BLOCK_EPOCHS)):
-        pass
+    pool_run(with_scratch(score_block), range(0, n_epochs, BLOCK_EPOCHS))
     return UsabilityScores(
         channels=[ch.label for ch in rec.channels],
         labels=list(labels),

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import scipy.signal
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from floss import features
+from floss import features, signal_io
 from floss.errors import SegmentTooShort
 from floss.features import (
     BANDS,
@@ -392,6 +392,16 @@ def test_stat_features_blocks_keep_their_floor_at_64_cpus(rng, monkeypatch):
     assert windows[64] * pieces[64] <= budget
 
 
+def test_pieces_keep_their_size_on_one_and_two_cpus(monkeypatch):
+    """One CPU cuts the pieces two CPUs cut: 128 feature rows, 8192 CSV
+    rows and 256 KB of CSV text, with one piece per CPU plus one in flight."""
+    for cpus in (1, 2):
+        monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
+        assert features.work_size(*features._FEATURE_ROWS) == (128, cpus + 1)
+        assert features.work_size(*signal_io._CSV_ROWS) == (8192, cpus + 1)
+        assert features.work_size(*signal_io._CSV_BYTES) == (1 << 18, cpus + 1)
+
+
 def test_block_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(features, "available_cpus", lambda: 3)
     with pytest.raises(SegmentTooShort):
@@ -416,7 +426,12 @@ class _TaskFault(Exception):
     pass
 
 
-def _eventually(condition, seconds: float = 60.0) -> bool:
+#: seconds a gated task or a check of the map waits: short, so that a
+#: broken map fails in seconds rather than hanging each example
+_WAIT = 5.0
+
+
+def _eventually(condition, seconds: float = _WAIT) -> bool:
     """Whether ``condition()`` holds within ``seconds``, polled."""
     deadline = time.monotonic() + seconds
     while not condition():
@@ -426,7 +441,8 @@ def _eventually(condition, seconds: float = 60.0) -> bool:
     return True
 
 
-@settings(max_examples=80, deadline=None)
+# no shrinking: each failing example would wait out its gate again
+@settings(max_examples=80, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
     n=st.integers(0, 30),
     cpus=st.integers(1, 3),
@@ -438,9 +454,9 @@ def _eventually(condition, seconds: float = 60.0) -> bool:
 def test_pool_map_contract(n, cpus, window, fail, close, inline):
     """``pool_map`` yields in item order, draws at most ``window`` items
     ahead (one per CPU plus one by default), raises the first error, runs
-    no task left unstarted when it stops early, runs inline on a pool
-    thread, and hands each task a scratch no running task holds, making no
-    more than it runs tasks at once and keeping none after the call."""
+    no task left unstarted when it stops early and runs inline on a pool
+    thread; ``with_scratch`` hands each task a scratch no running task
+    holds, making no more than run at once and keeping none after."""
     bound = window or cpus + 1
     # the last item the caller sees: tasks past it wait until it stops
     stop = min(i for i in (fail, close, n - 1) if i is not None)
@@ -459,7 +475,7 @@ def test_pool_map_contract(n, cpus, window, fail, close, inline):
             held.add(id(scratch))
         try:
             if i > stop:
-                gate.wait(60)
+                gate.wait(_WAIT)
             if i == fail:
                 raise _TaskFault(i)
             return i * i
@@ -470,7 +486,7 @@ def test_pool_map_contract(n, cpus, window, fail, close, inline):
 
     def consume():
         got, error = [], None
-        results = features.pool_map(fn, items(), window)
+        results = features.pool_map(features.with_scratch(fn), items(), window)
         try:
             for i, result in enumerate(results):
                 assert len(drawn) <= i + bound
@@ -483,7 +499,7 @@ def test_pool_map_contract(n, cpus, window, fail, close, inline):
 
     with mock.patch.object(features, "available_cpus", lambda: cpus):
         if inline:
-            got, error, caller = features.cpu_pool().submit(consume).result(timeout=60)
+            got, error, caller = features.cpu_pool().submit(consume).result(timeout=_WAIT)
         else:
             got, error, caller = consume()
         gate.set()
