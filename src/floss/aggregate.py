@@ -142,7 +142,13 @@ def load_sleep_scores(path: str | Path, allow_unscorable: bool = False) -> np.nd
     return normalize_sleep_codes(np.asarray(values, dtype=np.int64), allow_unscorable)
 
 
-
 def write_sleep_scores(scores: np.ndarray | list[int], path: str | Path) -> None:
     """Write one stage code per line, as ``load_sleep_scores`` reads them."""
     Path(path).write_text("\n".join(str(int(v)) for v in scores) + "\n")
+
+
+def write_rejected_csv(scores: np.ndarray, epoch_len_s: float, path: str | Path) -> None:
+    """Write ``epoch_start_s,score`` rows, each start the ``repr`` of its float."""
+    lines = ["epoch_start_s,score"]
+    lines += [f"{repr(i * epoch_len_s)},{int(v)}" for i, v in enumerate(scores)]
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -20,17 +20,10 @@ from . import __version__, gbt, report as report_mod, synth as synth_mod
 from .aggregate import load_sleep_scores, write_sleep_scores
 from .epoching import EpochSample, balance_rus, build_epochs, load_annotations, write_annotations
 from .errors import FlossError, ModelIncompatible, SamplingRateMismatch
-from .mobility import (
-    DEFAULT_RUN_EPOCHS,
-    MobilityState,
-    classify_mobility,
-    detect_tib,
-    fit_mobility,
-    write_mobility_csv,
-)
+from .mobility import DEFAULT_RUN_EPOCHS, MobilityState, fit_mobility, write_mobility_csv
 from .signal_io import TriAxialAcc
-from .sleepstats import compute_stats, write_stats
-from .usability import VARIANTS, score_recording, train_usability
+from .sleepstats import compute_stats, tib_to_json, write_stats
+from .usability import VARIANTS, train_usability
 
 
 class _PositiveFinite(click.FloatRange):
@@ -106,10 +99,7 @@ def main() -> None:
 def check(input_path, model_path, out_path) -> None:
     """Score one recording's per-epoch usability."""
     model = gbt.load_model(model_path)
-    rec = report_mod.read_recording(input_path)
-    scores = score_recording(rec, model)
-    if out_path:
-        Path(out_path).write_text(scores.to_csv())
+    scores = report_mod.usability_stage(report_mod.read_recording(input_path), model, out_path)
     for name, seq in zip(scores.channels, scores.labels):
         counts = Counter(int(v) for v in seq)
         parts = ", ".join(f"{k}: {counts[k]}" for k in sorted(counts))
@@ -127,20 +117,10 @@ def tib(input_path, model_path, tib_run_epochs, out_path) -> None:
     """Detect time in bed from a recording's accelerometer."""
     model = gbt.load_model(model_path)
     rec = report_mod.read_recording(input_path)
-    epoch_len_s = gbt.input_epoch_len(model, "mobility", rec.fs)
-    states = classify_mobility(rec.acc, rec.fs, model)
-    result = detect_tib(states, tib_run_epochs, epoch_len_s)
-    payload = json.dumps(
-        {
-            "Lights_out_sec": result.lights_out_s,
-            "Lights_on_sec": result.lights_on_s,
-            "TIB_min": result.tib_min,
-        },
-        indent=2,
-    )
+    payload = tib_to_json(report_mod.mobility_stage(rec, model, tib_run_epochs, need_tib=True).tib)
     if out_path:
-        Path(out_path).write_text(payload + "\n")
-    click.echo(payload)
+        Path(out_path).write_text(payload)
+    click.echo(payload, nl=False)
 
 
 @main.command()

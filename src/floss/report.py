@@ -1,15 +1,17 @@
 """Batch pipeline over directories of nights with skip-and-report semantics.
 
 Nights run one after another on the caller's thread, and each night's heavy
-stages use every CPU through ``features.pool_map``.  Each night is processed
-independently: read, optionally write a despiked copy, score usability per
-channel on the recording as read, classify mobility and find time in bed
-when an accelerometer model is given, merge with sleep scores when a
-sidecar exists, and emit CSV/JSON/SVG outputs.  Every output is written
-into a staging directory inside the output directory and moved into place
-only once the whole night has succeeded. A night failing with a taxonomy
-error is skipped whole and the error lands in the batch summary. Only
-configuration problems abort the run; they too leave no partial outputs.
+stages use every CPU through ``features.pool_map``.  A night runs five named
+stages, each returning what later stages read: read (``read_recording``),
+despike copy (``write_despiked``), usability (scores, label CSV and graph),
+mobility (states, their CSV and time in bed) and sleep (rejected scores,
+statistics and hypnogram, from a ``<stem>_sleep.txt`` sidecar).  ``floss
+check``, ``tib`` and ``despike`` call the same stages, so each output file
+has one writer.  Every output is written into a staging directory inside
+the output directory and moved into place only once the whole night has
+succeeded. A night failing with a taxonomy error is skipped whole and the
+error lands in the batch summary. Only configuration problems abort the
+run; they too leave no partial outputs.
 """
 from __future__ import annotations
 
@@ -17,17 +19,22 @@ import json
 import os
 import shutil
 import tempfile
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gbt, svg
-from .aggregate import AggregationConfig, load_sleep_scores, rejected_scores, write_sleep_scores
+from .aggregate import (
+    AggregationConfig, load_sleep_scores, rejected_scores, write_rejected_csv, write_sleep_scores
+)
 from .errors import FileUnreadable, FlossError, NoLyingPeriod, NoSleepDetected
 from .features import pool_map
-from .mobility import DEFAULT_RUN_EPOCHS, classify_mobility, detect_tib, write_mobility_csv
+from .mobility import (
+    DEFAULT_RUN_EPOCHS, MobilityState, TimeInBed, classify_mobility, detect_tib, write_mobility_csv
+)
 from .signal_io import (
     ChannelSignal,
     Recording,
@@ -43,10 +50,12 @@ from .signal_io import (
 )
 from .sleepstats import compute_stats, write_stats
 from .spiky import design_cascade, apply_zero_phase
-from .usability import score_recording
+from .usability import UsabilityScores, score_recording
 
 #: stems ending in these are sidecars or prior outputs, never input nights
 _SIDECAR_SUFFIXES = ("_labels", "_usability", "_mobility", "_rejected", "_despiked")
+#: a stage's output path; None or empty writes no file
+_Out = str | Path | None
 
 
 @dataclass
@@ -68,20 +77,11 @@ class NightReport:
     message: str = ""
     outputs: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "night_id": self.night_id,
-            "status": self.status,
-            "error_code": self.error_code,
-            "message": self.message,
-            "outputs": self.outputs,
-        }
-
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
     with open_input(path) as handle:
-        text = handle.read()
+        text = handle.read().removeprefix("\ufeff")  # a BOM some editors save
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -181,6 +181,80 @@ def _staged(out_dir: Path):
         shutil.rmtree(stage, ignore_errors=True)
 
 
+def usability_stage(
+    rec: Recording, model: gbt.Model, csv_path: _Out = None, svg_path: _Out = None, title: str = ""
+) -> UsabilityScores:
+    """Score every channel; write the label CSV and the graph where a path is given."""
+    scores = score_recording(rec, model)
+    if csv_path:
+        Path(csv_path).write_text(scores.to_csv())
+    if svg_path:
+        binary = bool(model.meta.get("binary", False))
+        Path(svg_path).write_text(svg.render_usability_graph(rec, scores, title, binary=binary))
+    return scores
+
+
+@dataclass(frozen=True)
+class NightMobility:
+    """The mobility stage's result: one state per epoch of ``epoch_len_s``
+    seconds, and time in bed, None without a long Lying run."""
+
+    states: list[MobilityState]
+    epoch_len_s: float
+    tib: TimeInBed | None
+
+
+def mobility_stage(
+    rec: Recording, model: gbt.Model, run_epochs: int, csv_path: _Out = None, need_tib: bool = False
+) -> NightMobility:
+    """Classify wearing states, write them where a path is given, and find
+    time in bed.  Without a long Lying run the night keeps its other outputs,
+    as a sleepless night does, unless ``need_tib`` lets ``NoLyingPeriod`` out."""
+    states = classify_mobility(rec.acc, rec.fs, model)
+    epoch_len_s = gbt.input_epoch_len(model, "mobility", rec.fs)
+    if csv_path:
+        write_mobility_csv(states, csv_path)
+    try:
+        tib = detect_tib(states, run_epochs, epoch_len_s)
+    except NoLyingPeriod:
+        if need_tib:
+            raise
+        tib = None
+    return NightMobility(states, epoch_len_s, tib)
+
+
+def sleep_stage(
+    sleep_scores: np.ndarray,
+    scores: UsabilityScores,
+    mobility: NightMobility | None,
+    epoch_len_s: float,
+    out: Callable[[str], Path],
+    title: str,
+) -> None:
+    """Write the artifact-rejected scores, their statistics and the hypnogram
+    to ``out(name)``; ``epoch_len_s`` is the sleep scores' epoch length."""
+    agg = AggregationConfig(scores.epoch_len_s, epoch_len_s)
+    s_ar = rejected_scores(scores.labels, sleep_scores, agg)
+    write_sleep_scores(s_ar, out("rejected.txt"))
+    write_rejected_csv(s_ar, epoch_len_s, out("rejected.csv"))
+    tib = mobility.tib if mobility is not None else None
+    try:
+        write_stats(compute_stats(s_ar, epoch_len_s, tib=tib), out("stats.json"))
+    except NoSleepDetected:
+        pass  # a sleepless night still gets usability outputs
+
+    strip = None
+    if mobility is not None:
+        # show mobility on the sleep-epoch grid: the first state of each sleep epoch
+        ratio = max(1, int(round(epoch_len_s / mobility.epoch_len_s)))
+        whole = len(mobility.states) // ratio * ratio
+        if whole:
+            strip = np.asarray([int(s) for s in mobility.states[:whole:ratio]])
+    out("hypnogram.svg").write_text(
+        svg.render_hypnogram(s_ar, epoch_len_s, title, mobility=strip, tib=tib)
+    )
+
+
 def _write_night(
     path: Path,
     stage: Path,
@@ -188,64 +262,24 @@ def _write_night(
     mobility_model: gbt.Model | None,
     config: PipelineConfig,
 ) -> None:
-    """Run the per-night chain, writing each output into ``stage``."""
+    """Run the per-night stages, writing each output into ``stage``."""
     night_id = path.stem
+
+    def out(name: str) -> Path:
+        return stage / f"{night_id}_{name}"
+
     rec = read_recording(path)
     if config.despike:
         # the models were fit on unfiltered epochs: only the copy is despiked
-        write_despiked(rec, stage / f"{night_id}_despiked{path.suffix.lower()}")
-
-    scores = score_recording(rec, model)
-    binary = bool(model.meta.get("binary", False))
-    (stage / f"{night_id}_usability.csv").write_text(scores.to_csv())
-    (stage / f"{night_id}_usability.svg").write_text(
-        svg.render_usability_graph(rec, scores, night_id, binary=binary)
-    )
-
+        write_despiked(rec, out(f"despiked{path.suffix.lower()}"))
+    scores = usability_stage(rec, model, out("usability.csv"), out("usability.svg"), night_id)
     mobility = None
-    tib = None
-    if mobility_model is not None:
-        states = classify_mobility(rec.acc, rec.fs, mobility_model)
-        mobility_epoch_len_s = gbt.input_epoch_len(mobility_model, "mobility", rec.fs)
-        write_mobility_csv(states, stage / f"{night_id}_mobility.csv")
-        try:
-            tib = detect_tib(states, config.tib_run_epochs, mobility_epoch_len_s)
-        except NoLyingPeriod:
-            pass  # as with a sleepless night, the other outputs stand
-        mobility = np.asarray([int(s) for s in states])
-
+    if mobility_model is not None and rec.acc is not None:
+        mobility = mobility_stage(rec, mobility_model, config.tib_run_epochs, out("mobility.csv"))
     sleep_path = path.with_name(f"{night_id}_sleep.txt")
-    if not sleep_path.exists():
-        return
-    sleep_scores = load_sleep_scores(sleep_path)
-    agg = AggregationConfig(
-        usability_epoch_len_s=scores.epoch_len_s,
-        sleep_epoch_len_s=config.sleep_epoch_len_s,
-    )
-    s_ar = rejected_scores(scores.labels, sleep_scores, agg)
-    write_sleep_scores(s_ar, stage / f"{night_id}_rejected.txt")
-    csv_lines = ["epoch_start_s,score"]
-    csv_lines += [f"{repr(i * config.sleep_epoch_len_s)},{int(v)}" for i, v in enumerate(s_ar)]
-    (stage / f"{night_id}_rejected.csv").write_text("\n".join(csv_lines) + "\n")
-
-    try:
-        stats = compute_stats(s_ar, config.sleep_epoch_len_s, tib=tib)
-        write_stats(stats, stage / f"{night_id}_stats.json")
-    except NoSleepDetected:
-        pass  # a sleepless night still gets usability outputs
-
-    sleep_mobility = None
-    if mobility is not None:
-        # show mobility on the sleep-epoch grid next to the hypnogram
-        ratio = max(1, int(round(config.sleep_epoch_len_s / mobility_epoch_len_s)))
-        trimmed = mobility[: (len(mobility) // ratio) * ratio]
-        if len(trimmed):
-            sleep_mobility = trimmed.reshape(-1, ratio)[:, 0]
-    (stage / f"{night_id}_hypnogram.svg").write_text(
-        svg.render_hypnogram(
-            s_ar, config.sleep_epoch_len_s, night_id, mobility=sleep_mobility, tib=tib
-        )
-    )
+    if sleep_path.exists():
+        sleep_scores = load_sleep_scores(sleep_path)
+        sleep_stage(sleep_scores, scores, mobility, config.sleep_epoch_len_s, out, night_id)
 
 
 def process_night(
@@ -288,7 +322,7 @@ def run_pipeline(config: PipelineConfig) -> list[NightReport]:
         for path in discover_nights(config.input_dir)
     ]
     summary = {
-        "nights": [r.to_dict() for r in reports],
+        "nights": [asdict(r) for r in reports],
         "ok": sum(r.status == "ok" for r in reports),
         "skipped": sum(r.status == "skipped" for r in reports),
     }

@@ -165,3 +165,12 @@ def compute_stats(
 
 def write_stats(stats: SleepStats, path: str | Path) -> None:
     Path(path).write_text(stats.to_json())
+
+
+def tib_to_json(tib: TimeInBed) -> str:
+    """``floss tib``'s document: the time-in-bed fields of the stats JSON."""
+    values = {
+        "lights_out_sec": tib.lights_out_s, "lights_on_sec": tib.lights_on_s, "tib_min": tib.tib_min
+    }
+    doc = {name: float(values[attr]) for attr, name in _FIELD_NAMES if attr in values}
+    return json.dumps(doc, indent=2) + "\n"

@@ -102,6 +102,24 @@ def _runs(values: np.ndarray) -> list[tuple[int, int, int]]:
     return out
 
 
+def _strip(
+    values: np.ndarray, y: float, cell_w: float, h: float, colors: dict[int, str], default=None
+) -> list[str]:
+    """A rect per run of equal values, ``cell_w`` wide per value, filled with
+    the value's colour or ``default``; runs without a colour are not drawn."""
+    runs = [(start, length, colors.get(value, default)) for start, length, value in _runs(values)]
+    return [_rect(MARGIN_LEFT + a * cell_w, y, n * cell_w, h, c) for a, n, c in runs if c]
+
+
+def _legend(y: float, names: dict[int, str], colors: dict[int, str]) -> list[str]:
+    """A colour swatch and its name for each value, left to right."""
+    parts, x = [], MARGIN_LEFT
+    for value in sorted(names):
+        parts += [_rect(x, y, 12, 12, colors[value]), _text(x + 16, y + 10, names[value], size=11)]
+        x += 16 + 8 * len(names[value]) + 24
+    return parts
+
+
 def _time_axis(x0: float, x1: float, y: float, total_s: float) -> list[str]:
     parts = [
         f'<line x1="{_n(x0)}" y1="{_n(y)}" x2="{_n(x1)}" y2="{_n(y)}" '
@@ -174,16 +192,7 @@ def render_usability_graph(
                 for yr, fill in zip(ys, column)
             )
         y += heat_h + 2
-        for start, length, value in _runs(labels):
-            body.append(
-                _rect(
-                    MARGIN_LEFT + start * col_w,
-                    y,
-                    length * col_w,
-                    strip_h,
-                    colors.get(value, "#9e9e9e"),
-                )
-            )
+        body.extend(_strip(labels, y, col_w, strip_h, colors, "#9e9e9e"))
         y += strip_h + gap
 
     if rec.acc is not None:
@@ -210,14 +219,8 @@ def render_usability_graph(
     body.extend(_time_axis(MARGIN_LEFT, MARGIN_LEFT + plot_w, y, total_s))
     y += AXIS_H
 
-    x = MARGIN_LEFT
-    for value in sorted(names):
-        body.append(_rect(x, y, 12, 12, colors[value]))
-        body.append(_text(x + 16, y + 10, names[value], size=11))
-        x += 16 + 8 * len(names[value]) + 24
-    y += 24
-
-    return _svg_doc(y, body)
+    body.extend(_legend(y, names, colors))
+    return _svg_doc(y + 24, body)
 
 
 def render_hypnogram(
@@ -248,17 +251,7 @@ def render_hypnogram(
 
     col_w = plot_w / n if n else plot_w
     # shade unscorable epochs across the whole chart height
-    for start, length, value in _runs(scores):
-        if value == int(SleepStage.UNSCORABLE):
-            body.append(
-                _rect(
-                    MARGIN_LEFT + start * col_w,
-                    y0,
-                    length * col_w,
-                    chart_h,
-                    "#f5f5f5",
-                )
-            )
+    body.extend(_strip(scores, y0, col_w, chart_h, {int(SleepStage.UNSCORABLE): "#f5f5f5"}))
 
     path = []
     prev_y = None
@@ -283,16 +276,7 @@ def render_hypnogram(
         strip_h = 14.0
         body.append(_text(MARGIN_LEFT - 8, y + strip_h - 3, "mob", size=11, anchor="end"))
         m_w = plot_w / len(mobility)
-        for start, length, value in _runs(mobility):
-            body.append(
-                _rect(
-                    MARGIN_LEFT + start * m_w,
-                    y,
-                    length * m_w,
-                    strip_h,
-                    MOBILITY_COLORS.get(value, "#bdbdbd"),
-                )
-            )
+        body.extend(_strip(mobility, y, m_w, strip_h, MOBILITY_COLORS, "#bdbdbd"))
         y += strip_h + 10
 
     if tib is not None and total_s > 0:
@@ -308,11 +292,7 @@ def render_hypnogram(
     y += AXIS_H
 
     if mobility is not None and len(mobility):
-        x = MARGIN_LEFT
-        for value in sorted(MOBILITY_NAMES):
-            body.append(_rect(x, y, 12, 12, MOBILITY_COLORS[value]))
-            body.append(_text(x + 16, y + 10, MOBILITY_NAMES[value], size=11))
-            x += 16 + 8 * len(MOBILITY_NAMES[value]) + 24
+        body.extend(_legend(y, MOBILITY_NAMES, MOBILITY_COLORS))
         y += 24
 
     return _svg_doc(y, body)

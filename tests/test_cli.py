@@ -810,6 +810,12 @@ class TestConfigFile:
         flag_args = [flag] if value is True else [flag, raw]
         assert from_config == _params(command, required[command] + flag_args)
 
+    def test_byte_order_mark_config_sets_its_first_option(self, required, tmp_path):
+        # editors that save UTF-8 with a BOM put it before the first key
+        conf = tmp_path / "floss.conf"
+        conf.write_bytes(b"\xef\xbb\xbfsubjects = 2\n")
+        assert _params("synth", required["synth"] + ["--config", str(conf)])["subjects"] == 2
+
     def test_flag_before_config_also_wins(self, required, tmp_path):
         conf = tmp_path / "floss.conf"
         conf.write_text("seed = 5\n")

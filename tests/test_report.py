@@ -112,6 +112,11 @@ class TestConfigFile:
         with pytest.raises(FileUnreadable):
             parse_config_file(tmp_path / "nope.conf")
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "floss.conf"
+        path.write_bytes(b"\xef\xbb\xbfsubjects = 2\nseed = 7\n")
+        assert parse_config_file(path) == {"subjects": "2", "seed": "7"}
+
 
 class TestPipeline:
     def test_skip_and_report(self, pipeline_config):
@@ -284,6 +289,33 @@ class TestPipeline:
         assert reports[0].status == "ok"
         assert reports[0].outputs == ["n0_mobility.csv", "n0_usability.csv", "n0_usability.svg"]
 
+    def test_night_without_accelerometer_keeps_its_outputs(self, models, tmp_path, pipeline_config):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        rec, spans, sleep_scores, _ = gen_night(subject_index=0, n_epochs=N_EPOCHS, seed=3)
+        write_edf(Recording(channels=rec.channels, acc=None, fs=rec.fs), indir / "n0.edf")
+        (indir / "n0_sleep.txt").write_text("\n".join(str(v) for v in sleep_scores) + "\n")
+        config = dataclasses.replace(pipeline_config, input_dir=indir, out_dir=tmp_path / "out")
+        (night,) = run_pipeline(config)
+        assert night.status == "ok", night.message
+        assert night.outputs == [
+            "n0_hypnogram.svg",
+            "n0_rejected.csv",
+            "n0_rejected.txt",
+            "n0_stats.json",
+            "n0_usability.csv",
+            "n0_usability.svg",
+        ]
+        stats = json.loads((tmp_path / "out" / "n0_stats.json").read_text())
+        assert "TST_min" in stats
+        assert "Lights_out_sec" not in stats and "Lights_on_sec" not in stats
+        # the single-night command needs the accelerometer it reads
+        result = CliRunner().invoke(
+            main, ["tib", "--input", str(indir / "n0.edf"), "--mobility-model", str(models[1])]
+        )
+        assert result.exit_code == 1
+        assert "[AccMissingWhenRequired]" in result.output
+
     def test_sleepless_night_keeps_usability(self, models, tmp_path):
         indir = tmp_path / "in"
         indir.mkdir()
@@ -444,6 +476,35 @@ def test_night_with_reversed_digital_ranges_despikes(models, tmp_path):
     assert [ch.held.tobytes() for ch in clean.channels] == [
         ch.held.tobytes() for ch in want.channels
     ]
+
+
+class TestSingleNightCommands:
+    def test_write_the_reports_bytes(self, models, tmp_path):
+        indir, out = tmp_path / "in", tmp_path / "out"
+        indir.mkdir()
+        _write_night(indir, "n0", subject=0)
+        night = str(indir / "n0.edf")
+        model_path, mobility_path = (str(p) for p in models)
+        runner = CliRunner()
+
+        def run(*args: str) -> None:
+            result = runner.invoke(main, list(args))
+            assert result.exit_code == 0, result.output
+
+        run("report", "--input", str(indir), "--out", str(out), "--model", model_path,
+            "--mobility-model", mobility_path, "--despike", "--tib-run-epochs", "2")
+        run("check", "--input", night, "--model", model_path, "--out", str(tmp_path / "c.csv"))
+        run("tib", "--input", night, "--mobility-model", mobility_path,
+            "--tib-run-epochs", "2", "--out", str(tmp_path / "t.json"))
+        run("despike", "--input", night, "--out", str(tmp_path / "d.edf"))
+
+        assert (tmp_path / "c.csv").read_bytes() == (out / "n0_usability.csv").read_bytes()
+        assert (tmp_path / "d.edf").read_bytes() == (out / "n0_despiked.edf").read_bytes()
+        stats = json.loads((out / "n0_stats.json").read_text())
+        tib = json.loads((tmp_path / "t.json").read_text())
+        keys = ["Lights_out_sec", "Lights_on_sec", "TIB_min"]
+        assert list(tib) == keys
+        assert tib == {key: stats[key] for key in keys}
 
 
 class TestWholeNightOrNothing:
