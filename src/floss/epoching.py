@@ -141,10 +141,12 @@ def assign_epoch_label(
     raise AssertionError("unreachable: PRECEDENCE covers all classes")
 
 
-#: epochs a task of whole-night scoring and mobility features takes at a
-#: time, converting only their samples; a task's arrays then stay a few MB
-#: however long the night
-BLOCK_EPOCHS = 128
+#: epochs a task of scoring, of mobility features and of their tree
+#: predict takes at a time, converting only their samples: the one unit of
+#: task memory, since the feature kernels and the forest walk run plain
+#: numpy over a task's rows; 64 keeps two channels' temporaries near
+#: (128, win) arrays however long the night
+BLOCK_EPOCHS = 64
 
 
 def epoch_grid(n: int, fs: float, epoch_len_s: float) -> tuple[int, int]:
@@ -273,11 +275,13 @@ def load_annotations(path: str | Path) -> list[AnnotationSpan]:
 
 
 def write_annotations(spans: list[AnnotationSpan], path: str | Path) -> None:
-    """Write spans in the channel,start_s,end_s,label CSV layout."""
-    lines = ["channel,start_s,end_s,label"]
-    for s in spans:
-        lines.append(f"{s.channel},{_frac_str(s.start_s)},{_frac_str(s.end_s)},{int(s.label)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write spans in the channel,start_s,end_s,label CSV layout, as
+    ``csv.writer`` writes it, so a label that holds a comma or a quote reads back."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["channel", "start_s", "end_s", "label"])
+        for s in spans:
+            writer.writerow([s.channel, _frac_str(s.start_s), _frac_str(s.end_s), int(s.label)])
 
 
 def _frac_str(f: Fraction) -> str:

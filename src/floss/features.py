@@ -4,6 +4,11 @@ The usability models consume, per epoch, the flattened magnitude-squared
 short-time spectrum of the EEG channel and of the accelerometer norm
 (zero-filled when no accelerometer is present), optionally followed by a
 fixed 24-value statistical summary of each.
+
+The kernels are plain numpy over the rows they are given.  Their callers
+hand them one block of rows per task on the kept CPU pool (``pool_map``),
+scoring and mobility ``epoching.BLOCK_EPOCHS`` epochs at a time, so the
+kernels' temporaries are those of one block however long the night.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import math
 import os
 import threading
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,12 +34,6 @@ HOP = 224
 WELCH_STEP = 128
 #: fraction of a spectrogram frame under the cosine edges of its Tukey window
 TAPER = 0.25
-
-#: rows of a batch that spectrogram, stat_features and tree prediction
-#: run at once, and the fewest rows of a block (``work_size``): 128-row
-#: blocks on 1 and 2 CPUs, at most four blocks at once above 4 CPUs, so the
-#: temporaries stay a few (256, len) arrays however long the night
-_FEATURE_ROWS = (256, 64)
 
 #: frequency bands integrated from the Welch PSD, [low, high) in Hz
 BANDS: tuple[tuple[str, float, float], ...] = (
@@ -121,53 +120,6 @@ def available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
-
-
-def _as_batches(x) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """x as float64 (rows, len) batches, and the leading shape of the whole.
-
-    A list or tuple of arrays of one shape, each at least 2-D, such as the
-    channels of a recording, reads as np.stack would read it, but without
-    being copied into one array.
-    """
-    if isinstance(x, (list, tuple)) and x and all(np.ndim(p) >= 2 for p in x):
-        parts = [np.asarray(p, dtype=np.float64) for p in x]
-        if any(p.shape != parts[0].shape for p in parts):
-            raise ValueError(f"arrays of shapes {sorted({p.shape for p in parts})} do not stack")
-        lead = (len(parts),) + parts[0].shape[:-1]
-    else:
-        parts = [np.asarray(x, dtype=np.float64)]
-        lead = parts[0].shape[:-1]
-    return [p.reshape(math.prod(p.shape[:-1]), p.shape[-1]) for p in parts], lead
-
-
-def in_row_blocks(
-    kernel, batches: list[np.ndarray], lead: tuple[int, ...], row_shape: tuple[int, ...]
-) -> np.ndarray:
-    """``kernel`` over blocks of rows of ``batches``, on every available CPU.
-
-    ``kernel`` maps a (rows, len) block to (rows, *row_shape); the result
-    has shape lead + row_shape, rows in batch order.  Each block writes its
-    own rows of the result, so the bits do not depend on the block size,
-    which ``work_size`` takes from ``_FEATURE_ROWS``.
-    """
-    block_rows, window = work_size(*_FEATURE_ROWS)
-    out = np.empty((math.prod(lead),) + row_shape)
-
-    def blocks():
-        start = 0
-        for rows in batches:
-            for a in range(0, rows.shape[0], block_rows):
-                block = rows[a : a + block_rows]
-                yield block, out[start + a : start + a + block.shape[0]]
-            start += rows.shape[0]
-
-    def run(block: tuple[np.ndarray, np.ndarray]) -> None:
-        rows, dest = block
-        dest[...] = kernel(rows)
-
-    pool_run(run, blocks(), window)
-    return out.reshape(lead + row_shape)
 
 
 def work_size(budget: int, floor: int) -> tuple[int, int]:
@@ -290,19 +242,14 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 def spectrogram(x: np.ndarray, cfg: SpectrogramConfig) -> np.ndarray:
     """Magnitude-squared short-time spectrum.
 
-    Returns a (frames, bins) matrix for 1-D input; leading axes batch, as
-    does a list of equal-shape batches.  Each frame is tapered with a
-    25%-cosine window before the FFT and the squared magnitude is kept
-    without further scaling.
+    Returns a (frames, bins) matrix for 1-D input; leading axes batch.
+    Each frame is tapered with a 25%-cosine window before the FFT and the
+    squared magnitude is kept without further scaling.
     """
-    batches, lead = _as_batches(x)
-
-    def kernel(rows: np.ndarray) -> np.ndarray:
-        frames = sliding_window_view(rows, SEGMENT_LEN, axis=-1)[..., ::HOP, :]
-        return np.abs(np.fft.rfft(frames * _TUKEY, axis=-1)) ** 2
-
-    shape = (cfg.frame_count(batches[0].shape[-1]), cfg.bin_count)
-    return in_row_blocks(kernel, batches, lead, shape)
+    x = np.asarray(x, dtype=np.float64)
+    cfg.frame_count(x.shape[-1])  # refuses a segment too short for one frame
+    frames = sliding_window_view(x, SEGMENT_LEN, axis=-1)[..., ::HOP, :]
+    return np.abs(np.fft.rfft(frames * _TUKEY, axis=-1)) ** 2
 
 
 def welch_psd(x: np.ndarray, fs: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,18 +293,6 @@ def _guarded_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
-def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
-    """The fixed 24-value statistical summary of a segment.
-
-    Accepts a 1-D segment, a batch with leading axes, or a list of
-    equal-shape batches; returns (24,) or the batch shape plus 24, ordered
-    as STAT_FEATURE_NAMES.  Degenerate inputs (zero variance, zero total
-    power) yield 0 for their ratio-based entries.
-    """
-    batches, lead = _as_batches(x)
-    return in_row_blocks(lambda rows: _stat_block(rows, fs), batches, lead, (N_STAT_FEATURES,))
-
-
 def _median(x: np.ndarray) -> np.ndarray:
     """np.median(x, axis=-1) of a (rows, len) block, from one partition.
 
@@ -378,8 +313,17 @@ def _median(x: np.ndarray) -> np.ndarray:
     return median
 
 
-def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
-    """stat_features of a (rows, len) block."""
+def stat_features(x: np.ndarray, fs: float) -> np.ndarray:
+    """The fixed 24-value statistical summary of a segment.
+
+    Accepts a 1-D segment or a batch with leading axes; returns (24,) or
+    the batch shape plus 24, ordered as STAT_FEATURE_NAMES.  Degenerate
+    inputs (zero variance, zero total power) yield 0 for their ratio-based
+    entries.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lead = x.shape[:-1]
+    x = x.reshape(math.prod(lead), x.shape[-1])
     mean = x.mean(axis=-1)
     c = x - mean[:, None]
     c2 = c * c
@@ -394,9 +338,14 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
     skewness = _guarded_divide(m3, m2**1.5)
     kurtosis = _guarded_divide(m4, m2**2) - 3.0
     kurtosis[m2 == 0] = 0.0
+    # each (rows, len) temporary is dropped once read, so the Welch frames
+    # do not stack on them: a block's peak stays low enough that glibc keeps
+    # the freed pages for the next block instead of faulting them in anew
+    del c, c2
 
     sign = np.signbit(x)
     zero_crossings = np.count_nonzero(sign[:, 1:] != sign[:, :-1], axis=-1).astype(np.float64)
+    del sign
 
     dx = np.diff(x, axis=-1)
     mean_abs_diff = np.mean(np.abs(dx), axis=-1)
@@ -405,6 +354,7 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
     mobility = np.sqrt(_guarded_divide(var_dx, m2))
     mobility_dx = np.sqrt(_guarded_divide(var_ddx, var_dx))
     complexity = _guarded_divide(mobility_dx, mobility)
+    del dx
 
     freqs, psd = welch_psd(x, fs)
     total = psd.sum(axis=-1)
@@ -440,7 +390,8 @@ def _stat_block(x: np.ndarray, fs: float) -> np.ndarray:
         ],
         axis=-1,
     )
-    return np.concatenate([out, band_powers(freqs, psd)], axis=-1)
+    out = np.concatenate([out, band_powers(freqs, psd)], axis=-1)
+    return out.reshape(lead + (N_STAT_FEATURES,))
 
 
 def feature_layout(
@@ -455,7 +406,7 @@ def feature_layout(
 
 
 def epoch_feature_matrix(
-    eeg_epochs: np.ndarray | Sequence[np.ndarray],
+    eeg_epochs: np.ndarray,
     acc_epochs: np.ndarray | None,
     cfg: SpectrogramConfig,
     include_stats: bool = True,
@@ -463,25 +414,24 @@ def epoch_feature_matrix(
     """Feature matrix for a batch of epochs, one row per epoch.
 
     ``eeg_epochs`` is (n, len), or the channels of one recording as a
-    (channels, n, len) array or a list of (n, len) arrays, whose rows then
-    follow channel by channel.
+    (channels, n, len) array, whose rows then follow channel by channel.
     ``acc_epochs`` is the matching (n, len) batch of accelerometer-norm
     segments, shared by every channel, or None, in which case the
     accelerometer blocks are zero-filled so the layout is unchanged.
     """
-    batches, lead = _as_batches(eeg_epochs)
-    channels = math.prod(lead[:-1])
-    n = lead[-1] if lead else 1
+    eeg = np.asarray(eeg_epochs, dtype=np.float64)
+    n, win = eeg.shape[-2:]
+    channels = math.prod(eeg.shape[:-2])
     rows = channels * n
-    layout = feature_layout(batches[0].shape[-1], cfg, include_stats)
+    layout = feature_layout(win, cfg, include_stats)
     spect_len = layout[0][1]
     edges = np.cumsum([0] + [w for _, w in layout])
     cols = [slice(a, b) for a, b in zip(edges, edges[1:])]
 
     X = np.zeros((rows, edges[-1]))
-    X[:, cols[0]] = spectrogram(batches, cfg).reshape(rows, spect_len)
+    X[:, cols[0]] = spectrogram(eeg, cfg).reshape(rows, spect_len)
     if include_stats:
-        X[:, cols[2]] = stat_features(batches, cfg.fs).reshape(rows, N_STAT_FEATURES)
+        X[:, cols[2]] = stat_features(eeg, cfg.fs).reshape(rows, N_STAT_FEATURES)
     if acc_epochs is not None:
         acc = np.atleast_2d(np.asarray(acc_epochs, dtype=np.float64))
         acc_blocks = [(cols[1], spectrogram(acc, cfg).reshape(n, spect_len))]

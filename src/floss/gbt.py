@@ -33,7 +33,9 @@ each level only through the trees still deeper than it: the forest keeps
 its trees ordered deepest first, so those are a prefix.  The leaf values
 go back in iteration order, and each row's margins add them in that
 order, so the margins are those of one tree after another.  Fit walks
-each new tree the same way, as the forest of one it is.
+each new tree the same way, as the forest of one it is.  Prediction runs
+on the calling thread over the rows it is given: scoring and mobility
+predict each block of epochs in the pool task that computed its rows.
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ from .errors import (
     ModelIncompatible,
     NonFiniteFeature,
 )
-from .features import in_row_blocks, pool_map, pool_run
+from .features import pool_map, pool_run
 from .signal_io import open_input
 
 FORMAT_VERSION = 1
@@ -498,24 +500,21 @@ def fit(
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
     """Class probabilities, rows summing to 1.
 
-    Rows go through the joined forest a block at a time on the kept CPU
-    pool; each row's margin adds its trees' values in iteration order.
+    The rows go through the joined forest at once, so its temporaries grow
+    with the rows passed; each row's margin adds its trees' values in
+    iteration order.
     """
     X = _validate_matrix(X)
     if X.shape[1] != model.feature_count:
         raise FeatureCountMismatch(
             f"model expects {model.feature_count} features, got {X.shape[1]}"
         )
-    forest, k = model.forest, model.num_classes
-
-    def kernel(rows: np.ndarray) -> np.ndarray:
-        values = _leaf_values(forest, rows)
-        margins = np.tile(model.base_score, (rows.shape[0], 1))
-        for start in range(0, values.shape[1], k):
-            margins += values[:, start : start + k]
-        return softmax(margins)
-
-    return in_row_blocks(kernel, [X], X.shape[:1], (k,))
+    k = model.num_classes
+    values = _leaf_values(model.forest, X)
+    margins = np.tile(model.base_score, (X.shape[0], 1))
+    for start in range(0, values.shape[1], k):
+        margins += values[:, start : start + k]
+    return softmax(margins)
 
 
 def predict_label(model: Model, X: np.ndarray) -> np.ndarray:

@@ -4,9 +4,14 @@ Lights Out is the start (in seconds) of the first run of ``run_epochs``
 consecutive Lying epochs; Lights On is the end of the last such run; both
 use 1-based epoch indices, so a recording that opens with Lying yields a
 Lights Out of one epoch length.
+
+Feature rows are computed, and predicted, a block of ``BLOCK_EPOCHS``
+epochs per task on the kept CPU pool, so a night holds the blocks in
+flight, not a whole-night matrix.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
@@ -16,7 +21,7 @@ import numpy as np
 from . import gbt
 from .epoching import BLOCK_EPOCHS, epoch_grid
 from .errors import AccMissingWhenRequired, ModelIncompatible, NoLyingPeriod
-from .features import N_STAT_FEATURES, Scratch, pool_run, stat_features, with_scratch
+from .features import N_STAT_FEATURES, Scratch, pool_map, stat_features, with_scratch
 from .signal_io import TriAxialAcc
 
 #: consecutive Lying epochs required to open/close time in bed (2 min at 10 s)
@@ -37,31 +42,43 @@ class TimeInBed:
     tib_min: float
 
 
+#: the mobility feature row: the 24-value summary of each raw axis
+_LAYOUT = tuple((f"stats_acc_{name}", N_STAT_FEATURES) for name in "xyz")
+
+
+def _per_block(
+    acc: TriAxialAcc, fs: float, epoch_len_s: float, fn: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(first epoch, ``fn`` of the feature rows) of each block of
+    BLOCK_EPOCHS epochs, in order, a task each on the kept CPU pool.
+
+    A task converts its epochs' samples into one (axis, epoch, win) view
+    of its scratch and summarises each axis there; a row does not depend
+    on its neighbours, so the bits are those of the whole night at once.
+    """
+    n_epochs, win = epoch_grid(len(acc), fs, epoch_len_s)
+
+    def block(start: int, scratch: Scratch) -> tuple[int, np.ndarray]:
+        n = min(BLOCK_EPOCHS, n_epochs - start)
+        buffer = scratch("samples", 3 * n * win, np.float64).reshape(3, n * win)
+        acc.physical(start * win, (start + n) * win, out=buffer)
+        rows = np.concatenate([stat_features(a, fs) for a in buffer.reshape(3, n, win)], axis=1)
+        return start, fn(rows)
+
+    return pool_map(with_scratch(block), range(0, n_epochs, BLOCK_EPOCHS))
+
+
 def mobility_feature_matrix(
     acc: TriAxialAcc, fs: float, epoch_len_s: float = 10.0
 ) -> tuple[np.ndarray, tuple[tuple[str, int], ...]]:
     """Per-epoch feature rows: the 24-value summary of each raw axis, concatenated.
 
-    The rows are built BLOCK_EPOCHS epochs at a time, a task each on the
-    kept CPU pool, from the physical samples of those epochs alone; a row
-    does not depend on its neighbours, so the bits are those of the whole
-    night at once.
+    The rows are built BLOCK_EPOCHS epochs at a time (``_per_block``).
     """
-    n_epochs, win = epoch_grid(len(acc), fs, epoch_len_s)
-    layout = tuple((f"stats_acc_{name}", N_STAT_FEATURES) for name in "xyz")
-    X = np.empty((n_epochs, 3 * N_STAT_FEATURES))
-
-    def block(start: int, scratch: Scratch) -> None:
-        stop = min(start + BLOCK_EPOCHS, n_epochs)
-        # a digital block is converted into its task's scratch
-        buffer = scratch("samples", 3 * BLOCK_EPOCHS * win, np.float64).reshape(3, -1)
-        axes = acc.physical(start * win, stop * win, out=buffer[:, : (stop - start) * win])
-        axes = [axis.reshape(stop - start, win) for axis in axes]
-        # (axis, epoch, feature) -> (epoch, axis * feature)
-        X[start:stop] = stat_features(axes, fs).transpose(1, 0, 2).reshape(stop - start, -1)
-
-    pool_run(with_scratch(block), range(0, n_epochs, BLOCK_EPOCHS))
-    return X, layout
+    X = np.empty((epoch_grid(len(acc), fs, epoch_len_s)[0], 3 * N_STAT_FEATURES))
+    for start, rows in _per_block(acc, fs, epoch_len_s, lambda rows: rows):
+        X[start : start + len(rows)] = rows
+    return X, _LAYOUT
 
 
 def fit_mobility(
@@ -88,12 +105,17 @@ def fit_mobility(
 def classify_mobility(
     acc: TriAxialAcc | None, fs: float, model: gbt.Model
 ) -> list[MobilityState]:
-    """Per-epoch wearing states for a recording's accelerometer."""
+    """Per-epoch wearing states for a recording's accelerometer.
+
+    Each block of epochs is predicted in the task that computed its
+    feature rows (``_per_block``), so no whole-night matrix is built.
+    """
     if acc is None:
         raise AccMissingWhenRequired("mobility classification needs accelerometer data")
-    X, layout = mobility_feature_matrix(acc, fs, gbt.input_epoch_len(model, "mobility", fs))
-    gbt.check_layout(model, layout)
-    return [MobilityState(int(v)) for v in gbt.predict_label(model, X)]
+    epoch_len_s = gbt.input_epoch_len(model, "mobility", fs)
+    blocks = _per_block(acc, fs, epoch_len_s, lambda rows: gbt.predict_label(model, rows))
+    gbt.check_layout(model, _LAYOUT)
+    return [MobilityState(int(v)) for _, labels in blocks for v in labels]
 
 
 def write_mobility_csv(states: list[MobilityState], path: str | Path) -> None:

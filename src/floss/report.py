@@ -81,7 +81,7 @@ class NightReport:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
     with open_input(path) as handle:
-        text = handle.read().removeprefix("\ufeff")  # a BOM some editors save
+        text = handle.read()
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

@@ -92,14 +92,15 @@ _DIGITAL_CHUNK = 1 << 16
 
 @contextmanager
 def open_input(path: str | Path, mode: str = "r") -> Iterator[IO]:
-    """Open an input file, text as UTF-8, so that reading it raises only coded errors.
+    """Open an input file, text as UTF-8 less a leading byte order mark, so
+    that reading it raises only coded errors.
 
     An ``OSError`` becomes ``FileUnreadable`` and undecodable text
     ``HeaderFieldUnparsable``, also where the caller's reads inside the
     ``with`` block meet them.
     """
     try:
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as handle:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8-sig") as handle:
             yield handle
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
@@ -159,8 +160,13 @@ def held_physical(
     held: np.ndarray, calibration: Calibration, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Held samples, of any shape, in physical units: digital ones through
-    ``calibration``, into ``out`` when given, physical ones as they are."""
-    return calibration.to_physical(held, out) if is_digital(held) else held
+    ``calibration``, physical ones as they are; into ``out`` when given."""
+    if is_digital(held):
+        return calibration.to_physical(held, out)
+    if out is None:
+        return held
+    np.copyto(out, held)
+    return out
 
 
 def to_held_digital(samples: np.ndarray, calibration: Calibration) -> np.ndarray:
@@ -191,8 +197,7 @@ class ChannelSignal:
     def physical(
         self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """The physical samples [start, stop); digital ones are converted
-        into ``out`` when it is given."""
+        """The physical samples [start, stop), into ``out`` when it is given."""
         return held_physical(self.held[start:stop], self.calibration, out)
 
     @property
@@ -228,8 +233,8 @@ class TriAxialAcc:
     def physical(
         self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The physical samples [start, stop) of each axis; digital ones are
-        converted into the rows of ``out``, (3, stop - start), when given."""
+        """The physical samples [start, stop) of each axis, into the rows of
+        ``out``, (3, stop - start), when it is given."""
         rows = [None] * 3 if out is None else out
         x, y, z = (
             held_physical(axis[start:stop], cal, row)
@@ -637,7 +642,8 @@ def read_csv(path: str | Path) -> Recording:
 
     The first column must be ``t_s``; ``accX,accY,accZ`` columns populate
     the accelerometer and every other column becomes an EEG channel.  The
-    file is UTF-8, a cell may be double-quoted, and ``#`` starts no comment.
+    file is UTF-8, a leading byte order mark is dropped, a cell may be
+    double-quoted, and ``#`` starts no comment.
 
     Each cell reads as ``np.loadtxt`` reads it.  The body is read in chunks
     cut at line ends (``_CSV_BYTES``), parsed by ``_csv_columns`` through
@@ -645,8 +651,9 @@ def read_csv(path: str | Path) -> Recording:
     read again, whole, by ``np.loadtxt``.
     """
     with open_input(path, "rb") as handle:
-        # the first line as a text reader sees it: \r\n and \r end lines too
-        first = handle.readline()
+        # the first line as a text reader sees it: no byte order mark, and
+        # \r\n and \r end lines too
+        first = handle.readline().removeprefix(b"\xef\xbb\xbf")
         if not first:
             raise EmptyRecording(f"{path} has no header row")
         line, _, rest = _universal_newlines(first).partition(b"\n")

@@ -13,12 +13,17 @@ synthetic epochs are drawn block by block, in the task that uses them.
 Scoring and training read a recording as it is held (``signal_io``): a
 task converts to physical units only the epochs it works on, so a night
 read from EDF stays in its 16-bit digital form, and the amplitude check
-takes its percentile from a count of the digital values.
+takes its percentile from a count of the digital values.  Scoring
+computes and predicts the feature rows of one block of epochs
+(``BLOCK_EPOCHS``) per task, so its memory is that of the blocks in
+flight, not of the night.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
+import io
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -90,11 +95,14 @@ class UsabilityScores:
         return len(self.labels[0]) if self.labels else 0
 
     def to_csv(self) -> str:
-        lines = ["channel,epoch_index,label"]
+        """``channel,epoch_index,label`` rows, written as ``csv.writer``
+        writes them, so a label that holds a comma or a quote reads back."""
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["channel", "epoch_index", "label"])
         for name, seq in zip(self.channels, self.labels):
-            for i, v in enumerate(seq):
-                lines.append(f"{name},{i},{int(v)}")
-        return "\n".join(lines) + "\n"
+            writer.writerows((name, i, int(v)) for i, v in enumerate(seq))
+        return text.getvalue()
 
 
 def variant_spec(name: str) -> VariantSpec:
@@ -323,11 +331,12 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     """Label every channel epoch of a recording with the model's classes.
 
     The night is scored BLOCK_EPOCHS epochs at a time, a task each on the
-    kept CPU pool: a task converts its epochs' samples to physical units,
-    computes their feature rows, predicts them and writes their labels and
-    spectra.  A row's features, label and spectrum do not depend on its
-    neighbours, so the blocks and the CPU count leave every bit as one
-    whole-night feature matrix would.
+    kept CPU pool: a task copies its epochs' samples, in physical units,
+    into one (signals, epochs, win) view of its scratch, computes their
+    feature rows, predicts them and writes their labels and spectra.  A
+    row's features, label and spectrum do not depend on its neighbours, so
+    the blocks and the CPU count leave every bit as one whole-night feature
+    matrix would.
     """
     epoch_len_s = gbt.input_epoch_len(model, "usability", rec.fs)
     if not rec.channels:
@@ -350,25 +359,23 @@ def score_recording(rec: Recording, model: gbt.Model) -> UsabilityScores:
     labels = np.empty((n_channels, n_epochs), dtype=np.intp)
     spectra = np.empty((n_channels, n_epochs, cfg.bin_count))
 
-    rows = n_channels + (3 if rec.acc is not None else 0)
+    signals = n_channels + (3 if rec.acc is not None else 0)
 
     def score_block(start: int, scratch: Scratch) -> None:
         stop = min(start + BLOCK_EPOCHS, n_epochs)
-        span, n = (start * win, stop * win), (stop - start) * win
-        # a digital block is converted into its task's scratch
-        buffer = scratch("samples", rows * BLOCK_EPOCHS * win, np.float64).reshape(rows, -1)
+        span, n = (start * win, stop * win), stop - start
+        # every signal's samples of the block, in physical units, in one view
+        buffer = scratch("samples", signals * n * win, np.float64).reshape(signals, n * win)
+        for ch, row in zip(rec.channels, buffer):
+            ch.physical(*span, out=row)
         norm = None
         if rec.acc is not None:
-            axes = rec.acc.physical(*span, out=buffer[n_channels:, :n])
-            norm = acc_norm(*axes).reshape(stop - start, win)
-        eeg = [
-            ch.physical(*span, out=row[:n]).reshape(stop - start, win)
-            for ch, row in zip(rec.channels, buffer)
-        ]
+            norm = acc_norm(*rec.acc.physical(*span, out=buffer[n_channels:])).reshape(n, win)
+        eeg = buffer[:n_channels].reshape(n_channels, n, win)
         X, _ = epoch_feature_matrix(eeg, norm, cfg, include_stats)
-        labels[:, start:stop] = gbt.predict_label(model, X).reshape(n_channels, -1)
+        labels[:, start:stop] = gbt.predict_label(model, X).reshape(n_channels, n)
         # every row opens with its EEG spectrogram, frames x bins
-        frames = X[:, : layout[0][1]].reshape(n_channels, stop - start, -1, cfg.bin_count)
+        frames = X[:, : layout[0][1]].reshape(n_channels, n, -1, cfg.bin_count)
         spectra[:, start:stop] = frames.mean(axis=2)
 
     pool_run(with_scratch(score_block), range(0, n_epochs, BLOCK_EPOCHS))

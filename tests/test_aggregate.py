@@ -153,6 +153,11 @@ class TestCodes:
         with pytest.raises(HeaderFieldUnparsable):
             load_sleep_scores(path)
 
+    def test_sleep_scores_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "sleep.txt"
+        path.write_bytes(b"\xef\xbb\xbf2\n0\n")
+        np.testing.assert_array_equal(load_sleep_scores(path), [2, 0])
+
     def test_write_sleep_scores_round_trip(self, tmp_path):
         path = tmp_path / "rejected.txt"
         write_sleep_scores(np.array([0, -1, 4, 2], dtype=np.int64), path)

@@ -290,6 +290,9 @@ def test_annotations_round_trip(tmp_path):
     spans = [
         AnnotationSpan("EEG L", Fraction(0), Fraction(21, 2), ArtifactClass.HIGH_NOISE),
         AnnotationSpan("EEG R", Fraction(3, 7), Fraction(5), ArtifactClass.SPIKY),
+        # labels a CSV cell holds only quoted
+        AnnotationSpan("EEG, L", Fraction(1), Fraction(2), ArtifactClass.M_SHAPED),
+        AnnotationSpan('EEG "R"', Fraction(2), Fraction(3), ArtifactClass.NO_DATA),
     ]
     path = tmp_path / "labels.csv"
     write_annotations(spans, path)
@@ -301,6 +304,12 @@ def test_load_annotations_merges_compound_codes(tmp_path):
     path.write_text("channel,start_s,end_s,label\nEEG,0,5,43\n")
     (span,) = load_annotations(path)
     assert span.label == ArtifactClass.M_SHAPED
+
+
+def test_load_annotations_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"\xef\xbb\xbfchannel,start_s,end_s,label\nEEG,0,5,2\n")
+    assert load_annotations(path) == [AnnotationSpan("EEG", 0, 5, ArtifactClass.HIGH_NOISE)]
 
 
 def test_span_validation():

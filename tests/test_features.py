@@ -247,7 +247,7 @@ def test_stat_features_batch_matches_rows(rng):
 
 
 def test_stat_features_blocks_equal_row_by_row_calls(rng):
-    # 600 rows span three row blocks
+    # a row of a batch has the bits of a call of its own
     batch = rng.standard_normal((600, 2560)) * rng.uniform(0.1, 50.0, (600, 1))
     out = stat_features(batch, FS)
     np.testing.assert_array_equal(out, np.stack([stat_features(row, FS) for row in batch]))
@@ -343,13 +343,8 @@ def test_feature_matrix_reads_a_list_of_channels_as_their_stack(rng):
     np.testing.assert_array_equal(spectrogram(eeg, cfg), spectrogram(np.stack(eeg), cfg))
 
 
-def test_list_of_unequal_batches_is_refused(rng):
-    with pytest.raises(ValueError, match="do not stack"):
-        stat_features([rng.standard_normal((3, 2560)), rng.standard_normal((2, 2560))], FS)
-
-
 def test_thread_count_does_not_change_bits(rng, monkeypatch):
-    # 600 rows: blocks of 256 rows on one thread, of 85 on three
+    # the kernels run on the calling thread whatever the CPU count
     batch = rng.standard_normal((600, 2560)) * rng.uniform(0.1, 50.0, (600, 1))
     acc = np.abs(rng.standard_normal((300, 2560)))
     cfg = SpectrogramConfig(fs=FS)
@@ -367,37 +362,11 @@ def test_thread_count_does_not_change_bits(rng, monkeypatch):
         np.testing.assert_array_equal(one, three)
 
 
-def test_stat_features_blocks_keep_their_floor_at_64_cpus(rng, monkeypatch):
-    """At 64 CPUs the row blocks keep their floor and fewer are in flight:
-    the rows in flight stay within the budget, as at 2 CPUs."""
-    batch = rng.standard_normal((1000, 2560))
-    budget, floor = features._FEATURE_ROWS
-    pool_map = features.pool_map
-    results, pieces, windows = {}, {}, {}
-    for cpus in (2, 64):
-        rows = []
-
-        def spy(fn, items, window=0):
-            windows[cpus] = window
-            return pool_map(fn, (rows.append(len(item[0])) or item for item in items), window)
-
-        monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
-        monkeypatch.setattr(features, "pool_map", spy)
-        results[cpus] = stat_features(batch, FS)
-        pieces[cpus] = max(rows)
-        assert sum(rows) == len(batch)
-    np.testing.assert_array_equal(results[2], results[64])
-    assert pieces[2] == budget // 2 == 128
-    assert pieces[64] >= floor
-    assert windows[64] * pieces[64] <= budget
-
-
 def test_pieces_keep_their_size_on_one_and_two_cpus(monkeypatch):
-    """One CPU cuts the pieces two CPUs cut: 128 feature rows, 8192 CSV
-    rows and 256 KB of CSV text, with one piece per CPU plus one in flight."""
+    """One CPU cuts the pieces two CPUs cut: 8192 CSV rows and 256 KB of
+    CSV text, with one piece per CPU plus one in flight."""
     for cpus in (1, 2):
         monkeypatch.setattr(features, "available_cpus", lambda cpus=cpus: cpus)
-        assert features.work_size(*features._FEATURE_ROWS) == (128, cpus + 1)
         assert features.work_size(*signal_io._CSV_ROWS) == (8192, cpus + 1)
         assert features.work_size(*signal_io._CSV_BYTES) == (1 << 18, cpus + 1)
 
@@ -411,15 +380,6 @@ def test_block_error_reaches_the_caller(monkeypatch):
 def test_on_pool_thread_tells_the_pool_workers_apart():
     assert not features.on_pool_thread()
     assert features.cpu_pool().submit(features.on_pool_thread).result(timeout=60)
-
-
-def test_row_blocks_of_a_pool_task_run_on_its_thread(rng, monkeypatch):
-    # one worker: a task that waited on the pool for its own blocks would
-    # wait for ever, so the timeout fails the test instead of hanging it
-    monkeypatch.setattr(features, "available_cpus", lambda: 1)
-    batch = rng.standard_normal((600, 2560))
-    future = features.cpu_pool().submit(stat_features, batch, FS)
-    np.testing.assert_array_equal(future.result(timeout=60), stat_features(batch, FS))
 
 
 class _TaskFault(Exception):

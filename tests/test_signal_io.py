@@ -286,6 +286,19 @@ def test_csv_round_trip(tmp_path, rng):
         np.testing.assert_allclose(b, a, rtol=0, atol=0)
 
 
+def test_read_csv_drops_a_byte_order_mark(tmp_path, rng):
+    rec = _digital_recording(rng, n_channels=2, seconds=2, fs=64)
+    plain, marked = tmp_path / "a.csv", tmp_path / "bom.csv"
+    write_csv(rec, plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want, got = read_csv(plain), read_csv(marked)
+    assert [ch.label for ch in got.channels] == [ch.label for ch in want.channels]
+    assert (got.fs, got.t0_s) == (want.fs, want.t0_s)
+    for a, b in zip(want.channels, got.channels):
+        np.testing.assert_array_equal(b.samples, a.samples)
+    np.testing.assert_array_equal(got.acc.axes, want.acc.axes)
+
+
 def test_csv_round_trip_keeps_the_first_time(tmp_path, rng):
     # at 1e8 s and beyond, Unix times, the spacing of t_s floats exceeds
     # 1e-6 of the 5-ms sampling period

@@ -1,6 +1,9 @@
 """Usability variants and whole-recording scoring."""
 from __future__ import annotations
 
+import csv
+import io
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -356,6 +359,60 @@ class TestBlockedScoring:
         with pytest.warns(UserWarning, match="normalization"):
             assert score_recording(loud, tiny_model).n_epochs == _B + 1
 
+    @pytest.fixture(scope="class")
+    def long_night(self):
+        rec, _, _, _ = gen_night(subject_index=1, n_epochs=6 * _B, fs=FS, seed=3)
+        return rec
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("digital", [True, False], ids=["digital", "physical"])
+    def test_memory_does_not_grow_with_the_night(
+        self, long_night, default_model, monkeypatch, cpus, digital
+    ):
+        """The tracemalloc peaks of score_recording and of
+        mobility_feature_matrix, less their outputs, are those of the blocks
+        running at once: on one CPU a 6·B-epoch night peaks as a
+        2·B+3-epoch night does, and on three neither night passes three
+        one-block peaks, whatever its length."""
+        from floss.mobility import mobility_feature_matrix
+
+        eeg_cal, acc_cal = Calibration(-3276.8, 3276.7), Calibration(-8.0, 8.0)
+
+        def held(x, cal):
+            return cal.to_digital(x) if digital else x.copy()
+
+        def peaks(n: int) -> tuple[int, int]:
+            rec = self._prefix(long_night, n)
+            rec = Recording(
+                [ChannelSignal(c.label, held(c.samples, eeg_cal), calibration=eeg_cal)
+                 for c in rec.channels],
+                TriAxialAcc(*(held(a, acc_cal) for a in rec.acc.axes), calibrations=(acc_cal,) * 3),
+                fs=rec.fs,
+            )
+            got = []
+            for run, size in (
+                (lambda: score_recording(rec, default_model),
+                 lambda s: s.spectra.nbytes + sum(labels.nbytes for labels in s.labels)),
+                (lambda: mobility_feature_matrix(rec.acc, FS, 10.0), lambda r: r[0].nbytes),
+            ):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    out = run()
+                    got.append(tracemalloc.get_traced_memory()[1] - base - size(out))
+                finally:
+                    tracemalloc.stop()
+            return tuple(got)
+
+        monkeypatch.setattr(features, "available_cpus", lambda: 1)
+        one_block = peaks(_B)
+        monkeypatch.setattr(features, "available_cpus", lambda: cpus)
+        short, long = peaks(2 * _B + 3), peaks(6 * _B)
+        for name, a, b, block in zip(("scoring", "mobility"), short, long, one_block):
+            if cpus == 1:
+                assert b <= 1.05 * a, (name, a, b)
+            assert max(a, b) <= cpus * 1.1 * block, (name, a, b, block)
+
 
 class TestScoresContainer:
     def test_csv_layout(self):
@@ -369,6 +426,21 @@ class TestScoresContainer:
             "channel,epoch_index,label\n"
             "EEG L,0,0\nEEG L,1,2\nEEG R,0,1\nEEG R,1,0\n"
         )
+
+    def test_csv_keeps_a_label_with_a_comma_or_a_quote(self):
+        scores = UsabilityScores(
+            channels=["EEG, L", 'EEG "R"'],
+            labels=[np.array([0, 2]), np.array([1, 0])],
+            epoch_len_s=10.0,
+            spectra=np.zeros((2, 2, 129)),
+        )
+        assert list(csv.reader(io.StringIO(scores.to_csv()))) == [
+            ["channel", "epoch_index", "label"],
+            ["EEG, L", "0", "0"],
+            ["EEG, L", "1", "2"],
+            ['EEG "R"', "0", "1"],
+            ['EEG "R"', "1", "0"],
+        ]
 
     def test_empty_container(self):
         assert UsabilityScores([], [], 10.0, np.zeros((0, 0, 129))).n_epochs == 0
